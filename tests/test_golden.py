@@ -1,0 +1,101 @@
+"""Golden digests: SHA-256 of CLI outputs for fixed seeds.
+
+Criterion 12 checks that a rerun reproduces its own output; these pin the
+outputs themselves, so a change that moves a single bit of any printed
+number fails here.  The set covers the criterion-12 commands plus
+Monte Carlo runs large enough to cross the batched engine's chunk
+boundaries (n=1000, the full speedup ladder, verify at n=1600).
+
+A digest may only change together with a stated reason for the stream
+change; re-bless by running this module's `_bless()` and pasting its
+output.
+"""
+
+import hashlib
+
+import pytest
+
+from codedmatvec.cli import main
+
+EXAMPLE_INJECT = "0.1138,0.2725,0.6458,0.7033,5.5538"
+
+GOLDEN = {
+    # the criterion-12 commands
+    "simulate.csv": (
+        ["simulate", "--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.12", "--inject", EXAMPLE_INJECT],
+        "7054fdea96629551dd1e2a845a0082e8a83b149b6822727b9015e1fc4d18734c",
+    ),
+    "montecarlo.txt": (
+        ["montecarlo", "--n", "100", "--k", "70", "--r", "700", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.001", "--trials", "500", "--seed", "12"],
+        "578e52ce791e2b68c967ddfe0f7569445b8a5ea592369542958d8d3150d01aa3",
+    ),
+    "sweep.csv": (
+        ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
+         "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12"],
+        "f9a03137ad544de0957e83d0e3558bb32e80810a25b7e84a36d88e77b5cba7da",
+    ),
+    "speedup.csv": (
+        ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
+         "--trials", "200", "--seed", "12"],
+        "c4c24af64a32d0096c7459771bf307fe1e7ce8b8374def87e0d5a7f4d84c4af8",
+    ),
+    "expect.txt": (
+        ["expect", "--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.12"],
+        "9a0edda3e3136c7a6610abee4208bc2f442daaab3ba7bb377c886a94728f900f",
+    ),
+    "decode.txt": (
+        ["decode-check", "--scheme", "systematic", "--n", "4", "--k", "2", "--r", "2",
+         "--m", "2", "--seed", "12"],
+        "006e57a3750d5fc38f22690a3900ac47bc4e93af7984438dd56282d0b3a76199",
+    ),
+    "verify.txt": (
+        ["verify", "--n", "50", "--k", "35", "--r", "35", "--a", "1", "--mu", "2",
+         "--t1cmm", "0.0002", "--trials", "300", "--seed", "12"],
+        "cb0c8394c0d12949e0edf3768d055a30fa9e0aa2adb80d5d524a3d41879bc35b",
+    ),
+    # n >= 1000 and the full ladder: several chunks per configuration
+    "montecarlo_n1000_coded.txt": (
+        ["montecarlo", "--n", "1000", "--k", "700", "--r", "7000", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.0001", "--scheme", "coded", "--trials", "300", "--seed", "5"],
+        "87031b13bdfa2d0e49781b4d0baf996670bc85268e344bbd51362ef2720b4e44",
+    ),
+    "montecarlo_n1000_uncoded.txt": (
+        ["montecarlo", "--n", "1000", "--k", "700", "--r", "7000", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.0001", "--scheme", "uncoded", "--trials", "300", "--seed", "5"],
+        "78ff370f91c1c4e6698c014c87d4c2fa96821c780b77b213402a562710ab1e92",
+    ),
+    "speedup_ladder.csv": (
+        ["speedup", "--beta", "1", "--c", "0.1", "--ns", "100,200,400,800,1600,3200",
+         "--a", "1", "--mu", "1", "--trials", "100", "--seed", "9"],
+        "baad3819f9a110c7a02b33bf58dc4c3cd6e6cf541f56bedd9140f022a3db39ab",
+    ),
+    "verify_n1600.txt": (
+        ["verify", "--n", "1600", "--k", "1440", "--r", "1440", "--a", "1", "--mu", "2",
+         "--t1cmm", "0.000625", "--trials", "100", "--seed", "3"],
+        "caf7901e1e9cb7ea4664a6e33cc8946f7bef7be90ab16cf3ddf7dfb2df5ded5e",
+    ),
+}
+
+
+def _digest(argv, path) -> str:
+    rc = main([*argv, "--out", str(path)])
+    assert rc == 0, f"exit code {rc}"
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name, tmp_path):
+    argv, expected = GOLDEN[name]
+    assert _digest(argv, tmp_path / name) == expected
+
+
+def _bless():  # pragma: no cover - maintenance helper
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, _) in GOLDEN.items():
+            print(f"{name}: {_digest(argv, Path(tmp) / name)}")
