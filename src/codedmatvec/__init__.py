@@ -24,8 +24,10 @@ from .channel import (
     CommModel,
     Timeline,
     TimelineMetrics,
+    TrialArrays,
     compute_metrics,
     run_coded_trial,
+    run_trials,
     run_uncoded_trial,
     schedule_serial_channel,
     timeline_record,

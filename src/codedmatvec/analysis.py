@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channel import CommModel
-from .timing import ClusterParams, harmonic
+from .timing import ClusterParams, harmonic, harmonic_table
 
 
 class Regime(enum.Enum):
@@ -140,13 +140,13 @@ def optimize_k(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"optimize_k needs n >= 2, got {n!r}")
-    h_n = harmonic(n)
+    h = harmonic_table(n)
     best_k = None
     best_val = math.inf
     for k in range(1, n):
         if require_divisor and r % k != 0:
             continue
-        value = a * r / k + (r / (mu * k)) * (h_n - harmonic(n - k)) + comm_at_k(k)
+        value = a * r / k + (r / (mu * k)) * (h[n] - h[n - k]) + comm_at_k(k)
         if value < best_val:
             best_k, best_val = k, value
     if best_k is None:

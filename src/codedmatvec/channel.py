@@ -17,12 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, uniform_rows
 from .timing import ClusterParams, CompTimes, comp_times_from_spacings, sample_comp_times
 
-# relative tolerance for "run-time equals the lower bound" classification;
-# absorbs float summation-order noise only.
+# relative and absolute tolerances for "run-time equals the lower bound"
+# classification; they absorb float summation-order noise only.
 LOWER_BOUND_REL_TOL = 1e-12
+LOWER_BOUND_ABS_TOL = 1e-15
+
+# float64 elements per working matrix of `run_trials` (512 KiB): memory
+# stays bounded whatever the trial count.
+CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,13 +140,126 @@ def compute_metrics(t: Timeline) -> TimelineMetrics:
     span = float(t.t_total - t.comp_finish[0])
     busy_fraction = busy / span if span > 0 else 0.0
     lower = kth_finish + t.t_cmm
-    hit = math.isclose(t.t_total, lower, rel_tol=LOWER_BOUND_REL_TOL, abs_tol=1e-15)
+    hit = math.isclose(t.t_total, lower,
+                       rel_tol=LOWER_BOUND_REL_TOL, abs_tol=LOWER_BOUND_ABS_TOL)
     return TimelineMetrics(
         q_idle=q_idle,
         completed_by_comp_k=completed,
         busy_fraction=busy_fraction,
         hit_lower_bound=hit,
     )
+
+
+@dataclass(frozen=True)
+class TrialArrays:
+    """Per-trial results of `run_trials`; entry i is trial i, RngStream(seed, i).
+
+    The first six arrays hold Timeline.t_total, the needed-th completion
+    time and the TimelineMetrics fields.  count1/count2 are the
+    `transmission_counts` of each trial when a pipeline index was given.
+    """
+
+    t_total: np.ndarray
+    kth_finish: np.ndarray
+    completed_by_comp_k: np.ndarray
+    q_idle: np.ndarray
+    busy_fraction: np.ndarray
+    hit_lower_bound: np.ndarray
+    count1: np.ndarray | None = None
+    count2: np.ndarray | None = None
+
+
+def run_trials(
+    params: ClusterParams,
+    comm: CommModel,
+    trials: int,
+    seed: int,
+    scheme: str,
+    p: int | None = None,
+) -> TrialArrays:
+    """Run trials 0..trials-1 of a scheme in chunks; bit-identical to a loop
+    of run_coded_trial/run_uncoded_trial(RngStream(seed, i)) plus
+    compute_metrics.
+
+    Each chunk draws its rows by re-keying one Philox stream, applies the
+    same inverse-CDF ufuncs as RngStream.exponentials, sorts the rows and
+    runs the channel recurrence as `needed` numpy steps across trials, so
+    every trial sees the same float operations as on its own.
+    """
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if scheme == "coded":
+        _check_work(comm, params.r / params.k)
+        work, needed, shift = params.coded_work(), params.k, params.t0
+    elif scheme == "uncoded":
+        _check_work(comm, params.r / params.n)
+        work, needed, shift = params.uncoded_work(), params.n, params.a * (params.r / params.n)
+    else:
+        raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
+    n, t_cmm = params.n, comm.t_cmm
+    if p is not None and not (isinstance(p, int) and 1 <= p <= n):
+        raise ValueError(f"p must lie in [1, {n}], got {p!r}")
+    rate = params.mu / work
+    busy = needed * t_cmm
+    rows = min(trials, max(1, CHUNK_ELEMENTS // n))
+    draws = np.empty((rows, n))
+    # transposed (rank, trial) layout: each recurrence step is one
+    # contiguous row
+    finish = np.empty((needed, rows))
+    idle = np.empty((needed, rows), dtype=bool)
+    idle[0] = True  # rank 1 always starts the instant it finishes
+
+    out = TrialArrays(
+        t_total=np.empty(trials),
+        kth_finish=np.empty(trials),
+        completed_by_comp_k=np.empty(trials, dtype=np.intp),
+        q_idle=np.empty(trials, dtype=np.intp),
+        busy_fraction=np.zeros(trials),
+        hit_lower_bound=np.empty(trials, dtype=bool),
+        count1=None if p is None else np.empty(trials, dtype=np.intp),
+        count2=None if p is None else np.empty(trials, dtype=np.intp),
+    )
+    for first in range(0, trials, rows):
+        m = min(rows, trials - first)
+        done = slice(first, first + m)
+        times, cf, idl = draws[:m], finish[:, :m], idle[:, :m]
+
+        uniform_rows(seed, first, times)
+        np.negative(times, out=times)
+        np.log1p(times, out=times)
+        np.negative(times, out=times)
+        np.divide(times, rate, out=times)
+        times.sort(axis=1)
+        # rows are sorted, NaN last: the end columns bound every value
+        if not (np.all(times[:, 0] >= 0) and np.all(np.isfinite(times[:, -1]))):
+            raise ValueError("computation times must be finite and >= 0")
+        np.add(shift, times[:, :needed].T, out=cf)
+        if p is not None:
+            # rank p may lie past `needed` (a backlog that never clears)
+            finish_p = shift + times[:, p - 1]
+
+        # the draws are spent; their buffer holds the transmission ends
+        e = draws.reshape(-1)[: needed * m].reshape(needed, m)
+        steps = list(e)  # row views, made once: the loop is pure ufunc calls
+        np.add(cf[0], t_cmm, out=steps[0])
+        for finish_j, prev, cur in zip(cf[1:], steps, steps[1:]):
+            np.maximum(finish_j, prev, out=cur)
+            np.add(cur, t_cmm, out=cur)
+
+        kth, total = cf[needed - 1], e[needed - 1]
+        out.t_total[done] = total
+        out.kth_finish[done] = kth
+        out.completed_by_comp_k[done] = np.count_nonzero(e <= kth, axis=0)
+        np.greater_equal(cf[1:], e[:-1], out=idl[1:])
+        out.q_idle[done] = needed - np.argmax(idl[::-1], axis=0)
+        span = total - cf[0]
+        np.divide(busy, span, out=out.busy_fraction[done], where=span > 0)
+        out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
+        if p is not None:
+            out.count1[done] = np.count_nonzero(e <= finish_p, axis=0)
+    if p is not None:
+        np.subtract(out.completed_by_comp_k, out.count1, out=out.count2)
+    return out
 
 
 def run_coded_trial(
@@ -197,6 +315,13 @@ def _sample(params, work, rng, sampling):
     if sampling == "spacings":
         return comp_times_from_spacings(params, rng, alpha=work / params.mu)
     raise ValueError(f"unknown sampling method {sampling!r}")
+
+
+def _isclose(a, b):
+    """compute_metrics' math.isclose test, elementwise: symmetric in a and b
+    (np.isclose is not), |a - b| <= max(rel * max(|a|, |b|), abs)."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return np.abs(a - b) <= np.maximum(LOWER_BOUND_REL_TOL * scale, LOWER_BOUND_ABS_TOL)
 
 
 def _check_work(comm, expected):

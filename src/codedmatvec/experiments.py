@@ -10,8 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import RegimeFamily, expected_runtime_regime3, optimize_k, pipeline_index_p
-from .channel import CommModel, Timeline, run_coded_trial, run_uncoded_trial
-from .rng import RngStream
+from .channel import CommModel, Timeline, run_trials
 from .timing import ClusterParams
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -125,42 +124,22 @@ def monte_carlo(
     trials: int,
     seed: int,
     scheme: str = "coded",
-    sampling: str = "sort",
 ) -> tuple[MCStats, AggregateMetrics]:
     """Run `trials` independent trials, stream i keyed by (seed, i)."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if scheme == "coded":
-        run = run_coded_trial
-    elif scheme == "uncoded":
-        run = run_uncoded_trial
-    else:
-        raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
-
-    totals = np.empty(trials)
-    completed = np.empty(trials)
-    q_idle = np.empty(trials)
-    busy = np.empty(trials)
-    hits = np.empty(trials, dtype=bool)
-    for i in range(trials):
-        timeline, metrics = run(params, comm, RngStream(seed, i), sampling=sampling)
-        totals[i] = timeline.t_total
-        completed[i] = metrics.completed_by_comp_k
-        q_idle[i] = metrics.q_idle
-        busy[i] = metrics.busy_fraction
-        hits[i] = metrics.hit_lower_bound
-    frac_hit = float(np.mean(hits))
+    batch = run_trials(params, comm, trials, seed, scheme)
+    completed = batch.completed_by_comp_k
+    frac_hit = float(np.mean(batch.hit_lower_bound))
     agg = AggregateMetrics(
         frac_lower_bound_hit=frac_hit,
         mean_completed_by_comp_k=float(np.mean(completed)),
-        mean_q_idle=float(np.mean(q_idle)),
-        mean_busy_fraction=float(np.mean(busy)),
+        mean_q_idle=float(np.mean(batch.q_idle)),
+        mean_busy_fraction=float(np.mean(batch.busy_fraction)),
         stderr_frac_lower_bound_hit=math.sqrt(frac_hit * (1.0 - frac_hit) / trials),
         stderr_completed_by_comp_k=(
             float(np.std(completed, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
         ),
     )
-    return MCStats.from_samples(totals), agg
+    return MCStats.from_samples(batch.t_total), agg
 
 
 def sweep_regime(
@@ -264,21 +243,16 @@ def verify_transmission_lemmas(
     comm: CommModel,
     trials: int,
     seed: int,
-    sampling: str = "sort",
 ) -> LemmaReport:
     """Measure the pipeline transmission counts over repeated coded trials,
     also checking the realization-level run-time sandwich on every trial."""
     p = pipeline_index_p(params, comm.t_cmm)
     n, k = params.n, params.k
-    c1 = np.empty(trials)
-    c2 = np.empty(trials)
-    violations = 0
-    for i in range(trials):
-        timeline, _ = run_coded_trial(params, comm, RngStream(seed, i), sampling=sampling)
-        c1[i], c2[i] = transmission_counts(timeline, p)
-        kth = timeline.comp_finish[k - 1]
-        if not (kth + comm.t_cmm <= timeline.t_total <= kth + k * comm.t_cmm):
-            violations += 1
+    batch = run_trials(params, comm, trials, seed, "coded", p=p)
+    c1, c2 = batch.count1, batch.count2
+    kth, total = batch.kth_finish, batch.t_total
+    inside = (kth + comm.t_cmm <= total) & (total <= kth + k * comm.t_cmm)
+    violations = trials - int(np.count_nonzero(inside))
     deficit_p = (p - c1) / n
     deficit_k = (k - p - c2) / n
     shortfall = np.maximum(deficit_k, 0.0)

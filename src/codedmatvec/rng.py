@@ -17,10 +17,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not isinstance(seed, int) or not 0 <= seed < _U64:
-            raise ValueError(f"seed must be an integer in [0, 2^64): got {seed!r}")
-        if not isinstance(stream_id, int) or not 0 <= stream_id < _U64:
-            raise ValueError(f"stream_id must be an integer in [0, 2^64): got {stream_id!r}")
+        _check_key("seed", seed)
+        _check_key("stream_id", stream_id)
         self.seed = seed
         self.stream_id = stream_id
         key = np.array([seed, stream_id], dtype=np.uint64)
@@ -49,3 +47,30 @@ class RngStream:
 
     def integers(self, low, high):
         return int(self._gen.integers(low, high))
+
+
+def uniform_rows(seed: int, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill row j of the C-contiguous float64 matrix `out` with the draws of
+    RngStream(seed, first + j).uniforms(out.shape[1]), bit for bit.
+
+    One Philox bit generator is re-keyed through its state for each row
+    (key (seed, stream_id), counter 0, empty buffer), which is what a fresh
+    RngStream starts from, without constructing one per row.
+    """
+    _check_key("seed", seed)
+    _check_key("stream_id", first)
+    _check_key("stream_id", first + max(len(out) - 1, 0))
+    bit_gen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    key = state["state"]["key"]
+    for j, row in enumerate(out):
+        key[1] = first + j
+        bit_gen.state = state
+        gen.random(out=row)
+    return out
+
+
+def _check_key(name: str, value) -> None:
+    if not isinstance(value, int) or not 0 <= value < _U64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64): got {value!r}")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from codedmatvec import (
@@ -128,6 +130,18 @@ def test_optimize_k_matches_brute_force():
     want_div = leading_term_scan(10, 120, 1.0, 1.0, comm, require_divisor=True)
     assert got_div == want_div
     assert 120 % got_div[0] == 0
+
+
+@pytest.mark.parametrize("n", [100, 800, 1600])
+def test_optimize_k_matches_fsum_scan_on_ladder(n):
+    # the speedup ladder's configuration: r = lcm(k, n) at k = 0.7 n
+    k0 = round(0.7 * n)
+    r = n * k0 // math.gcd(n, k0)
+    t_one = 0.1 / n
+    comm = lambda k: (r / k) * t_one
+    for require_divisor in (True, False):
+        got = optimize_k(n, r, 1.0, 1.0, comm, require_divisor=require_divisor)
+        assert got == leading_term_scan(n, r, 1.0, 1.0, comm, require_divisor=require_divisor)
 
 
 def test_optimize_k_boundary_and_errors():

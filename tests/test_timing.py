@@ -15,6 +15,7 @@ from codedmatvec import (
     sample_spacings,
     variance_order_stat,
 )
+from codedmatvec.timing import harmonic_table
 from oracles import ks_two_sample_threshold
 
 
@@ -24,6 +25,15 @@ def test_harmonic_values():
     assert harmonic(5) == pytest.approx(137 / 60, rel=1e-15)
     with pytest.raises(ValueError):
         harmonic(-1)
+
+
+def test_harmonic_table_equals_fsum():
+    table = harmonic_table(5000)
+    assert len(table) == 5001
+    assert all(table[m] == harmonic(m) for m in range(5001))
+    assert harmonic_table(0) == [0.0]
+    with pytest.raises(ValueError):
+        harmonic_table(-1)
 
 
 def test_cluster_params_validation():
