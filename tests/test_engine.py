@@ -63,7 +63,7 @@ def _assert_matches_loop(params, comm, trials, seed, scheme, p=None):
     else:
         assert np.array_equal(batch.count1, np.array(rows["count1"]))
         assert np.array_equal(batch.count2, np.array(rows["count2"]))
-    return violations
+    return rows, violations
 
 
 @st.composite
@@ -121,8 +121,7 @@ def test_verify_report_counts_equal_transmission_counts_loop(n, seed, trials, t_
     params = ClusterParams(n=n, k=k, r=k, a=1.0, mu=2.0)
     comm = CommModel.coded(params, t_one)
     report = verify_transmission_lemmas(params, comm, trials, seed)
-    violations = _assert_matches_loop(params, comm, trials, seed, "coded", p=report.p)
-    rows, _ = _loop(params, comm, trials, seed, "coded", report.p)
+    rows, violations = _assert_matches_loop(params, comm, trials, seed, "coded", p=report.p)
     assert report.sandwich_violations == violations
     assert report.mean_count1 == float(np.mean(np.array(rows["count1"], dtype=float)))
     assert report.mean_count2 == float(np.mean(np.array(rows["count2"], dtype=float)))
