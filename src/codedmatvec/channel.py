@@ -25,9 +25,11 @@ from .timing import ClusterParams, CompTimes, comp_times_from_spacings, sample_c
 LOWER_BOUND_REL_TOL = 1e-12
 LOWER_BOUND_ABS_TOL = 1e-15
 
-# float64 elements per working matrix of `run_trials` (512 KiB): memory
-# stays bounded whatever the trial count.
+# float64 elements per draw matrix of `run_trials` (512 KiB) and per
+# recurrence block (64 KiB): memory stays bounded whatever the trial
+# count, and the blocks the recurrence walks stay in cache.
 CHUNK_ELEMENTS = 2**16
+BLOCK_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,9 @@ def run_trials(
     Each chunk draws its rows by re-keying one Philox stream, applies the
     same inverse-CDF ufuncs as RngStream.exponentials, sorts the rows and
     runs the channel recurrence as `needed` numpy steps across trials, so
-    every trial sees the same float operations as on its own.
+    every trial sees the same float operations as on its own.  The steps
+    run in blocks of ranks whose metrics are reduced as they go, so only
+    the draws and one block are ever held.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -202,27 +206,30 @@ def run_trials(
     rate = params.mu / work
     busy = needed * t_cmm
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
+    ranks = max(1, BLOCK_ELEMENTS // rows)
     draws = np.empty((rows, n))
-    # transposed (rank, trial) layout: each recurrence step is one
-    # contiguous row
-    finish = np.empty((needed, rows))
-    idle = np.empty((needed, rows), dtype=bool)
-    idle[0] = True  # rank 1 always starts the instant it finishes
+    # transposed (rank, trial) blocks: each recurrence step is one
+    # contiguous row; ends[0] holds the end before the block's first rank
+    finish = np.empty((ranks, rows))
+    ends = np.empty((ranks + 1, rows))
+    idle = np.empty((ranks, rows), dtype=bool)
+    below = np.empty((ranks, rows), dtype=bool)
 
     out = TrialArrays(
         t_total=np.empty(trials),
         kth_finish=np.empty(trials),
-        completed_by_comp_k=np.empty(trials, dtype=np.intp),
+        completed_by_comp_k=np.zeros(trials, dtype=np.intp),
         q_idle=np.empty(trials, dtype=np.intp),
         busy_fraction=np.zeros(trials),
         hit_lower_bound=np.empty(trials, dtype=bool),
-        count1=None if p is None else np.empty(trials, dtype=np.intp),
+        count1=None if p is None else np.zeros(trials, dtype=np.intp),
         count2=None if p is None else np.empty(trials, dtype=np.intp),
     )
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
-        times, cf, idl = draws[:m], finish[:, :m], idle[:, :m]
+        times = draws[:m]
+        completed, q_idle = out.completed_by_comp_k[done], out.q_idle[done]
 
         uniform_rows(seed, first, times)
         np.negative(times, out=times)
@@ -233,30 +240,36 @@ def run_trials(
         # rows are sorted, NaN last: the end columns bound every value
         if not (np.all(times[:, 0] >= 0) and np.all(np.isfinite(times[:, -1]))):
             raise ValueError("computation times must be finite and >= 0")
-        np.add(shift, times[:, :needed].T, out=cf)
+        kth = shift + times[:, needed - 1]
         if p is not None:
             # rank p may lie past `needed` (a backlog that never clears)
             finish_p = shift + times[:, p - 1]
 
-        # the draws are spent; their buffer holds the transmission ends
-        e = draws.reshape(-1)[: needed * m].reshape(needed, m)
-        steps = list(e)  # row views, made once: the loop is pure ufunc calls
-        np.add(cf[0], t_cmm, out=steps[0])
-        for finish_j, prev, cur in zip(cf[1:], steps, steps[1:]):
-            np.maximum(finish_j, prev, out=cur)
-            np.add(cur, t_cmm, out=cur)
+        # rank 1 starts the instant it finishes: max(finish, -inf) = finish
+        ends[0, :m] = -math.inf
+        for j0 in range(0, needed, ranks):
+            b = min(ranks, needed - j0)
+            cf, e, idl, le = finish[:b, :m], ends[: b + 1, :m], idle[:b, :m], below[:b, :m]
+            np.add(shift, times[:, j0 : j0 + b].T, out=cf)
+            steps = list(e)  # row views, so the loop is pure ufunc calls
+            for finish_j, prev, cur in zip(cf, steps, steps[1:]):
+                np.maximum(finish_j, prev, out=cur)
+                np.add(cur, t_cmm, out=cur)
+            # q_idle is 1 + the last rank that finds the channel free; block
+            # 0 always has one (rank 1)
+            np.greater_equal(cf, e[:-1], out=idl)
+            np.copyto(q_idle, j0 + b - np.argmax(idl[::-1], axis=0), where=idl.any(axis=0))
+            completed += np.count_nonzero(np.less_equal(e[1:], kth, out=le), axis=0)
+            if p is not None:
+                out.count1[done] += np.count_nonzero(np.less_equal(e[1:], finish_p, out=le), axis=0)
+            e[0] = e[b]
 
-        kth, total = cf[needed - 1], e[needed - 1]
+        total = ends[0, :m]
         out.t_total[done] = total
         out.kth_finish[done] = kth
-        out.completed_by_comp_k[done] = np.count_nonzero(e <= kth, axis=0)
-        np.greater_equal(cf[1:], e[:-1], out=idl[1:])
-        out.q_idle[done] = needed - np.argmax(idl[::-1], axis=0)
-        span = total - cf[0]
+        span = total - (shift + times[:, 0])
         np.divide(busy, span, out=out.busy_fraction[done], where=span > 0)
         out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
-        if p is not None:
-            out.count1[done] = np.count_nonzero(e <= finish_p, axis=0)
     if p is not None:
         np.subtract(out.completed_by_comp_k, out.count1, out=out.count2)
     return out

@@ -85,13 +85,16 @@ def configurations(draw):
 @settings(max_examples=60, deadline=None)
 @given(config=configurations(), seed=st.integers(0, 2**64 - 1),
        trials=st.integers(1, 12), rows_per_chunk=st.sampled_from([1, 2, 5, None]),
-       data=st.data())
-def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chunk, data):
+       block=st.sampled_from([1, 3, 16, None]), data=st.data())
+def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chunk, block, data):
     params, comm, scheme = config
     p = data.draw(st.integers(1, params.n)) if scheme == "coded" else None
-    # shrink the chunk so small trial counts cross chunk boundaries
+    # shrink the chunk and the recurrence block so small trial counts and
+    # small n cross chunk and block boundaries
     chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * params.n
-    with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
+    block = channel.BLOCK_ELEMENTS if block is None else block
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk), \
+            mock.patch.object(channel, "BLOCK_ELEMENTS", block):
         _assert_matches_loop(params, comm, trials, seed, scheme, p)
 
 
