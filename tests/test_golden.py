@@ -2,9 +2,10 @@
 
 Criterion 12 checks that a rerun reproduces its own output; these pin the
 outputs themselves, so a change that moves a single bit of any printed
-number fails here.  The set covers the criterion-12 commands plus
-Monte Carlo runs large enough to cross the batched engine's chunk
-boundaries (n=1000, the full speedup ladder, verify at n=1600).
+number fails here.  The set covers the criterion-12 commands, every
+other command in each output format it has, and Monte Carlo runs large
+enough to cross the batched engine's chunk boundaries (n=1000, the full
+speedup ladder, verify at n=1600).
 
 A digest may only change together with a stated reason for the stream
 change; re-bless by running this module's `_bless()` and pasting its
@@ -76,6 +77,74 @@ GOLDEN = {
         ["verify", "--n", "1600", "--k", "1440", "--r", "1440", "--a", "1", "--mu", "2",
          "--t1cmm", "0.000625", "--trials", "100", "--seed", "3"],
         "caf7901e1e9cb7ea4664a6e33cc8946f7bef7be90ab16cf3ddf7dfb2df5ded5e",
+    ),
+    # every other command x format, so a shared writer must reproduce them
+    "simulate.txt": (
+        ["simulate", "--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.12", "--inject", EXAMPLE_INJECT, "--format", "text"],
+        "674e616110ba1aba3d936df51424d2d1aaeac42aeaf3631ecdcdf74707ba5bc5",
+    ),
+    "simulate_seeded_coded.csv": (
+        ["simulate", "--n", "20", "--k", "10", "--r", "20", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.01", "--seed", "12"],
+        "123ec7ff69470d0faf52176639757666a970e937f05b356466df06f7af1dcfca",
+    ),
+    "simulate_seeded_uncoded.csv": (
+        ["simulate", "--n", "20", "--k", "10", "--r", "20", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.01", "--seed", "12", "--scheme", "uncoded"],
+        "6d9424805434fa03c566ba0f32cc0ef30f7e7ce5a2d86808013c75f6408cfd0a",
+    ),
+    "montecarlo_coded.csv": (
+        ["montecarlo", "--n", "100", "--k", "70", "--r", "700", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.001", "--trials", "500", "--seed", "12", "--format", "csv"],
+        "c3bf644f0ec97cfb6da6cf18eaebca33539e6d2f33c2c8329054125a37fe2652",
+    ),
+    "montecarlo_uncoded.csv": (
+        ["montecarlo", "--n", "100", "--k", "70", "--r", "700", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.001", "--trials", "500", "--seed", "12", "--scheme", "uncoded",
+         "--format", "csv"],
+        "1bd0323aebc394bdcdc359dedb281a0de3c98089ac17c65acde1961f23d05e6a",
+    ),
+    "sweep.txt": (
+        ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
+         "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12", "--format", "text"],
+        "6e61098fa9bc617032a47cad410ff4454a23c73a1e6c706002d8f0ac1b19a2ca",
+    ),
+    "speedup.txt": (
+        ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
+         "--trials", "200", "--seed", "12", "--format", "text"],
+        "6aaba5625cb3621ec4f74897da14876ec29976280810a4fbdc2996a484f193ed",
+    ),
+    # k = 0.3 n differs from the optimized k (at 0.7 on 10,20 the two agree)
+    "speedup_fix_k.csv": (
+        ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
+         "--trials", "200", "--seed", "12", "--fix-k", "--k-fraction", "0.3"],
+        "1b0af28eb4990926318d90f66c0a8e237bafa84829a3aa4e50d845f857cff179",
+    ),
+    "optimize_k.txt": (
+        ["optimize-k", "--n", "100", "--r", "700", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.001"],
+        "790ca81099486eada5b68662ba08b256a94af6eb74fa834166edd78d555ea45e",
+    ),
+    "optimize_k_divisor.txt": (
+        ["optimize-k", "--n", "100", "--r", "700", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.001", "--require-divisor"],
+        "31ab87a9dd69687f2af17bd7e7d8b607587c44fd164bc01b168105c0c51a99cc",
+    ),
+    "expect_uncoded.txt": (
+        ["expect", "--n", "100", "--k", "70", "--r", "100", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.01", "--scheme", "uncoded", "--beta", "1", "--c", "1"],
+        "4f878e2ab1ec0763d37817279ad2685ba5e5f229a34051ffc6c00fc7d67df71b",
+    ),
+    "decode_random_exhaustive.txt": (
+        ["decode-check", "--scheme", "random", "--n", "8", "--k", "4", "--r", "12",
+         "--m", "5", "--seed", "12"],
+        "5481860c563932d1c31b26d78b1e9df80a6b2a4ee6038b692b3b4150b5339676",
+    ),
+    "decode_random_sampled.txt": (
+        ["decode-check", "--scheme", "random", "--n", "30", "--k", "15", "--r", "15",
+         "--m", "3", "--trials", "200", "--seed", "12"],
+        "d76ef941553edc5e781c2615ff0bd0148429843a88c05afb68b0f67842a5419d",
     ),
 }
 
