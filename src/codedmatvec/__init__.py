@@ -18,7 +18,6 @@ from .analysis import (
     expected_runtime_regime3,
     optimize_k,
     pipeline_index,
-    pipeline_index_p,
 )
 from .channel import (
     CommModel,
@@ -30,8 +29,6 @@ from .channel import (
     run_trials,
     run_uncoded_trial,
     schedule_serial_channel,
-    timeline_record,
-    timeline_to_csv,
 )
 from .coding import (
     CodedJob,
@@ -43,10 +40,9 @@ from .coding import (
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
-    uncoded_partition,
     worker_compute,
 )
-from .config import ConfigError, RunConfig, config_to_text, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .experiments import (
     AggregateMetrics,
     LemmaReport,
@@ -59,9 +55,7 @@ from .experiments import (
     monte_carlo,
     round_k,
     speedup_curve,
-    speedup_to_csv,
     sweep_regime,
-    sweep_to_csv,
     transmission_counts,
     verify_transmission_lemmas,
 )
@@ -69,8 +63,6 @@ from .rng import RngStream
 from .timing import (
     ClusterParams,
     CompTimes,
-    Spacings,
-    comp_times_from_spacings,
     expected_order_stat,
     harmonic,
     inject_comp_times,

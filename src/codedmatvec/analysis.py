@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channel import CommModel
-from .timing import ClusterParams, harmonic, harmonic_table
+from .timing import ClusterParams, expected_order_stat, harmonic, harmonic_table
 
 
 class Regime(enum.Enum):
@@ -58,7 +58,7 @@ def expectation_bracket_coded(params: ClusterParams, comm: CommModel) -> Latency
     """Bracket on the expected coded run-time: the t0 + E[T_(k)] core plus
     one transmission (channel idle at the k-th completion) up to k
     transmissions (all communication deferred past it)."""
-    core = params.t0 + params.alpha * (harmonic(params.n) - harmonic(params.n - params.k))
+    core = expected_runtime_regime3(params)
     return LatencyBracket(lower=core + comm.t_cmm, upper=core + params.k * comm.t_cmm)
 
 
@@ -78,10 +78,10 @@ def expected_runtime_regime3(params: ClusterParams) -> float:
 
     The vanishing channel correction is deliberately omitted.
     """
-    return params.t0 + params.alpha * (harmonic(params.n) - harmonic(params.n - params.k))
+    return params.t0 + expected_order_stat(params, params.k)
 
 
-def pipeline_index_p(params: ClusterParams, t_cmm: float) -> int:
+def pipeline_index(n: int, alpha: float, t_cmm: float) -> int:
     """Rank at which the channel backlog first clears.
 
     Define f(j) = sum_{i<=j} alpha/(n-i+1) - (j-1)*t_cmm, the expected
@@ -92,11 +92,9 @@ def pipeline_index_p(params: ClusterParams, t_cmm: float) -> int:
       * no dip (f >= 0 on [1, n])          -> 1, channel never backlogged
       * dip, then f(p) >= 0 and f(p-1) < 0 -> p
       * dip that never re-crosses by n     -> n (backlog outlasts the job)
+
+    For a coded run, alpha is ClusterParams.alpha.
     """
-    return pipeline_index(params.n, params.alpha, t_cmm)
-
-
-def pipeline_index(n: int, alpha: float, t_cmm: float) -> int:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not math.isfinite(alpha) or alpha <= 0:
@@ -132,7 +130,8 @@ def optimize_k(
     require_divisor: bool = False,
 ) -> tuple[int, float]:
     """Scan k in [1, n-1] for the minimizer of the leading-term run-time
-    t0(k) + alpha(k) * (H_n - H_(n-k)) + t_cmm(k).
+    expected_runtime_regime3 + t_cmm(k), read from one harmonic table
+    instead of two fsums per candidate.
 
     comm_at_k maps a candidate k to its per-worker transmission time.
     With require_divisor, only k | r candidates are considered.  Ties go

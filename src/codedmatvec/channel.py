@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream, uniform_rows
-from .timing import ClusterParams, CompTimes, comp_times_from_spacings, sample_comp_times
+from .timing import ClusterParams, CompTimes, sample_comp_times
 
 # relative and absolute tolerances for "run-time equals the lower bound"
 # classification; they absorb float summation-order noise only.
@@ -280,7 +280,6 @@ def run_coded_trial(
     comm: CommModel,
     rng: RngStream | None = None,
     times: CompTimes | None = None,
-    sampling: str = "sort",
 ) -> tuple[Timeline, TimelineMetrics]:
     """One coded trial: n workers at r/k inner products each, wait for k.
 
@@ -290,7 +289,7 @@ def run_coded_trial(
     """
     _check_work(comm, params.r / params.k)
     if times is None:
-        times = _sample(params, params.coded_work(), rng, sampling)
+        times = _sample(params, params.coded_work(), rng)
     elif times.n != params.n:
         raise ValueError(f"need {params.n} injected times, got {times.n}")
     comp_finish = params.t0 + times.sorted
@@ -303,16 +302,11 @@ def run_uncoded_trial(
     comm: CommModel,
     rng: RngStream | None = None,
     times: CompTimes | None = None,
-    sampling: str = "sort",
 ) -> tuple[Timeline, TimelineMetrics]:
     """One uncoded trial: n workers at r/n inner products each, wait for all."""
     _check_work(comm, params.r / params.n)
     if times is None:
-        work = params.uncoded_work()
-        if sampling == "spacings":
-            times = comp_times_from_spacings(params, rng, alpha=work / params.mu)
-        else:
-            times = _sample(params, work, rng, sampling)
+        times = _sample(params, params.uncoded_work(), rng)
     elif times.n != params.n:
         raise ValueError(f"need {params.n} injected times, got {times.n}")
     comp_finish = params.a * (params.r / params.n) + times.sorted
@@ -320,14 +314,10 @@ def run_uncoded_trial(
     return timeline, compute_metrics(timeline)
 
 
-def _sample(params, work, rng, sampling):
+def _sample(params, work, rng):
     if rng is None:
         raise ValueError("an RngStream is required when no times are injected")
-    if sampling == "sort":
-        return sample_comp_times(params, work, rng)
-    if sampling == "spacings":
-        return comp_times_from_spacings(params, rng, alpha=work / params.mu)
-    raise ValueError(f"unknown sampling method {sampling!r}")
+    return sample_comp_times(params, work, rng)
 
 
 def _isclose(a, b):
@@ -344,26 +334,3 @@ def _check_work(comm, expected):
             f"the scheme's per-worker load {expected}"
         )
 
-
-def timeline_to_csv(t: Timeline) -> str:
-    """CSV rows rank,comp_finish,comm_start,comm_end for ranks 1..needed."""
-    lines = ["rank,comp_finish,comm_start,comm_end"]
-    for i in range(t.needed):
-        lines.append(
-            f"{i + 1},{t.comp_finish[i]:.9f},{t.comm_start[i]:.9f},{t.comm_end[i]:.9f}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def timeline_record(t: Timeline, m: TimelineMetrics) -> str:
-    """Structured-text record of a timeline plus its metrics."""
-    lines = [
-        f"needed={t.needed}",
-        f"t_cmm={t.t_cmm:.9g}",
-        f"t_total={t.t_total:.9g}",
-        f"q_idle={m.q_idle}",
-        f"completed_by_comp_k={m.completed_by_comp_k}",
-        f"busy_fraction={m.busy_fraction:.9g}",
-        f"hit_lower_bound={'true' if m.hit_lower_bound else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -21,25 +21,12 @@ from .analysis import (
     expectation_bracket_uncoded,
     expected_runtime_regime3,
     optimize_k,
-    pipeline_index_p,
+    pipeline_index,
 )
-from .channel import (
-    CommModel,
-    run_coded_trial,
-    run_uncoded_trial,
-    timeline_record,
-    timeline_to_csv,
-)
+from .channel import CommModel, run_coded_trial, run_uncoded_trial
 from .coding import encode_random_linear, encode_systematic_mds, recovery_error
 from .config import ConfigError, RunConfig, parse_config
-from .experiments import (
-    monte_carlo,
-    speedup_curve,
-    speedup_to_csv,
-    sweep_regime,
-    sweep_to_csv,
-    verify_transmission_lemmas,
-)
+from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
 from .timing import ClusterParams, expected_order_stat, harmonic, inject_comp_times, variance_order_stat
 
@@ -58,14 +45,6 @@ class _Parser(argparse.ArgumentParser):
     # verification failures and report usage problems as status 1
     def error(self, message):
         raise _UsageError(message)
-
-
-def _g(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +83,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         return args.handler(config, args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -121,7 +100,24 @@ def _load_config(args) -> RunConfig:
     return parse_config(contents, overrides)
 
 
-def _emit(text: str, config: RunConfig):
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _write(records, config: RunConfig, default_format: str):
+    """Write records, each a sequence of (key, value) pairs, to --out or
+    stdout: `key=value` lines with a blank line between records, or a CSV
+    header of the first record's keys followed by one row per record."""
+    records = [[(key, _cell(value)) for key, value in record] for record in records]
+    if (config.format or default_format) == "csv":
+        rows = [[key for key, _ in records[0]], *([v for _, v in rec] for rec in records)]
+        text = "".join(",".join(row) + "\n" for row in rows)
+    else:
+        text = "\n".join("".join(f"{key}={v}\n" for key, v in rec) for rec in records)
     if config.out:
         Path(config.out).write_text(text)
     else:
@@ -141,55 +137,47 @@ def _params(config: RunConfig) -> ClusterParams:
 
 def _comm(config: RunConfig, params: ClusterParams) -> CommModel:
     _need(config, "t1cmm")
+    if config.scheme not in ("coded", "uncoded"):
+        raise ConfigError(f"scheme: must be coded or uncoded here, got {config.scheme!r}")
     if config.scheme == "uncoded":
         return CommModel.uncoded(params, config.t1cmm)
     return CommModel.coded(params, config.t1cmm)
 
 
-def _run_scheme(config: RunConfig):
-    if config.scheme == "uncoded":
-        return run_uncoded_trial
-    if config.scheme == "coded":
-        return run_coded_trial
-    raise ConfigError(f"scheme: must be coded or uncoded here, got {config.scheme!r}")
-
-
 def _cmd_simulate(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
-    run = _run_scheme(config)
+    run = run_uncoded_trial if config.scheme == "uncoded" else run_coded_trial
     if config.inject is not None:
-        timeline, metrics = run(params, comm, times=inject_comp_times(config.inject))
+        t, metrics = run(params, comm, times=inject_comp_times(config.inject))
     else:
-        timeline, metrics = run(params, comm, RngStream(config.seed, 0))
+        t, metrics = run(params, comm, RngStream(config.seed, 0))
     if (config.format or "csv") == "csv":
-        _emit(timeline_to_csv(timeline), config)
+        records = [
+            [("rank", i + 1), ("comp_finish", f"{t.comp_finish[i]:.9f}"),
+             ("comm_start", f"{t.comm_start[i]:.9f}"), ("comm_end", f"{t.comm_end[i]:.9f}")]
+            for i in range(t.needed)
+        ]
     else:
-        _emit(timeline_record(timeline, metrics), config)
+        records = [[("needed", t.needed), ("t_cmm", t.t_cmm), ("t_total", t.t_total),
+                    *vars(metrics).items()]]
+    _write(records, config, "csv")
     return 0
 
 
 def _cmd_montecarlo(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
-    if config.scheme not in ("coded", "uncoded"):
-        raise ConfigError(f"scheme: must be coded or uncoded here, got {config.scheme!r}")
     mc, agg = monte_carlo(params, comm, config.trials, config.seed, scheme=config.scheme)
-    values = [
+    _write([[
         ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
-        ("trials", mc.trials), ("mean", _g(mc.mean)), ("variance", _g(mc.variance)),
-        ("stderr", _g(mc.stderr)), ("ci95_halfwidth", _g(mc.ci95_halfwidth)),
-        ("frac_lower_bound_hit", _g(agg.frac_lower_bound_hit)),
-        ("mean_completed_by_comp_k", _g(agg.mean_completed_by_comp_k)),
-        ("mean_q_idle", _g(agg.mean_q_idle)),
-        ("mean_busy_fraction", _g(agg.mean_busy_fraction)),
-    ]
-    if (config.format or "text") == "csv":
-        header = ",".join(key for key, _ in values)
-        row = ",".join(str(v) for _, v in values)
-        _emit(f"{header}\n{row}\n", config)
-    else:
-        _emit("".join(f"{key}={v}\n" for key, v in values), config)
+        ("trials", mc.trials), ("mean", mc.mean), ("variance", mc.variance),
+        ("stderr", mc.stderr), ("ci95_halfwidth", mc.ci95_halfwidth),
+        ("frac_lower_bound_hit", agg.frac_lower_bound_hit),
+        ("mean_completed_by_comp_k", agg.mean_completed_by_comp_k),
+        ("mean_q_idle", agg.mean_q_idle),
+        ("mean_busy_fraction", agg.mean_busy_fraction),
+    ]], config, "text")
     return 0
 
 
@@ -210,21 +198,14 @@ def _cmd_sweep(config: RunConfig, args) -> int:
             print(f"error: n={row.n}: {row.error}", file=sys.stderr)
     if all(row.error is not None for row in rows):
         return 1
-    if (config.format or "csv") == "csv":
-        _emit(sweep_to_csv(rows), config)
-    else:
-        blocks = []
-        for row in rows:
-            if row.error is not None:
-                continue
-            blocks.append(
-                f"n={row.n}\nk={row.k}\nr={row.r}\nt_cmm={_g(row.t_cmm)}\n"
-                f"mean={_g(row.mc.mean)}\nstderr={_g(row.mc.stderr)}\n"
-                f"frac_lower_bound_hit={_g(row.frac_lower_bound_hit)}\n"
-                f"mean_completed_by_comp_k={_g(row.mean_completed_by_comp_k)}\n"
-                f"closed_form={_g(row.closed_form_leading)}\ngap={_g(row.gap)}\n"
-            )
-        _emit("\n".join(blocks), config)
+    _write([
+        [("n", row.n), ("k", row.k), ("r", row.r), ("beta", row.beta), ("c", row.c),
+         ("t_cmm", row.t_cmm), ("mean", row.mc.mean), ("stderr", row.mc.stderr),
+         ("trials", row.mc.trials), ("frac_lb_hit", row.frac_lower_bound_hit),
+         ("completed_by_Tk", row.mean_completed_by_comp_k),
+         ("closed_form", row.closed_form_leading), ("gap", row.gap)]
+        for row in rows if row.error is None
+    ], config, "csv")
     return 0
 
 
@@ -237,15 +218,7 @@ def _cmd_speedup(config: RunConfig, args) -> int:
         trials=config.trials, seed=config.seed,
         optimize=not args.fix_k,
     )
-    if (config.format or "csv") == "csv":
-        _emit(speedup_to_csv(points), config)
-    else:
-        blocks = [
-            f"n={pt.n}\nk={pt.k}\nr={pt.r}\ncoded_mean={_g(pt.coded_mean)}\n"
-            f"uncoded_mean={_g(pt.uncoded_mean)}\nratio={_g(pt.ratio)}\n"
-            for pt in points
-        ]
-        _emit("\n".join(blocks), config)
+    _write([vars(point).items() for point in points], config, "csv")
     return 0
 
 
@@ -256,42 +229,42 @@ def _cmd_optimize_k(config: RunConfig, args) -> int:
         comm_at_k=lambda k: (config.r / k) * config.t1cmm,
         require_divisor=args.require_divisor,
     )
-    _emit(f"k_star={k_star}\nexpected_runtime={_g(value)}\n", config)
+    _write([[("k_star", k_star), ("expected_runtime", value)]], config, "text")
     return 0
 
 
 def _cmd_expect(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
-    lines = [f"scheme={config.scheme}", f"n={params.n}", f"k={params.k}", f"r={params.r}"]
+    record = [("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r)]
     if config.scheme == "uncoded":
         bracket = expectation_bracket_uncoded(params, comm)
         alpha_u = params.r / (params.mu * params.n)
-        lines += [
-            f"t0={_g(params.a * params.r / params.n)}",
-            f"alpha={_g(alpha_u)}",
-            f"t_cmm={_g(comm.t_cmm)}",
-            f"lower={_g(bracket.lower)}",
-            f"upper={_g(bracket.upper)}",
-            f"expected_Tn={_g(alpha_u * harmonic(params.n))}",
+        record += [
+            ("t0", params.a * params.r / params.n),
+            ("alpha", alpha_u),
+            ("t_cmm", comm.t_cmm),
+            ("lower", bracket.lower),
+            ("upper", bracket.upper),
+            ("expected_Tn", alpha_u * harmonic(params.n)),
         ]
     else:
         bracket = expectation_bracket_coded(params, comm)
-        lines += [
-            f"t0={_g(params.t0)}",
-            f"alpha={_g(params.alpha)}",
-            f"t_cmm={_g(comm.t_cmm)}",
-            f"lower={_g(bracket.lower)}",
-            f"upper={_g(bracket.upper)}",
-            f"regime3_leading={_g(expected_runtime_regime3(params))}",
-            f"pipeline_p={pipeline_index_p(params, comm.t_cmm)}",
-            f"expected_Tk={_g(expected_order_stat(params, params.k))}",
-            f"variance_Tk={_g(variance_order_stat(params, params.k))}",
+        record += [
+            ("t0", params.t0),
+            ("alpha", params.alpha),
+            ("t_cmm", comm.t_cmm),
+            ("lower", bracket.lower),
+            ("upper", bracket.upper),
+            ("regime3_leading", expected_runtime_regime3(params)),
+            ("pipeline_p", pipeline_index(params.n, params.alpha, comm.t_cmm)),
+            ("expected_Tk", expected_order_stat(params, params.k)),
+            ("variance_Tk", variance_order_stat(params, params.k)),
         ]
     if config.beta is not None:
         family = RegimeFamily(c=config.c if config.c is not None else 1.0, beta=config.beta)
-        lines.append(f"regime={classify_regime(family).value}")
-    _emit("".join(f"{line}\n" for line in lines), config)
+        record.append(("regime", classify_regime(family).value))
+    _write([record], config, "text")
     return 0
 
 
@@ -339,34 +312,24 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
         passed = failures == 0
     else:
         passed = recovered >= 0.99 and unflagged == 0
-    _emit(
-        f"scheme={config.scheme}\nn={config.n}\nk={config.k}\nr={config.r}\n"
-        f"m={config.m}\nsubsets_checked={checked}\nexhaustive={_bool(exhaustive)}\n"
-        f"tolerance={_g(tol)}\nmax_relative_error={_g(max_err)}\n"
-        f"failures={failures}\nunflagged_failures={unflagged}\n"
-        f"recovered_fraction={_g(recovered)}\npass={_bool(passed)}\n",
-        config,
-    )
+    _write([[
+        ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
+        ("m", config.m), ("subsets_checked", checked), ("exhaustive", exhaustive),
+        ("tolerance", tol), ("max_relative_error", max_err),
+        ("failures", failures), ("unflagged_failures", unflagged),
+        ("recovered_fraction", recovered), ("pass", passed),
+    ]], config, "text")
     return 0 if passed else 2
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
+    if config.scheme != "coded":
+        raise ConfigError(f"scheme: the lemmas hold for the coded pipeline, got {config.scheme!r}")
     report = verify_transmission_lemmas(params, comm, config.trials, config.seed)
     passed = report.sandwich_violations == 0
-    _emit(
-        f"n={report.n}\nk={report.k}\np={report.p}\ntrials={report.trials}\n"
-        f"mean_count1={_g(report.mean_count1)}\nmean_count2={_g(report.mean_count2)}\n"
-        f"mean_deficit_p={_g(report.mean_deficit_p)}\n"
-        f"stderr_deficit_p={_g(report.stderr_deficit_p)}\n"
-        f"mean_deficit_k_signed={_g(report.mean_deficit_k_signed)}\n"
-        f"stderr_deficit_k_signed={_g(report.stderr_deficit_k_signed)}\n"
-        f"mean_deficit_k_shortfall={_g(report.mean_deficit_k_shortfall)}\n"
-        f"stderr_deficit_k_shortfall={_g(report.stderr_deficit_k_shortfall)}\n"
-        f"sandwich_violations={report.sandwich_violations}\npass={_bool(passed)}\n",
-        config,
-    )
+    _write([[*vars(report).items(), ("pass", passed)]], config, "text")
     return 0 if passed else 2
 
 

@@ -17,11 +17,8 @@ import numpy as np
 from .rng import RngStream
 from .timing import ClusterParams
 
-RANDOM_LINEAR = "random-linear"
-SYSTEMATIC_MDS = "systematic-mds"
-
 # stacked solves with condition estimates beyond this are flagged, not trusted
-DEFAULT_COND_LIMIT = 1e8
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -32,7 +29,6 @@ class CodedJob:
     x: np.ndarray
     coding: tuple
     assignments: tuple
-    scheme: str
 
     @property
     def n(self) -> int:
@@ -86,7 +82,7 @@ def encode_random_linear(a_matrix, x, params: ClusterParams, rng: RngStream) -> 
     w = params.r // params.k
     coding = tuple(rng.standard_normals((w, params.r)) for _ in range(params.n))
     assignments = tuple(s @ a for s in coding)
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments, scheme=RANDOM_LINEAR)
+    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments)
 
 
 def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
@@ -113,7 +109,7 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
         coding.append(np.kron(g, eye_w))
     coding = tuple(coding)
     assignments = tuple(s @ a for s in coding)
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments, scheme=SYSTEMATIC_MDS)
+    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments)
 
 
 def _check_input_vector(x, a):
@@ -130,7 +126,7 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     return job.assignments[worker_id - 1] @ job.x
 
 
-def assemble_decode_input(job: CodedJob, worker_ids, results=None) -> DecodeInput:
+def assemble_decode_input(job: CodedJob, worker_ids) -> DecodeInput:
     """Stack the chosen workers' coding blocks and results, ascending id."""
     ids = sorted(set(int(i) for i in worker_ids))
     if len(ids) != len(list(worker_ids)):
@@ -141,20 +137,16 @@ def assemble_decode_input(job: CodedJob, worker_ids, results=None) -> DecodeInpu
     if ids[0] < 1 or ids[-1] > job.n:
         raise ValueError(f"worker ids must lie in [1, {job.n}]")
     stacked_s = np.vstack([job.coding[i - 1] for i in ids])
-    if results is None:
-        z = np.concatenate([worker_compute(job, i) for i in ids])
-    else:
-        z = np.concatenate([np.asarray(results[i], dtype=np.float64) for i in ids])
+    z = np.concatenate([worker_compute(job, i) for i in ids])
     return DecodeInput(worker_ids=tuple(ids), stacked_s=stacked_s, z=z)
 
 
-def decode(inputs: DecodeInput, tol: float = DEFAULT_COND_LIMIT) -> DecodeResult:
+def decode(inputs: DecodeInput) -> DecodeResult:
     """Solve stacked_s @ y = z for y.
 
-    `tol` is the condition-number limit above which the solve is flagged
-    as untrustworthy (it is still returned, via least squares if the
-    stack is numerically singular, so the caller can retry another
-    subset).
+    A solve whose condition number reaches COND_LIMIT is flagged as
+    untrustworthy (it is still returned, via least squares if the stack
+    is numerically singular, so the caller can retry another subset).
     """
     s, z = inputs.stacked_s, inputs.z
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -173,62 +165,23 @@ def decode(inputs: DecodeInput, tol: float = DEFAULT_COND_LIMIT) -> DecodeResult
     return DecodeResult(
         y_hat=y_hat,
         relative_residual=float(relative_residual),
-        well_conditioned=bool(np.isfinite(cond) and cond < tol),
+        well_conditioned=bool(np.isfinite(cond) and cond < COND_LIMIT),
     )
 
 
-def decode_from_workers(job: CodedJob, worker_ids, tol: float = DEFAULT_COND_LIMIT) -> DecodeResult:
-    return decode(assemble_decode_input(job, worker_ids), tol=tol)
+def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
+    return decode(assemble_decode_input(job, worker_ids))
 
 
-def uncoded_partition(a_matrix, n: int):
-    """Split A into n contiguous row blocks of r/n rows each."""
-    a = np.asarray(a_matrix, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("a_matrix must be a non-empty 2-d array")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    r = a.shape[0]
-    if r % n != 0:
-        raise ValueError(f"uncoded partition requires n | r: n={n}, r={r}")
-    w = r // n
-    return [a[i * w : (i + 1) * w] for i in range(n)]
-
-
-def recovery_error(job: CodedJob, worker_ids, tol: float = DEFAULT_COND_LIMIT):
+def recovery_error(job: CodedJob, worker_ids):
     """Decode from the given workers and compare against the direct product.
 
     Returns (relative_error, well_conditioned) where relative_error is
     ||y_hat - A x|| / ||A x||.
     """
-    result = decode_from_workers(job, worker_ids, tol=tol)
+    result = decode_from_workers(job, worker_ids)
     y = job.a_matrix @ job.x
     y_norm = np.linalg.norm(y)
     err = np.linalg.norm(result.y_hat - y)
     return (float(err / y_norm) if y_norm > 0 else float(err)), result.well_conditioned
 
-
-def job_record(job: CodedJob, seed: int) -> str:
-    """Structured-text metadata for an encoded job."""
-    lines = [
-        f"scheme={job.scheme}",
-        f"n={job.n}",
-        f"r={job.r}",
-        f"m={job.a_matrix.shape[1]}",
-        f"rows_per_worker={job.rows_per_worker}",
-        f"seed={seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_csv(a) -> str:
-    """Plain-text CSV, one matrix row per line."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("empty matrix CSV")
-    return np.array([[float(v) for v in line.split(",")] for line in rows])

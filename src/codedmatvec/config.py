@@ -6,7 +6,7 @@ no nesting -- so experiment configs stay diffable and parseable anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -164,17 +164,3 @@ def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunC
     _validate(values)
     return RunConfig(**values)
 
-
-def config_to_text(config: RunConfig) -> str:
-    """Serialize back to key = value lines; re-parses to an equal config."""
-    lines = []
-    for field in fields(RunConfig):
-        value = getattr(config, field.name)
-        if value is None:
-            continue
-        if isinstance(value, tuple):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{field.name} = {value}")
-    return "\n".join(lines) + "\n"

@@ -9,14 +9,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import RegimeFamily, expected_runtime_regime3, optimize_k, pipeline_index_p
+from .analysis import RegimeFamily, expected_runtime_regime3, optimize_k, pipeline_index
 from .channel import CommModel, Timeline, run_trials
 from .timing import ClusterParams
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-SWEEP_CSV_HEADER = "n,k,r,beta,c,t_cmm,mean,stderr,trials,frac_lb_hit,completed_by_Tk,closed_form,gap"
-SPEEDUP_CSV_HEADER = "n,k,r,t_one_cmm,coded_mean,uncoded_mean,ratio"
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ def verify_transmission_lemmas(
 ) -> LemmaReport:
     """Measure the pipeline transmission counts over repeated coded trials,
     also checking the realization-level run-time sandwich on every trial."""
-    p = pipeline_index_p(params, comm.t_cmm)
+    p = pipeline_index(params.n, params.alpha, comm.t_cmm)
     n, k = params.n, params.k
     batch = run_trials(params, comm, trials, seed, "coded", p=p)
     c1, c2 = batch.count1, batch.count2
@@ -306,32 +303,3 @@ def loglinear_fit(ns: Sequence[int], values: Sequence[float]) -> tuple[float, fl
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
 
-
-def _g(value: float) -> str:
-    return f"{value:.9g}"
-
-
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Regime-sweep CSV; rows that failed validation are skipped."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in rows:
-        if row.error is not None:
-            continue
-        lines.append(",".join([
-            str(row.n), str(row.k), str(row.r),
-            _g(row.beta), _g(row.c), _g(row.t_cmm),
-            _g(row.mc.mean), _g(row.mc.stderr), str(row.mc.trials),
-            _g(row.frac_lower_bound_hit), _g(row.mean_completed_by_comp_k),
-            _g(row.closed_form_leading), _g(row.gap),
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def speedup_to_csv(points: Sequence[SpeedupPoint]) -> str:
-    lines = [SPEEDUP_CSV_HEADER]
-    for pt in points:
-        lines.append(",".join([
-            str(pt.n), str(pt.k), str(pt.r), _g(pt.t_one_cmm),
-            _g(pt.coded_mean), _g(pt.uncoded_mean), _g(pt.ratio),
-        ]))
-    return "\n".join(lines) + "\n"

@@ -45,9 +45,6 @@ class RngStream:
     def standard_normals(self, size=None):
         return self._gen.standard_normal(size)
 
-    def integers(self, low, high):
-        return int(self._gen.integers(low, high))
-
 
 def uniform_rows(seed: int, first: int, out: np.ndarray) -> np.ndarray:
     """Fill row j of the C-contiguous float64 matrix `out` with the draws of

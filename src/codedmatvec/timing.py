@@ -96,17 +96,6 @@ class CompTimes:
         return self.raw.size
 
 
-@dataclass(frozen=True)
-class Spacings:
-    """Differential times between consecutive order statistics."""
-
-    d: np.ndarray
-
-    def order_statistics(self) -> np.ndarray:
-        """Prefix sums of the spacings, distributed as sorted i.i.d. times."""
-        return np.cumsum(self.d)
-
-
 def sample_comp_times(params: ClusterParams, work_per_worker: int, rng: RngStream) -> CompTimes:
     """Sample the variable parts for n workers doing `work_per_worker`
     inner products each: i.i.d. Exponential(mu / w), then sort.
@@ -144,34 +133,16 @@ def inject_comp_times(sorted_values) -> CompTimes:
     )
 
 
-def sample_spacings(params: ClusterParams, rng: RngStream) -> Spacings:
-    """Sample the n differential times directly: D_i ~ Exp((n-i+1)/alpha).
+def sample_spacings(params: ClusterParams, rng: RngStream) -> np.ndarray:
+    """Sample the n differential times between consecutive order
+    statistics directly: D_i ~ Exp((n-i+1)/alpha).
 
     Their prefix sums have the same joint law as the sorted i.i.d.
     Exponential(1/alpha) sample (Renyi representation), which makes
     rank-indexed quantities cheap to reason about.
     """
-    return _spacings(params.n, params.alpha, rng)
-
-
-def _spacings(n: int, alpha: float, rng: RngStream) -> Spacings:
-    rates = (n - np.arange(n)) / alpha
-    return Spacings(d=rng.exponentials(rates, n))
-
-
-def comp_times_from_spacings(params: ClusterParams, rng: RngStream, alpha: float | None = None) -> CompTimes:
-    """Alternate sampler: build the order statistics from spacings.
-
-    Produces a CompTimes with identity permutation (worker identities are
-    immaterial once sorted).  `alpha` defaults to the coded scale.
-    """
-    sp = _spacings(params.n, params.alpha if alpha is None else alpha, rng)
-    sorted_times = sp.order_statistics()
-    return CompTimes(
-        raw=sorted_times,
-        sorted=sorted_times,
-        rank_of_worker=np.arange(params.n, dtype=np.intp),
-    )
+    rates = (params.n - np.arange(params.n)) / params.alpha
+    return rng.exponentials(rates, params.n)
 
 
 def harmonic(n: int) -> float:

@@ -15,7 +15,6 @@ from codedmatvec import (
     monte_carlo,
     optimize_k,
     pipeline_index,
-    pipeline_index_p,
 )
 from oracles import leading_term_scan, pipeline_f, pipeline_scan
 
@@ -100,9 +99,9 @@ def test_pipeline_index_saturates_when_backlogged():
     assert pipeline_f(n, alpha, t_cmm, n) < 0
 
 
-def test_pipeline_index_p_wrapper():
+def test_pipeline_index_example_and_errors():
     params = ClusterParams(n=5, k=3, r=5, a=1.0, mu=1.0)  # alpha = 5/3
-    assert pipeline_index_p(params, 0.2) == 1
+    assert pipeline_index(params.n, params.alpha, 0.2) == 1
     with pytest.raises(ValueError):
         pipeline_index(0, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -142,6 +141,23 @@ def test_optimize_k_matches_fsum_scan_on_ladder(n):
     for require_divisor in (True, False):
         got = optimize_k(n, r, 1.0, 1.0, comm, require_divisor=require_divisor)
         assert got == leading_term_scan(n, r, 1.0, 1.0, comm, require_divisor=require_divisor)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800, 1600, 3200])
+def test_leading_term_has_one_value(n):
+    # optimize_k scans its own harmonic table; the value it reports and
+    # the coded bracket's lower end must equal expected_runtime_regime3
+    # bit for bit, not merely approximately
+    k0 = round(0.7 * n)
+    r = math.lcm(n, k0)
+    t_one = 0.1 / n
+    comm_at_k = lambda k: (r / k) * t_one
+    k_star, value = optimize_k(n, r, 1.0, 1.0, comm_at_k, require_divisor=True)
+    params = ClusterParams(n=n, k=k_star, r=r, a=1.0, mu=1.0)
+    assert value == expected_runtime_regime3(params) + comm_at_k(k_star)
+    comm = CommModel.coded(params, t_one)
+    assert expectation_bracket_coded(params, comm).lower == (
+        expected_runtime_regime3(params) + comm.t_cmm)
 
 
 def test_optimize_k_boundary_and_errors():

@@ -14,8 +14,6 @@ from codedmatvec import (
     run_coded_trial,
     run_uncoded_trial,
     schedule_serial_channel,
-    timeline_record,
-    timeline_to_csv,
 )
 from oracles import event_queue_schedule
 
@@ -211,40 +209,3 @@ def test_injected_times_must_match_n():
     with pytest.raises(ValueError):
         run_coded_trial(params, comm, times=inject_comp_times([0.1, 0.2]))
 
-
-def test_spacings_sampling_path():
-    params = ClusterParams(n=20, k=10, r=20, a=1.0, mu=1.0)
-    comm = CommModel.coded(params, 0.01)
-    t1, _ = run_coded_trial(params, comm, RngStream(4, 2), sampling="spacings")
-    t2, _ = run_coded_trial(params, comm, RngStream(4, 2), sampling="spacings")
-    assert t1.t_total == t2.t_total
-    with pytest.raises(ValueError):
-        run_coded_trial(params, comm, RngStream(4, 2), sampling="bogus")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_timeline_csv_shape_and_precision():
-    params = example_params()
-    comm = CommModel.coded(params, 0.12)
-    timeline, metrics = run_coded_trial(params, comm, times=inject_comp_times(EXAMPLE_TIMES))
-    text = timeline_to_csv(timeline)
-    lines = text.strip().split("\n")
-    assert lines[0] == "rank,comp_finish,comm_start,comm_end"
-    assert len(lines) == 1 + timeline.needed
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 4
-        for cell in cells[1:]:
-            whole, frac = cell.split(".")
-            assert len(frac) == 9
-    final_end = float(lines[-1].split(",")[-1])
-    assert final_end == pytest.approx(2.512466667, abs=1e-9)
-
-    record = timeline_record(timeline, metrics)
-    parsed = dict(line.split("=") for line in record.strip().split("\n"))
-    assert parsed["hit_lower_bound"] == "true"
-    assert parsed["needed"] == "3"
-    assert float(parsed["t_total"]) == pytest.approx(2.51246667, rel=1e-8)

@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from codedmatvec import ConfigError, config_to_text, parse_config
+from codedmatvec import ConfigError, parse_config
 from codedmatvec.cli import main
 
 EXAMPLE_FLAGS = ["--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
@@ -66,14 +66,6 @@ def test_parse_comments_lists_and_dashed_keys():
     assert cfg.scheme == "uncoded"
 
 
-def test_config_round_trip():
-    cfg = parse_config("", {"n": "12", "k": "3", "r": "12", "a": "0.25",
-                            "mu": "2", "t1cmm": "0.001", "ns": "10,20",
-                            "inject": "0.5,1.5", "k-fraction": "0.7",
-                            "scheme": "coded", "format": "csv"})
-    assert parse_config(config_to_text(cfg), {}) == cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -87,6 +79,10 @@ def test_simulate_injected_golden(capsys):
     assert float(rows[-1]["comm_end"]) == pytest.approx(2.512466667, abs=1e-9)
     # strict reader: no ragged rows, exact header
     assert out.splitlines()[0] == "rank,comp_finish,comm_start,comm_end"
+    # times carry exactly 9 decimals
+    for row in rows:
+        for key in ("comp_finish", "comm_start", "comm_end"):
+            assert len(row[key].split(".")[1]) == 9
 
 
 def test_simulate_text_format(capsys):
@@ -94,6 +90,7 @@ def test_simulate_text_format(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "hit_lower_bound=true" in out
+    assert "needed=3" in out
     assert "t_total=2.51246667" in out
 
 
@@ -265,3 +262,72 @@ def test_output_files_byte_identical(tmp_path):
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# output formats and errors
+# ---------------------------------------------------------------------------
+
+RECORD_COMMANDS = {
+    "montecarlo": ["montecarlo", "--n", "10", "--k", "7", "--r", "70", "--a", "1",
+                   "--mu", "1", "--t1cmm", "0.001", "--trials", "50", "--seed", "3"],
+    "sweep": ["sweep", "--beta", "1", "--c", "1", "--ns", "10,20,30", "--a", "1",
+              "--mu", "1", "--trials", "50", "--seed", "3"],
+    "speedup": ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20,30", "--a", "1",
+                "--mu", "1", "--trials", "50", "--seed", "3"],
+    "optimize-k": ["optimize-k", "--n", "10", "--r", "120", "--a", "1", "--mu", "1",
+                   "--t1cmm", "0.01"],
+    "expect": ["expect", *EXAMPLE_FLAGS, "--beta", "1"],
+    "expect-uncoded": ["expect", *EXAMPLE_FLAGS, "--scheme", "uncoded"],
+    "decode-check": ["decode-check", "--scheme", "random", "--n", "6", "--k", "3",
+                     "--r", "6", "--m", "2", "--seed", "3"],
+    "verify": ["verify", "--n", "20", "--k", "14", "--r", "14", "--a", "1", "--mu", "2",
+               "--t1cmm", "0.001", "--trials", "50", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_COMMANDS))
+def test_csv_and_text_carry_the_same_records(name, tmp_path):
+    # simulate is left out: its two formats print different records
+    argv = RECORD_COMMANDS[name]
+    text_path, csv_path = tmp_path / "out.txt", tmp_path / "out.csv"
+    assert main([*argv, "--format", "text", "--out", str(text_path)]) == 0
+    assert main([*argv, "--format", "csv", "--out", str(csv_path)]) == 0
+    blocks = text_path.read_text().split("\n\n")
+    records = [[line.split("=", 1) for line in block.splitlines()] for block in blocks]
+    header, *rows = list(csv.reader(io.StringIO(csv_path.read_text())))
+    assert len(rows) == len(records) == (3 if name in ("sweep", "speedup") else 1)
+    for record, row in zip(records, rows):
+        assert header == [key for key, _ in record]
+        assert row == [value for _, value in record]
+
+
+def test_missing_config_file_is_exit_one(tmp_path, capsys):
+    rc = main(["expect", *EXAMPLE_FLAGS, "--config", str(tmp_path / "absent.cfg")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_in_missing_directory_is_exit_one(tmp_path, capsys):
+    rc = main(["expect", *EXAMPLE_FLAGS, "--out", str(tmp_path / "absent" / "out.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+VERIFY_FLAGS = ["--n", "10", "--k", "7", "--r", "70", "--a", "1", "--mu", "1",
+                "--t1cmm", "0.01", "--trials", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *EXAMPLE_FLAGS, "--inject", INJECT, "--scheme", "random"],
+    ["montecarlo", *EXAMPLE_FLAGS, "--scheme", "systematic"],
+    ["expect", *EXAMPLE_FLAGS, "--scheme", "random"],
+    ["verify", *VERIFY_FLAGS, "--scheme", "systematic"],
+    ["verify", *VERIFY_FLAGS, "--scheme", "uncoded"],
+], ids=["simulate-random", "montecarlo-systematic", "expect-random",
+        "verify-systematic", "verify-uncoded"])
+def test_timing_commands_reject_other_schemes(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scheme:")
+    assert captured.out == ""

@@ -12,10 +12,8 @@ from codedmatvec import (
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
-    uncoded_partition,
     worker_compute,
 )
-from codedmatvec.coding import matrix_from_csv, matrix_to_csv
 
 
 def random_job(n, k, r, m, seed=0, scheme="random"):
@@ -157,34 +155,3 @@ def test_decode_flags_singular_stack():
     result = decode(broken)
     assert not result.well_conditioned
 
-
-def test_uncoded_partition():
-    a = np.arange(12.0).reshape(6, 2)
-    assert np.array_equal(uncoded_partition(a, 1)[0], a)
-    blocks = uncoded_partition(a, 3)
-    assert len(blocks) == 3
-    assert all(b.shape == (2, 2) for b in blocks)
-    x = np.array([2.0, -1.0])
-    concat = np.concatenate([b @ x for b in blocks])
-    assert np.allclose(concat, a @ x, rtol=1e-12)
-    with pytest.raises(ValueError):
-        uncoded_partition(a, 4)
-
-
-def test_matrix_csv_round_trip():
-    a = np.array([[1.5, -2.25], [0.1, 3.0]])
-    again = matrix_from_csv(matrix_to_csv(a))
-    assert np.array_equal(a, again)
-    with pytest.raises(ValueError):
-        matrix_from_csv("")
-
-
-def test_job_record():
-    from codedmatvec.coding import job_record
-
-    job = random_job(n=6, k=3, r=12, m=5, seed=4)
-    record = job_record(job, seed=4)
-    parsed = dict(line.split("=") for line in record.strip().splitlines())
-    assert parsed["scheme"] == "random-linear"
-    assert parsed == {"scheme": "random-linear", "n": "6", "r": "12", "m": "5",
-                      "rows_per_worker": "4", "seed": "4"}

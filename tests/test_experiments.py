@@ -13,17 +13,15 @@ from codedmatvec import (
     loglinear_fit,
     monotone_with_slack,
     monte_carlo,
-    pipeline_index_p,
+    pipeline_index,
     round_k,
     run_coded_trial,
     speedup_curve,
-    speedup_to_csv,
     sweep_regime,
-    sweep_to_csv,
     transmission_counts,
     verify_transmission_lemmas,
 )
-from codedmatvec.experiments import SWEEP_CSV_HEADER, MCStats
+from codedmatvec.experiments import MCStats
 
 EXAMPLE_TIMES = [0.1138, 0.2725, 0.6458, 0.7033, 5.5538]
 
@@ -95,7 +93,7 @@ def test_default_r_rule_serves_both_schemes():
         assert r % k == 0 and r % n == 0
 
 
-def test_sweep_rows_and_csv():
+def test_sweep_rows():
     family = RegimeFamily(c=1.0, beta=1.0)
     rows = sweep_regime(family, [10, 20], 0.7, r_rule=lambda n, k: k,
                         a=1.0, mu=1.0, trials=300, seed=4)
@@ -104,16 +102,6 @@ def test_sweep_rows_and_csv():
         assert row.error is None
         assert row.gap == pytest.approx(row.mc.mean - row.closed_form_leading, rel=1e-14)
         assert row.t_cmm == pytest.approx(1.0 / row.n, rel=1e-12)
-    text = sweep_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == SWEEP_CSV_HEADER
-    assert lines[0] == "n,k,r,beta,c,t_cmm,mean,stderr,trials,frac_lb_hit,completed_by_Tk,closed_form,gap"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert len(line.split(",")) == 13
-    # 9 significant digits on float fields
-    mean_cell = lines[1].split(",")[6]
-    assert len(mean_cell.replace(".", "").replace("-", "").lstrip("0")) <= 9
 
 
 def test_sweep_infeasible_rows_marked_and_skipped():
@@ -122,8 +110,6 @@ def test_sweep_infeasible_rows_marked_and_skipped():
                         a=1.0, mu=1.0, trials=10, seed=0)
     assert rows[0].error is not None
     assert rows[0].mc is None
-    text = sweep_to_csv(rows)
-    assert text.strip() == SWEEP_CSV_HEADER
 
 
 def test_sweep_means_inside_expectation_bracket():
@@ -137,22 +123,12 @@ def test_sweep_means_inside_expectation_bracket():
         assert bracket.contains(row.mc.mean, slack=3 * row.mc.stderr)
 
 
-def test_uncoded_spacings_sampling_deterministic():
-    from codedmatvec import RngStream, run_uncoded_trial
-
-    params = ClusterParams(n=12, k=3, r=12, a=1.0, mu=1.0)
-    comm = CommModel.uncoded(params, 0.01)
-    a, _ = run_uncoded_trial(params, comm, RngStream(2, 5), sampling="spacings")
-    b, _ = run_uncoded_trial(params, comm, RngStream(2, 5), sampling="spacings")
-    assert a.t_total == b.t_total
-
-
 def test_sweep_determinism():
     family = RegimeFamily(c=1.0, beta=2.0)
     kwargs = dict(k_fraction=0.7, r_rule=lambda n, k: k, a=1.0, mu=1.0,
                   trials=200, seed=9)
-    a = sweep_to_csv(sweep_regime(family, [25, 50], **kwargs))
-    b = sweep_to_csv(sweep_regime(family, [25, 50], **kwargs))
+    a = sweep_regime(family, [25, 50], **kwargs)
+    b = sweep_regime(family, [25, 50], **kwargs)
     assert a == b
 
 
@@ -165,24 +141,13 @@ def test_speedup_degenerate_equal_config():
     assert points[0].ratio == 1.0
 
 
-def test_speedup_csv():
-    points = speedup_curve([10, 20], 0.7, a=1.0, mu=1.0,
-                           family=RegimeFamily(c=0.1, beta=1.0),
-                           trials=200, seed=8, optimize=True)
-    text = speedup_to_csv(points)
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,k,r,t_one_cmm,coded_mean,uncoded_mean,ratio"
-    assert len(lines) == 3
-    assert all(len(line.split(",")) == 7 for line in lines[1:])
-
-
 def test_transmission_counts_instant_channel():
     params = ClusterParams(n=12, k=8, r=8, a=0.0, mu=1.0)
     comm = CommModel.coded(params, 0.0)
     from codedmatvec import RngStream
 
     timeline, _ = run_coded_trial(params, comm, RngStream(14, 0))
-    p = pipeline_index_p(params, 0.0)
+    p = pipeline_index(params.n, params.alpha, 0.0)
     assert p == 1
     count1, count2 = transmission_counts(timeline, p)
     assert (count1, count2) == (p, params.k - p)
@@ -192,7 +157,7 @@ def test_transmission_counts_injected_example():
     params = ClusterParams(n=5, k=3, r=5, a=1.0, mu=1.0)
     comm = CommModel.coded(params, 0.12)
     timeline, _ = run_coded_trial(params, comm, times=inject_comp_times(EXAMPLE_TIMES))
-    p = pipeline_index_p(params, comm.t_cmm)
+    p = pipeline_index(params.n, params.alpha, comm.t_cmm)
     assert p == 1
     # hand recurrence: no transmission ends by t0+T_(1); ranks 1 and 2 end
     # inside (t0+T_(1), t0+T_(3)]

@@ -105,15 +105,18 @@ GOLDEN = {
          "--format", "csv"],
         "1bd0323aebc394bdcdc359dedb281a0de3c98089ac17c65acde1961f23d05e6a",
     ),
+    # sweep and speedup text print the keys of their CSV (the numbers are
+    # unchanged): sweep gained beta, c and trials and renamed two keys,
+    # speedup gained t_one_cmm
     "sweep.txt": (
         ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
          "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12", "--format", "text"],
-        "6e61098fa9bc617032a47cad410ff4454a23c73a1e6c706002d8f0ac1b19a2ca",
+        "0116860e8deae8eaf3903d1d8c96395f3fa3ecb1fb579c209b0a2e81fa6abe79",
     ),
     "speedup.txt": (
         ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
          "--trials", "200", "--seed", "12", "--format", "text"],
-        "6aaba5625cb3621ec4f74897da14876ec29976280810a4fbdc2996a484f193ed",
+        "a52f575109337207fa23e604c7e59a1f0b534269f5cee8a1b10fb5f87751eda6",
     ),
     # k = 0.3 n differs from the optimized k (at 0.7 on 10,20 the two agree)
     "speedup_fix_k.csv": (
