@@ -209,3 +209,35 @@ def test_injected_times_must_match_n():
     with pytest.raises(ValueError):
         run_coded_trial(params, comm, times=inject_comp_times([0.1, 0.2]))
 
+
+
+def test_timeline_csv_shape_and_precision(capsys):
+    from codedmatvec.cli import main
+
+    params = example_params()
+    comm = CommModel.coded(params, 0.12)
+    timeline, metrics = run_coded_trial(params, comm, times=inject_comp_times(EXAMPLE_TIMES))
+    flags = ["simulate", "--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
+             "--t1cmm", "0.12", "--inject", ",".join(map(str, EXAMPLE_TIMES))]
+    assert main(flags) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "rank,comp_finish,comm_start,comm_end"
+    assert len(lines) == 1 + timeline.needed
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 4
+        for cell in cells[1:]:
+            whole, frac = cell.split(".")
+            assert len(frac) == 9
+    final_end = float(lines[-1].split(",")[-1])
+    assert final_end == pytest.approx(2.512466667, abs=1e-9)
+    assert final_end == pytest.approx(timeline.comm_end[-1], abs=1e-9)
+
+    assert main([*flags, "--format", "text"]) == 0
+    record = capsys.readouterr().out
+    parsed = dict(line.split("=") for line in record.strip().split("\n"))
+    assert parsed["hit_lower_bound"] == "true"
+    assert parsed["needed"] == "3"
+    assert float(parsed["t_total"]) == pytest.approx(2.51246667, rel=1e-8)
+    assert float(parsed["t_total"]) == pytest.approx(timeline.t_total, rel=1e-8)
+    assert parsed["hit_lower_bound"] == str(metrics.hit_lower_bound).lower()
