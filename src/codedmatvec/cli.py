@@ -10,7 +10,9 @@ import argparse
 import itertools
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +32,6 @@ from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transm
 from .rng import RngStream
 from .timing import ClusterParams, expected_order_stat, harmonic, inject_comp_times, variance_order_stat
 
-_VALUE_FLAGS = (
-    "n", "k", "r", "a", "mu", "t1cmm", "beta", "c", "k-fraction",
-    "trials", "seed", "scheme", "inject", "ns", "m", "out", "format",
-)
-
 
 class _UsageError(Exception):
     pass
@@ -47,30 +44,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    required: tuple  # checked in this order; each must be set by flag or file
+    optional: tuple = ()  # the other keys the command reads
+    schemes: tuple = ()  # the accepted values of `scheme`, when it is read
+    default_format: str = "text"
+
+    @property
+    def keys(self) -> tuple:
+        return (*self.required, *self.optional, "out", "format")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codedmatvec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        # no abbreviations: `--n` must not stand for `--ns`, nor `--m` for `--mu`
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
-        for flag in _VALUE_FLAGS:
-            p.add_argument(f"--{flag}")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("simulate", _cmd_simulate, "run one trial and emit its timeline")
-    add("montecarlo", _cmd_montecarlo, "aggregate run-times over repeated trials")
-    add("sweep", _cmd_sweep, "regime sweep over a ladder of n")
-    p = add("speedup", _cmd_speedup, "coded vs uncoded mean run-time ratio per n")
-    p.add_argument("--fix-k", action="store_true",
-                   help="use k = round(k_fraction * n) instead of the leading-term optimum")
-    p = add("optimize-k", _cmd_optimize_k, "scan for the leading-term-optimal k")
-    p.add_argument("--require-divisor", action="store_true",
-                   help="restrict the scan to k dividing r")
-    add("expect", _cmd_expect, "closed-form expectations for one configuration")
-    add("decode-check", _cmd_decode_check, "verify any-k recovery of the coding scheme")
-    add("verify", _cmd_verify, "check the run-time sandwich and transmission counts")
+        for key in command.keys:
+            p.add_argument("--" + key.replace("_", "-"))
+    sub.choices["speedup"].add_argument(
+        "--fix-k", action="store_true",
+        help="use k = round(k_fraction * n) instead of the leading-term optimum")
+    sub.choices["optimize-k"].add_argument(
+        "--require-divisor", action="store_true", help="restrict the scan to k dividing r")
     return parser
 
 
@@ -80,24 +80,28 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    command = COMMANDS[args.command]
     try:
-        config = _load_config(args)
-        return args.handler(config, args)
+        config = _load_config(args, command)
+        return command.handler(config, args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, command) -> RunConfig:
     contents = ""
     if args.config is not None:
         contents = Path(args.config).read_text()
-    overrides = {}
-    for flag in _VALUE_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            overrides[flag] = value
-    return parse_config(contents, overrides)
+    config = parse_config(contents, {key: getattr(args, key) for key in command.keys})
+    config = replace(config, format=config.format or command.default_format)
+    for key in command.required:
+        if getattr(config, key) is None:
+            raise ConfigError(f"{key}: required for this command")
+    if command.schemes and config.scheme not in command.schemes:
+        raise ConfigError(f"scheme: {args.command} takes {' or '.join(command.schemes)}, "
+                          f"got {config.scheme!r}")
+    return config
 
 
 def _cell(value) -> str:
@@ -108,12 +112,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write(records, config: RunConfig, default_format: str):
+def _write(records, config: RunConfig):
     """Write records, each a sequence of (key, value) pairs, to --out or
     stdout: `key=value` lines with a blank line between records, or a CSV
     header of the first record's keys followed by one row per record."""
     records = [[(key, _cell(value)) for key, value in record] for record in records]
-    if (config.format or default_format) == "csv":
+    if config.format == "csv":
         rows = [[key for key, _ in records[0]], *([v for _, v in rec] for rec in records)]
         text = "".join(",".join(row) + "\n" for row in rows)
     else:
@@ -124,21 +128,11 @@ def _write(records, config: RunConfig, default_format: str):
         sys.stdout.write(text)
 
 
-def _need(config: RunConfig, *keys):
-    for key in keys:
-        if getattr(config, key) is None:
-            raise ConfigError(f"{key}: required for this command")
-
-
 def _params(config: RunConfig) -> ClusterParams:
-    _need(config, "n", "k", "r", "a", "mu")
     return ClusterParams(n=config.n, k=config.k, r=config.r, a=config.a, mu=config.mu)
 
 
 def _comm(config: RunConfig, params: ClusterParams) -> CommModel:
-    _need(config, "t1cmm")
-    if config.scheme not in ("coded", "uncoded"):
-        raise ConfigError(f"scheme: must be coded or uncoded here, got {config.scheme!r}")
     if config.scheme == "uncoded":
         return CommModel.uncoded(params, config.t1cmm)
     return CommModel.coded(params, config.t1cmm)
@@ -152,7 +146,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
         t, metrics = run(params, comm, times=inject_comp_times(config.inject))
     else:
         t, metrics = run(params, comm, RngStream(config.seed, 0))
-    if (config.format or "csv") == "csv":
+    if config.format == "csv":
         records = [
             [("rank", i + 1), ("comp_finish", f"{t.comp_finish[i]:.9f}"),
              ("comm_start", f"{t.comm_start[i]:.9f}"), ("comm_end", f"{t.comm_end[i]:.9f}")]
@@ -161,7 +155,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     else:
         records = [[("needed", t.needed), ("t_cmm", t.t_cmm), ("t_total", t.t_total),
                     *vars(metrics).items()]]
-    _write(records, config, "csv")
+    _write(records, config)
     return 0
 
 
@@ -177,20 +171,13 @@ def _cmd_montecarlo(config: RunConfig, args) -> int:
         ("mean_completed_by_comp_k", agg.mean_completed_by_comp_k),
         ("mean_q_idle", agg.mean_q_idle),
         ("mean_busy_fraction", agg.mean_busy_fraction),
-    ]], config, "text")
+    ]], config)
     return 0
 
 
-def _family(config: RunConfig) -> RegimeFamily:
-    _need(config, "beta", "c")
-    return RegimeFamily(c=config.c, beta=config.beta)
-
-
 def _cmd_sweep(config: RunConfig, args) -> int:
-    _need(config, "ns", "a", "mu")
-    family = _family(config)
     rows = sweep_regime(
-        family, config.ns, config.k_fraction or 0.7,
+        RegimeFamily(c=config.c, beta=config.beta), config.ns, config.k_fraction,
         a=config.a, mu=config.mu, trials=config.trials, seed=config.seed,
     )
     for row in rows:
@@ -205,31 +192,28 @@ def _cmd_sweep(config: RunConfig, args) -> int:
          ("completed_by_Tk", row.mean_completed_by_comp_k),
          ("closed_form", row.closed_form_leading), ("gap", row.gap)]
         for row in rows if row.error is None
-    ], config, "csv")
+    ], config)
     return 0
 
 
 def _cmd_speedup(config: RunConfig, args) -> int:
-    _need(config, "ns", "a", "mu")
-    family = _family(config)
     points = speedup_curve(
-        config.ns, config.k_fraction or 0.7,
-        a=config.a, mu=config.mu, family=family,
+        config.ns, config.k_fraction,
+        a=config.a, mu=config.mu, family=RegimeFamily(c=config.c, beta=config.beta),
         trials=config.trials, seed=config.seed,
         optimize=not args.fix_k,
     )
-    _write([vars(point).items() for point in points], config, "csv")
+    _write([vars(point).items() for point in points], config)
     return 0
 
 
 def _cmd_optimize_k(config: RunConfig, args) -> int:
-    _need(config, "n", "r", "a", "mu", "t1cmm")
     k_star, value = optimize_k(
         config.n, config.r, config.a, config.mu,
         comm_at_k=lambda k: (config.r / k) * config.t1cmm,
         require_divisor=args.require_divisor,
     )
-    _write([[("k_star", k_star), ("expected_runtime", value)]], config, "text")
+    _write([[("k_star", k_star), ("expected_runtime", value)]], config)
     return 0
 
 
@@ -262,17 +246,13 @@ def _cmd_expect(config: RunConfig, args) -> int:
             ("variance_Tk", variance_order_stat(params, params.k)),
         ]
     if config.beta is not None:
-        family = RegimeFamily(c=config.c if config.c is not None else 1.0, beta=config.beta)
-        record.append(("regime", classify_regime(family).value))
-    _write([record], config, "text")
+        # the regime depends on beta alone
+        record.append(("regime", classify_regime(RegimeFamily(c=1.0, beta=config.beta)).value))
+    _write([record], config)
     return 0
 
 
 def _cmd_decode_check(config: RunConfig, args) -> int:
-    _need(config, "n", "k", "r", "m")
-    if config.scheme not in ("systematic", "random"):
-        raise ConfigError(
-            f"scheme: decode-check needs systematic or random, got {config.scheme!r}")
     params = ClusterParams(n=config.n, k=config.k, r=config.r, a=0.0, mu=1.0)
     rng = RngStream(config.seed, 0)
     a_matrix = rng.standard_normals((config.r, config.m))
@@ -318,19 +298,43 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
         ("tolerance", tol), ("max_relative_error", max_err),
         ("failures", failures), ("unflagged_failures", unflagged),
         ("recovered_fraction", recovered), ("pass", passed),
-    ]], config, "text")
+    ]], config)
     return 0 if passed else 2
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
-    if config.scheme != "coded":
-        raise ConfigError(f"scheme: the lemmas hold for the coded pipeline, got {config.scheme!r}")
     report = verify_transmission_lemmas(params, comm, config.trials, config.seed)
     passed = report.sandwich_violations == 0
-    _write([[*vars(report).items(), ("pass", passed)]], config, "text")
+    _write([[*vars(report).items(), ("pass", passed)]], config)
     return 0 if passed else 2
+
+
+_CLUSTER = ("n", "k", "r", "a", "mu", "t1cmm")
+_LADDER = ("ns", "a", "mu", "beta", "c")
+
+# Each command gets a flag, and reads a config key, only for the keys listed
+# here (plus --config, --out and --format); a config file may hold any key.
+COMMANDS = {
+    "simulate": _Command(_cmd_simulate, "run one trial and emit its timeline", _CLUSTER,
+                         ("scheme", "inject", "seed"), ("coded", "uncoded"), "csv"),
+    "montecarlo": _Command(_cmd_montecarlo, "aggregate run-times over repeated trials",
+                           _CLUSTER, ("scheme", "trials", "seed"), ("coded", "uncoded")),
+    "sweep": _Command(_cmd_sweep, "regime sweep over a ladder of n", _LADDER,
+                      ("k_fraction", "trials", "seed"), default_format="csv"),
+    "speedup": _Command(_cmd_speedup, "coded vs uncoded mean run-time ratio per n", _LADDER,
+                        ("k_fraction", "trials", "seed"), default_format="csv"),
+    "optimize-k": _Command(_cmd_optimize_k, "scan for the leading-term-optimal k",
+                           ("n", "r", "a", "mu", "t1cmm")),
+    "expect": _Command(_cmd_expect, "closed-form expectations for one configuration", _CLUSTER,
+                       ("scheme", "beta"), ("coded", "uncoded")),
+    "decode-check": _Command(_cmd_decode_check, "verify any-k recovery of the coding scheme",
+                             ("n", "k", "r"), ("m", "scheme", "seed", "trials"),
+                             ("systematic", "random")),
+    "verify": _Command(_cmd_verify, "check the run-time sandwich and transmission counts",
+                       _CLUSTER, ("scheme", "trials", "seed"), ("coded",)),
+}
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ class RunConfig:
     t1cmm: float | None = None
     beta: float | None = None
     c: float | None = None
-    k_fraction: float | None = None
+    k_fraction: float = 0.7
     m: int = 5
     trials: int = 10_000
     seed: int = 0

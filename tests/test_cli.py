@@ -1,10 +1,14 @@
+import argparse
 import csv
 import io
+from dataclasses import dataclass
 
 import pytest
 
+import codedmatvec.cli as cli
 from codedmatvec import ConfigError, parse_config
 from codedmatvec.cli import main
+from codedmatvec.config import RunConfig
 
 EXAMPLE_FLAGS = ["--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
                  "--t1cmm", "0.12"]
@@ -126,7 +130,7 @@ def test_expect_example_numbers(capsys):
 def test_expect_uncoded_and_regime(capsys):
     rc = main(["expect", "--n", "100", "--k", "70", "--r", "100", "--a", "1",
                "--mu", "1", "--t1cmm", "0.01", "--scheme", "uncoded",
-               "--beta", "1", "--c", "1"])
+               "--beta", "1"])
     assert rc == 0
     got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert got["regime"] == "III"
@@ -331,3 +335,113 @@ def test_timing_commands_reject_other_schemes(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: scheme:")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# the command table: each command takes a flag only for a key it reads
+# ---------------------------------------------------------------------------
+
+COMMAND_FLAGS = {
+    "simulate": "n k r a mu t1cmm scheme inject seed",
+    "montecarlo": "n k r a mu t1cmm scheme trials seed",
+    "sweep": "ns a mu beta c k-fraction trials seed",
+    "speedup": "ns a mu beta c k-fraction trials seed fix-k",
+    "optimize-k": "n r a mu t1cmm require-divisor",
+    "expect": "n k r a mu t1cmm scheme beta",
+    "decode-check": "n k r m scheme seed trials",
+    "verify": "n k r a mu t1cmm scheme trials seed",
+}
+
+
+def test_each_command_has_only_its_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.COMMANDS)
+    total = 0
+    for name, command in sub.choices.items():
+        flags = {opt[2:] for action in command._actions for opt in action.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert flags == {"config", "out", "format", *COMMAND_FLAGS[name].split()}, name
+        total += len(flags)
+    assert total == 89
+
+
+@dataclass(frozen=True)
+class _RecordingConfig(RunConfig):
+    """A RunConfig that notes which of its fields are read."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "reads", set())
+
+    def __getattribute__(self, name):
+        if name in RunConfig.__dataclass_fields__:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one argv per branch that reads a different set of keys
+BRANCH_ARGVS = [
+    ["simulate", *EXAMPLE_FLAGS, "--inject", INJECT],
+    ["simulate", "--n", "5", "--k", "3", "--r", "6", "--a", "1", "--mu", "1",
+     "--t1cmm", "0.12", "--seed", "3"],
+    RECORD_COMMANDS["montecarlo"],
+    RECORD_COMMANDS["sweep"],
+    RECORD_COMMANDS["speedup"],
+    RECORD_COMMANDS["optimize-k"],
+    RECORD_COMMANDS["expect"],
+    ["decode-check", "--scheme", "random", "--n", "30", "--k", "15", "--r", "15",
+     "--m", "2", "--trials", "20", "--seed", "3"],
+    RECORD_COMMANDS["verify"],
+]
+
+
+def test_commands_read_exactly_their_declared_keys(monkeypatch, capsys):
+    handled = []
+
+    def recording(handler):
+        def run(config, args):
+            handled.append(config)
+            return handler(config, args)
+        return run
+
+    monkeypatch.setattr(cli, "parse_config",
+                        lambda *args: _RecordingConfig(**vars(parse_config(*args))))
+    for name, command in cli.COMMANDS.items():
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(handler=recording(command.handler)))
+    reads = {name: set() for name in cli.COMMANDS}
+    for argv in BRANCH_ARGVS:
+        assert main(argv) == 0, argv
+        # the checks before the handler read this same config
+        reads[argv[0]] |= handled[-1].reads
+    capsys.readouterr()
+    for name, command in cli.COMMANDS.items():
+        assert reads[name] == set(command.keys), name
+        assert ("scheme" in command.keys) == bool(command.schemes), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-k", "--n", "10", "--r", "120", "--a", "1", "--mu", "1", "--t1cmm", "0.01",
+     "--k", "3", "--ns", "5", "--trials", "7"],
+    ["expect", *EXAMPLE_FLAGS, "--inject", "1,2", "--m", "9"],
+    ["sweep", "--beta", "2", "--c", "1", "--ns", "10,20", "--a", "1", "--mu", "1",
+     "--scheme", "uncoded"],
+    ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
+     "--n", "7"],
+], ids=["optimize-k", "expect", "sweep", "speedup"])
+def test_unread_flag_is_exit_one(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unrecognized arguments: ")
+    assert captured.out == ""
+
+
+def test_one_config_file_serves_several_commands(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("n = 5\nk = 3\nr = 5\na = 1\nmu = 1\nt1cmm = 0.12\n"
+                      "ns = 10,20\nbeta = 2\nc = 1\n")
+    assert main(["expect", "--config", str(config)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["expect", *EXAMPLE_FLAGS, "--beta", "2"]) == 0
+    assert from_file == capsys.readouterr().out
+    assert main(["sweep", "--config", str(config), "--trials", "50"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -136,7 +136,7 @@ GOLDEN = {
     ),
     "expect_uncoded.txt": (
         ["expect", "--n", "100", "--k", "70", "--r", "100", "--a", "1", "--mu", "1",
-         "--t1cmm", "0.01", "--scheme", "uncoded", "--beta", "1", "--c", "1"],
+         "--t1cmm", "0.01", "--scheme", "uncoded", "--beta", "1"],
         "4f878e2ab1ec0763d37817279ad2685ba5e5f229a34051ffc6c00fc7d67df71b",
     ),
     "decode_random_exhaustive.txt": (
