@@ -72,28 +72,23 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class CompTimes:
-    """Variable-part computation times of one realized trial.
+    """Variable-part computation times of one realized trial, as order
+    statistics: `sorted` is a non-empty, finite, nonnegative and
+    nondecreasing 1-d array."""
 
-    raw            -- per-worker times, worker order
-    sorted         -- the order statistics of raw (nondecreasing)
-    rank_of_worker -- worker index -> 0-based rank in `sorted`
-    """
-
-    raw: np.ndarray
     sorted: np.ndarray
-    rank_of_worker: np.ndarray
 
     def __post_init__(self):
-        if self.raw.size == 0:
-            raise ValueError("computation times must be non-empty")
-        if np.any(self.raw < 0) or not np.all(np.isfinite(self.raw)):
+        if self.sorted.ndim != 1 or self.sorted.size == 0:
+            raise ValueError("computation times must be a non-empty 1-d sequence")
+        if np.any(self.sorted < 0) or not np.all(np.isfinite(self.sorted)):
             raise ValueError("computation times must be finite and >= 0")
         if np.any(np.diff(self.sorted) < 0):
-            raise ValueError("sorted times must be nondecreasing")
+            raise ValueError("computation times must be nondecreasing")
 
     @property
     def n(self) -> int:
-        return self.raw.size
+        return self.sorted.size
 
 
 def sample_comp_times(params: ClusterParams, work_per_worker: int, rng: RngStream) -> CompTimes:
@@ -105,32 +100,15 @@ def sample_comp_times(params: ClusterParams, work_per_worker: int, rng: RngStrea
     """
     if not isinstance(work_per_worker, int) or work_per_worker < 1:
         raise ValueError(f"work_per_worker must be a positive integer, got {work_per_worker!r}")
-    rate = params.mu / work_per_worker
-    raw = rng.exponentials(rate, params.n)
-    # ties (measure zero) broken by worker index: stable argsort
-    order = np.argsort(raw, kind="stable")
-    rank_of_worker = np.empty(params.n, dtype=np.intp)
-    rank_of_worker[order] = np.arange(params.n)
-    return CompTimes(raw=raw, sorted=raw[order], rank_of_worker=rank_of_worker)
+    times = rng.exponentials(params.mu / work_per_worker, params.n)
+    times.sort()
+    return CompTimes(sorted=times)
 
 
 def inject_comp_times(sorted_values) -> CompTimes:
-    """Build a CompTimes from given order statistics (identity permutation).
-
-    Lets a fixed realization drive the simulator, e.g. for golden tests.
-    """
-    values = np.asarray(sorted_values, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("injected times must be a non-empty 1-d sequence")
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
-        raise ValueError("injected times must be finite and >= 0")
-    if np.any(np.diff(values) < 0):
-        raise ValueError("injected times must be nondecreasing")
-    return CompTimes(
-        raw=values.copy(),
-        sorted=values.copy(),
-        rank_of_worker=np.arange(values.size, dtype=np.intp),
-    )
+    """Build a CompTimes from given order statistics, e.g. a fixed
+    realization driving the simulator in golden tests."""
+    return CompTimes(sorted=np.array(sorted_values, dtype=np.float64))
 
 
 def sample_spacings(params: ClusterParams, rng: RngStream) -> np.ndarray:

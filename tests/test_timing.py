@@ -56,11 +56,11 @@ def test_cluster_params_validation():
 def test_sample_comp_times_positive_and_sorted():
     params = ClusterParams(n=4, k=2, r=4, a=0.0, mu=1.0)
     ct = sample_comp_times(params, 2, RngStream(7, 0))
-    assert np.all(ct.raw > 0)
+    assert ct.n == 4
+    assert np.all(ct.sorted > 0)
     assert np.all(np.diff(ct.sorted) >= 0)
-    assert sorted(ct.rank_of_worker.tolist()) == [0, 1, 2, 3]
-    assert np.array_equal(np.sort(ct.raw), ct.sorted)
-    assert np.array_equal(ct.raw[np.argsort(ct.rank_of_worker)[::-1]][::-1], ct.sorted)
+    # the order statistics of the same stream's i.i.d. Exponential(mu / w) draws
+    assert np.array_equal(ct.sorted, np.sort(RngStream(7, 0).exponentials(0.5, 4)))
 
 
 def test_sample_comp_times_law_of_large_numbers():
@@ -68,7 +68,7 @@ def test_sample_comp_times_law_of_large_numbers():
     params = ClusterParams(n=10_000, k=1, r=1, a=0.0, mu=2.0)
     ct = sample_comp_times(params, 1, RngStream(123, 0))
     tol = 3 * 0.5 / math.sqrt(10_000)
-    assert abs(float(np.mean(ct.raw)) - 0.5) <= tol
+    assert abs(float(np.mean(ct.sorted)) - 0.5) <= tol
 
 
 def test_sample_comp_times_rejects_bad_work():
@@ -78,26 +78,29 @@ def test_sample_comp_times_rejects_bad_work():
 
 
 def test_inject_comp_times_golden_and_errors():
-    ct = inject_comp_times([0.1138, 0.2725, 0.6458, 0.7033, 5.5538])
+    values = [0.1138, 0.2725, 0.6458, 0.7033, 5.5538]
+    ct = inject_comp_times(values)
     assert ct.n == 5
-    assert np.array_equal(ct.raw, ct.sorted)
-    assert np.array_equal(ct.rank_of_worker, np.arange(5))
-    with pytest.raises(ValueError):
+    assert ct.sorted.tolist() == values
+    with pytest.raises(ValueError, match="non-empty"):
         inject_comp_times([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1-d"):
+        inject_comp_times([[0.1, 0.2]])
+    with pytest.raises(ValueError, match="nondecreasing"):
         inject_comp_times([1.0, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=">= 0"):
         inject_comp_times([-0.1, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        inject_comp_times([0.1, float("inf")])
 
 
 def test_determinism_same_stream_bit_identical():
     params = ClusterParams(n=50, k=30, r=60, a=1.0, mu=1.0)
     a = sample_comp_times(params, 2, RngStream(99, 4))
     b = sample_comp_times(params, 2, RngStream(99, 4))
-    assert np.array_equal(a.raw, b.raw)
     assert np.array_equal(a.sorted, b.sorted)
     c = sample_comp_times(params, 2, RngStream(99, 5))
-    assert not np.array_equal(a.raw, c.raw)
+    assert not np.array_equal(a.sorted, c.sorted)
 
 
 def test_spacings_single_worker_is_plain_exponential():
