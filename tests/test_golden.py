@@ -7,9 +7,11 @@ other command in each output format it has, and Monte Carlo runs large
 enough to cross the batched engine's chunk boundaries (n=1000, the full
 speedup ladder, verify at n=1600).
 
-A digest may only change together with a stated reason for the stream
-change; re-bless by running this module's `_bless()` and pasting its
-output.
+A digest may only change together with a stated reason for the change;
+re-bless by running this module as a script and pasting the digests it
+prints into GOLDEN:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
@@ -171,3 +173,7 @@ def _bless():  # pragma: no cover - maintenance helper
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, _) in GOLDEN.items():
             print(f"{name}: {_digest(argv, Path(tmp) / name)}")
+
+
+if __name__ == "__main__":
+    _bless()
