@@ -188,8 +188,8 @@ def _cmd_sweep(config: RunConfig, args) -> int:
     _write([
         [("n", row.n), ("k", row.k), ("r", row.r), ("beta", row.beta), ("c", row.c),
          ("t_cmm", row.t_cmm), ("mean", row.mc.mean), ("stderr", row.mc.stderr),
-         ("trials", row.mc.trials), ("frac_lb_hit", row.frac_lower_bound_hit),
-         ("completed_by_Tk", row.mean_completed_by_comp_k),
+         ("trials", row.mc.trials), ("frac_lower_bound_hit", row.frac_lower_bound_hit),
+         ("mean_completed_by_comp_k", row.mean_completed_by_comp_k),
          ("closed_form", row.closed_form_leading), ("gap", row.gap)]
         for row in rows if row.error is None
     ], config)

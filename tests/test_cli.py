@@ -158,7 +158,9 @@ def test_sweep_csv_output(tmp_path):
                "--trials", "100", "--seed", "0", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,k,r,beta,c,t_cmm,mean,stderr,trials,frac_lb_hit,completed_by_Tk,closed_form,gap"
+    assert lines[0] == (
+        "n,k,r,beta,c,t_cmm,mean,stderr,trials,frac_lower_bound_hit,"
+        "mean_completed_by_comp_k,closed_form,gap")
     assert len(lines) == 3
     reader = list(csv.reader(io.StringIO(out.read_text())))
     assert all(len(row) == 13 for row in reader)

@@ -34,10 +34,12 @@ GOLDEN = {
          "--t1cmm", "0.001", "--trials", "500", "--seed", "12"],
         "578e52ce791e2b68c967ddfe0f7569445b8a5ea592369542958d8d3150d01aa3",
     ),
+    # sweep names frac_lower_bound_hit and mean_completed_by_comp_k as
+    # montecarlo does; only those two header keys moved
     "sweep.csv": (
         ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
          "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12"],
-        "f9a03137ad544de0957e83d0e3558bb32e80810a25b7e84a36d88e77b5cba7da",
+        "cb052ef993b9dbf16e8e124ac93283093b3fac46459f27728f1727a71c4ffd7a",
     ),
     "speedup.csv": (
         ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
@@ -107,13 +109,12 @@ GOLDEN = {
          "--format", "csv"],
         "1bd0323aebc394bdcdc359dedb281a0de3c98089ac17c65acde1961f23d05e6a",
     ),
-    # sweep and speedup text print the keys of their CSV (the numbers are
-    # unchanged): sweep gained beta, c and trials and renamed two keys,
-    # speedup gained t_one_cmm
+    # sweep and speedup text print the keys of their CSV; sweep names its
+    # lower-bound and completed-by-T_k columns as montecarlo does
     "sweep.txt": (
         ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
          "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12", "--format", "text"],
-        "0116860e8deae8eaf3903d1d8c96395f3fa3ecb1fb579c209b0a2e81fa6abe79",
+        "e0b4c4a93bfbe2f8cfd2283a0c62e1f56b1a679ad22cc806ff06fb2aa5b4a867",
     ),
     "speedup.txt": (
         ["speedup", "--beta", "1", "--c", "0.1", "--ns", "10,20", "--a", "1", "--mu", "1",
