@@ -90,9 +90,7 @@ def main(argv=None) -> int:
 
 
 def _load_config(args, command) -> RunConfig:
-    contents = ""
-    if args.config is not None:
-        contents = Path(args.config).read_text()
+    contents = Path(args.config).read_text() if args.config is not None else ""
     config = parse_config(contents, {key: getattr(args, key) for key in command.keys})
     config = replace(config, format=config.format or command.default_format)
     for key in command.required:

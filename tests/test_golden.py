@@ -34,8 +34,6 @@ GOLDEN = {
          "--t1cmm", "0.001", "--trials", "500", "--seed", "12"],
         "578e52ce791e2b68c967ddfe0f7569445b8a5ea592369542958d8d3150d01aa3",
     ),
-    # sweep names frac_lower_bound_hit and mean_completed_by_comp_k as
-    # montecarlo does; only those two header keys moved
     "sweep.csv": (
         ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
          "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12"],
@@ -109,8 +107,7 @@ GOLDEN = {
          "--format", "csv"],
         "1bd0323aebc394bdcdc359dedb281a0de3c98089ac17c65acde1961f23d05e6a",
     ),
-    # sweep and speedup text print the keys of their CSV; sweep names its
-    # lower-bound and completed-by-T_k columns as montecarlo does
+    # sweep and speedup text print the keys of their CSV
     "sweep.txt": (
         ["sweep", "--beta", "2", "--c", "1", "--ns", "25,50", "--k-fraction", "0.7",
          "--a", "1", "--mu", "1", "--trials", "300", "--seed", "12", "--format", "text"],
