@@ -21,6 +21,8 @@ import pytest
 from codedmatvec.cli import main
 
 EXAMPLE_INJECT = "0.1138,0.2725,0.6458,0.7033,5.5538"
+NON_DYADIC = ["--n", "30", "--k", "15", "--r", "90", "--a", "0.3", "--mu", "1",
+              "--t1cmm", "0.001"]
 
 GOLDEN = {
     # the criterion-12 commands
@@ -148,6 +150,19 @@ GOLDEN = {
         ["decode-check", "--scheme", "random", "--n", "30", "--k", "15", "--r", "15",
          "--m", "3", "--trials", "200", "--seed", "12"],
         "d76ef941553edc5e781c2615ff0bd0148429843a88c05afb68b0f67842a5419d",
+    ),
+    # a = 0.3, where a*(r/n) and a*r/n round apart: pins the uncoded shift
+    "montecarlo_uncoded_a03.txt": (
+        ["montecarlo", *NON_DYADIC, "--scheme", "uncoded", "--trials", "2000", "--seed", "12"],
+        "520aea40d82e60756b80d15b2ba2e820881e1d5e5e5bbc563d4ec97c4fd0734c",
+    ),
+    "expect_uncoded_a03.txt": (
+        ["expect", *NON_DYADIC, "--scheme", "uncoded", "--beta", "1"],
+        "d1d71a0e7f3f1ec35017210cba1d90f52969e643add53b00bd15b467dce82584",
+    ),
+    "simulate_uncoded_a03.csv": (
+        ["simulate", *NON_DYADIC, "--scheme", "uncoded", "--seed", "12"],
+        "b2aee9a3bf4cb566fbd8926b7280b46507d2174379f7ba1d05b0580504502e0f",
     ),
 }
 
