@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channel import CommModel
-from .timing import ClusterParams, expected_order_stat, harmonic, harmonic_table
+from .timing import ClusterParams, expected_order_stat, harmonic_table
 
 
 class Regime(enum.Enum):
@@ -63,13 +63,9 @@ def expectation_bracket_coded(params: ClusterParams, comm: CommModel) -> Latency
 
 
 def expectation_bracket_uncoded(params: ClusterParams, comm: CommModel) -> LatencyBracket:
-    """Same bracket for the uncoded scheme: wait for all n workers at r/n
-    inner products each."""
-    work = params.r / params.n
-    alpha_u = params.r / (params.mu * params.n)
-    t_cmm_u = work * comm.t_one_cmm
-    core = params.a * work + alpha_u * harmonic(params.n)
-    return LatencyBracket(lower=core + t_cmm_u, upper=core + params.n * t_cmm_u)
+    """Same bracket for the uncoded scheme, the (n, n) code; reads only
+    comm.t_one_cmm."""
+    return expectation_bracket_coded(params.uncoded(), CommModel.uncoded(params, comm.t_one_cmm))
 
 
 def expected_runtime_regime3(params: ClusterParams) -> float:

@@ -60,7 +60,7 @@ class CommModel:
 
     @classmethod
     def uncoded(cls, params: ClusterParams, t_one_cmm: float) -> "CommModel":
-        return cls(t_one_cmm=t_one_cmm, work_per_worker=params.r / params.n)
+        return cls.coded(params.uncoded(), t_one_cmm)
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,11 @@ def run_trials(
     comm: CommModel,
     trials: int,
     seed: int,
-    scheme: str,
     p: int | None = None,
 ) -> TrialArrays:
-    """Run trials 0..trials-1 of a scheme in chunks; bit-identical to a loop
-    of run_coded_trial/run_uncoded_trial(RngStream(seed, i)) plus
-    compute_metrics.
+    """Run trials 0..trials-1 of the (n, k) code `params` describes in
+    chunks; bit-identical to a loop of run_coded_trial(RngStream(seed, i))
+    plus compute_metrics.  Pass params.uncoded() for the uncoded scheme.
 
     Each chunk draws its rows by re-keying one Philox stream, applies the
     same inverse-CDF ufuncs as RngStream.exponentials, sorts the rows and
@@ -192,14 +191,8 @@ def run_trials(
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if scheme == "coded":
-        _check_work(comm, params.r / params.k)
-        work, needed, shift = params.coded_work(), params.k, params.t0
-    elif scheme == "uncoded":
-        _check_work(comm, params.r / params.n)
-        work, needed, shift = params.uncoded_work(), params.n, params.a * (params.r / params.n)
-    else:
-        raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
+    _check_work(comm, params.r / params.k)
+    work, needed, shift = params.coded_work(), params.k, params.t0
     n, t_cmm = params.n, comm.t_cmm
     if p is not None and not (isinstance(p, int) and 1 <= p <= n):
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
@@ -289,7 +282,9 @@ def run_coded_trial(
     """
     _check_work(comm, params.r / params.k)
     if times is None:
-        times = _sample(params, params.coded_work(), rng)
+        if rng is None:
+            raise ValueError("an RngStream is required when no times are injected")
+        times = sample_comp_times(params, params.coded_work(), rng)
     elif times.n != params.n:
         raise ValueError(f"need {params.n} injected times, got {times.n}")
     comp_finish = params.t0 + times.sorted
@@ -303,21 +298,8 @@ def run_uncoded_trial(
     rng: RngStream | None = None,
     times: CompTimes | None = None,
 ) -> tuple[Timeline, TimelineMetrics]:
-    """One uncoded trial: n workers at r/n inner products each, wait for all."""
-    _check_work(comm, params.r / params.n)
-    if times is None:
-        times = _sample(params, params.uncoded_work(), rng)
-    elif times.n != params.n:
-        raise ValueError(f"need {params.n} injected times, got {times.n}")
-    comp_finish = params.a * (params.r / params.n) + times.sorted
-    timeline = schedule_serial_channel(comp_finish, comm.t_cmm, needed=params.n)
-    return timeline, compute_metrics(timeline)
-
-
-def _sample(params, work, rng):
-    if rng is None:
-        raise ValueError("an RngStream is required when no times are injected")
-    return sample_comp_times(params, work, rng)
+    """One uncoded trial: the coded trial of the (n, n) code."""
+    return run_coded_trial(params.uncoded(), comm, rng, times)
 
 
 def _isclose(a, b):

@@ -20,7 +20,6 @@ from .analysis import (
     RegimeFamily,
     classify_regime,
     expectation_bracket_coded,
-    expectation_bracket_uncoded,
     expected_runtime_regime3,
     optimize_k,
     pipeline_index,
@@ -30,7 +29,7 @@ from .coding import encode_random_linear, encode_systematic_mds, recovery_error
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
-from .timing import ClusterParams, expected_order_stat, harmonic, inject_comp_times, variance_order_stat
+from .timing import ClusterParams, expected_order_stat, inject_comp_times, variance_order_stat
 
 
 class _UsageError(Exception):
@@ -218,26 +217,18 @@ def _cmd_optimize_k(config: RunConfig, args) -> int:
 def _cmd_expect(config: RunConfig, args) -> int:
     params = _params(config)
     comm = _comm(config, params)
-    record = [("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r)]
+    # the uncoded scheme is the (n, n) code; the record keeps the k given
+    code = params.uncoded() if config.scheme == "uncoded" else params
+    bracket = expectation_bracket_coded(code, comm)
+    record = [
+        ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
+        ("t0", code.t0), ("alpha", code.alpha), ("t_cmm", comm.t_cmm),
+        ("lower", bracket.lower), ("upper", bracket.upper),
+    ]
     if config.scheme == "uncoded":
-        bracket = expectation_bracket_uncoded(params, comm)
-        alpha_u = params.r / (params.mu * params.n)
-        record += [
-            ("t0", params.a * params.r / params.n),
-            ("alpha", alpha_u),
-            ("t_cmm", comm.t_cmm),
-            ("lower", bracket.lower),
-            ("upper", bracket.upper),
-            ("expected_Tn", alpha_u * harmonic(params.n)),
-        ]
+        record.append(("expected_Tn", expected_order_stat(code, code.n)))
     else:
-        bracket = expectation_bracket_coded(params, comm)
         record += [
-            ("t0", params.t0),
-            ("alpha", params.alpha),
-            ("t_cmm", comm.t_cmm),
-            ("lower", bracket.lower),
-            ("upper", bracket.upper),
             ("regime3_leading", expected_runtime_regime3(params)),
             ("pipeline_p", pipeline_index(params.n, params.alpha, comm.t_cmm)),
             ("expected_Tk", expected_order_stat(params, params.k)),

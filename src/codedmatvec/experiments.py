@@ -122,8 +122,11 @@ def monte_carlo(
     seed: int,
     scheme: str = "coded",
 ) -> tuple[MCStats, AggregateMetrics]:
-    """Run `trials` independent trials, stream i keyed by (seed, i)."""
-    batch = run_trials(params, comm, trials, seed, scheme)
+    """Run `trials` independent trials, stream i keyed by (seed, i); the
+    uncoded scheme runs the (n, n) code, params.uncoded()."""
+    if scheme not in ("coded", "uncoded"):
+        raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
+    batch = run_trials(params.uncoded() if scheme == "uncoded" else params, comm, trials, seed)
     completed = batch.completed_by_comp_k
     frac_hit = float(np.mean(batch.hit_lower_bound))
     agg = AggregateMetrics(
@@ -164,7 +167,6 @@ def sweep_regime(
         )
         try:
             params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-            params.coded_work()
             comm = CommModel.coded(params, family.t_one_cmm(n))
             mc, agg = monte_carlo(params, comm, trials, seed, scheme="coded")
         except ValueError as exc:
@@ -245,7 +247,7 @@ def verify_transmission_lemmas(
     also checking the realization-level run-time sandwich on every trial."""
     p = pipeline_index(params.n, params.alpha, comm.t_cmm)
     n, k = params.n, params.k
-    batch = run_trials(params, comm, trials, seed, "coded", p=p)
+    batch = run_trials(params, comm, trials, seed, p=p)
     c1, c2 = batch.count1, batch.count2
     kth, total = batch.kth_finish, batch.t_total
     inside = (kth + comm.t_cmm <= total) & (total <= kth + k * comm.t_cmm)

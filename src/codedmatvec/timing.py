@@ -3,15 +3,15 @@ order statistics.
 
 A worker assigned w inner products finishes after a constant startup
 a*w plus an Exponential(mu/w) variable part.  The constant shift is
-carried separately everywhere (as ClusterParams.t0 for the coded split);
-all order-statistic math in this module operates on the variable part
-only.
+carried separately everywhere (as ClusterParams.t0, a*r/k; the uncoded
+scheme is the (n, n) code, ClusterParams.uncoded()); all order-statistic
+math in this module operates on the variable part only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,14 +60,14 @@ class ClusterParams:
     def coded_work(self) -> int:
         """Inner products per coded worker; requires k | r."""
         if self.r % self.k != 0:
-            raise ValueError(f"coded run requires k | r: k={self.k}, r={self.r}")
+            raise ValueError(f"a run requires k | r, with k = n when uncoded: "
+                             f"k={self.k}, r={self.r}")
         return self.r // self.k
 
-    def uncoded_work(self) -> int:
-        """Inner products per uncoded worker; requires n | r."""
-        if self.r % self.n != 0:
-            raise ValueError(f"uncoded run requires n | r: n={self.n}, r={self.r}")
-        return self.r // self.n
+    def uncoded(self) -> "ClusterParams":
+        """The uncoded baseline as the (n, n) code: each worker takes r/n
+        inner products and the master waits for all n."""
+        return replace(self, k=self.n)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,16 @@ def test_simulate_missing_key_exit_code(capsys):
     assert "t1cmm" in capsys.readouterr().err
 
 
+def test_uncoded_divisibility_error_names_n_and_r(capsys):
+    # the uncoded run is the (n, n) code: its k is n=7, which does not divide r=9
+    rc = main(["montecarlo", "--scheme", "uncoded", "--n", "7", "--k", "3", "--r", "9",
+               "--a", "1", "--mu", "1", "--t1cmm", "0.01", "--trials", "10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "k = n when uncoded" in err
+    assert "k=7, r=9" in err
+
+
 def test_usage_error_is_exit_one(capsys):
     assert main(["simulate", "--no-such-flag", "1"]) == 1
 

@@ -3,6 +3,7 @@
 `run_trials` must give, array for array, exactly what a loop of
 run_*_trial(RngStream(seed, i)) plus compute_metrics gives, whatever the
 chunking; these tests compare with array_equal, never with a tolerance.
+The uncoded scheme runs the engine on params.uncoded(), the (n, n) code.
 """
 
 import math
@@ -54,7 +55,8 @@ def _loop(params, comm, trials, seed, scheme, p=None):
 
 
 def _assert_matches_loop(params, comm, trials, seed, scheme, p=None):
-    batch = run_trials(params, comm, trials, seed, scheme, p=p)
+    code = params.uncoded() if scheme == "uncoded" else params
+    batch = run_trials(code, comm, trials, seed, p=p)
     rows, violations = _loop(params, comm, trials, seed, scheme, p)
     for name in FIELDS:
         assert np.array_equal(getattr(batch, name), np.array(rows[name])), name
@@ -74,7 +76,8 @@ def configurations(draw):
     r = math.lcm(n, k) * draw(st.integers(1, 3))
     # mu=1e18 with a=1: every completion rounds to the startup shift, so
     # completion times tie exactly with each other and with channel releases
-    params = ClusterParams(n=n, k=k, r=r, a=draw(st.sampled_from([0.0, 1.0])),
+    # a=0.3 makes the shift a*r/k round differently from a*(r/k)
+    params = ClusterParams(n=n, k=k, r=r, a=draw(st.sampled_from([0.0, 0.3, 1.0])),
                            mu=draw(st.sampled_from([0.5, 1.0, 3.0, 1e18])))
     # instant channel, comparable, saturated
     t_one = draw(st.sampled_from([0.0, 1.0 / (r * n), 0.1 / r, 10.0]))
@@ -168,13 +171,12 @@ def test_run_trials_rejects_bad_arguments():
     comm = CommModel.coded(params, 0.001)
     for trials in (0, -3, 2.0):
         with pytest.raises(ValueError, match="trials"):
-            run_trials(params, comm, trials, 0, "coded")
-    with pytest.raises(ValueError, match="scheme"):
-        run_trials(params, comm, 5, 0, "hybrid")
+            run_trials(params, comm, trials, 0)
     with pytest.raises(ValueError, match="p must"):
-        run_trials(params, comm, 5, 0, "coded", p=11)
+        run_trials(params, comm, 5, 0, p=11)
+    # a coded comm model on the uncoded (n, n) code
     with pytest.raises(ValueError, match="work_per_worker"):
-        run_trials(params, comm, 5, 0, "uncoded")
+        run_trials(params.uncoded(), comm, 5, 0)
 
 
 def test_verify_rejects_zero_trials():
@@ -188,7 +190,7 @@ def test_verify_rejects_zero_trials():
 def test_any_trial_replays_alone():
     params = ClusterParams(n=100, k=70, r=700, a=1.0, mu=1.0)
     comm = CommModel.coded(params, 0.001)
-    batch = run_trials(params, comm, 1000, 7, "coded")
+    batch = run_trials(params, comm, 1000, 7)
     timeline, _ = run_coded_trial(params, comm, RngStream(7, 876))
     assert batch.t_total[876] == timeline.t_total
     mc, _ = monte_carlo(params, comm, 1000, 7)

@@ -73,7 +73,7 @@ def test_monte_carlo_rejects_bad_args():
     params, comm = small_config()
     with pytest.raises(ValueError):
         monte_carlo(params, comm, trials=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scheme"):
         monte_carlo(params, comm, trials=10, seed=0, scheme="hybrid")
 
 

@@ -50,7 +50,8 @@ def test_cluster_params_validation():
     # divisibility is a per-scheme requirement, not a construction one
     with pytest.raises(ValueError, match="k | r|coded"):
         p.coded_work()
-    assert p.uncoded_work() == 1
+    assert p.uncoded().k == p.n
+    assert p.uncoded().coded_work() == 1
 
 
 def test_sample_comp_times_positive_and_sorted():
