@@ -91,7 +91,10 @@ def main(argv=None) -> int:
 def _load_config(args, command) -> RunConfig:
     contents = Path(args.config).read_text() if args.config is not None else ""
     config = parse_config(contents, {key: getattr(args, key) for key in command.keys})
-    config = replace(config, format=config.format or command.default_format)
+    # a command that reads `scheme` without requiring it runs its first scheme
+    scheme = command.schemes[0] if "scheme" in command.optional else None
+    config = replace(config, format=config.format or command.default_format,
+                     scheme=config.scheme or scheme)
     for key in command.required:
         if getattr(config, key) is None:
             raise ConfigError(f"{key}: required for this command")
@@ -319,7 +322,7 @@ COMMANDS = {
     "expect": _Command(_cmd_expect, "closed-form expectations for one configuration", _CLUSTER,
                        ("scheme", "beta"), ("coded", "uncoded")),
     "decode-check": _Command(_cmd_decode_check, "verify any-k recovery of the coding scheme",
-                             ("n", "k", "r"), ("m", "scheme", "seed", "trials"),
+                             ("n", "k", "r", "scheme"), ("m", "seed", "trials"),
                              ("systematic", "random")),
     "verify": _Command(_cmd_verify, "check the run-time sandwich and transmission counts",
                        _CLUSTER, ("scheme", "trials", "seed"), ("coded",)),

@@ -27,7 +27,7 @@ class RunConfig:
     m: int = 5
     trials: int = 10_000
     seed: int = 0
-    scheme: str = "coded"
+    scheme: str | None = None
     inject: tuple | None = None
     ns: tuple | None = None
     out: str | None = None

@@ -219,7 +219,7 @@ def test_decode_check_random_scheme(capsys):
 def test_decode_check_needs_coding_scheme(capsys):
     rc = main(["decode-check", "--n", "4", "--k", "2", "--r", "2", "--m", "2"])
     assert rc == 1
-    assert "scheme" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: scheme: required for this command\n"
 
 
 def test_decode_check_failure_exit_code(monkeypatch, capsys):
