@@ -67,7 +67,6 @@ from .timing import (
     harmonic,
     inject_comp_times,
     sample_comp_times,
-    sample_spacings,
     variance_order_stat,
 )
 

@@ -111,18 +111,6 @@ def inject_comp_times(sorted_values) -> CompTimes:
     return CompTimes(sorted=np.array(sorted_values, dtype=np.float64))
 
 
-def sample_spacings(params: ClusterParams, rng: RngStream) -> np.ndarray:
-    """Sample the n differential times between consecutive order
-    statistics directly: D_i ~ Exp((n-i+1)/alpha).
-
-    Their prefix sums have the same joint law as the sorted i.i.d.
-    Exponential(1/alpha) sample (Renyi representation), which makes
-    rank-indexed quantities cheap to reason about.
-    """
-    rates = (params.n - np.arange(params.n)) / params.alpha
-    return rng.exponentials(rates, params.n)
-
-
 def harmonic(n: int) -> float:
     """n-th harmonic number by direct summation; H_0 = 0."""
     if not isinstance(n, int) or n < 0:

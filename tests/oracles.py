@@ -2,12 +2,15 @@
 
 These deliberately use different mechanisms than the library (event queue
 instead of the single-pass recurrence, literal definition scans instead of
-the incremental ones) and must stay that way.
+the incremental ones, Renyi spacings instead of draw-and-sort) and must
+stay that way.
 """
 
 import heapq
 import math
 from collections import deque
+
+import numpy as np
 
 
 def event_queue_schedule(comp_finish, t_cmm, needed):
@@ -81,6 +84,17 @@ def leading_term_scan(n, r, a, mu, comm_at_k, require_divisor=False):
         if best is None or value < best[1]:
             best = (k, value)
     return best
+
+
+def sample_spacings(params, rng):
+    """Renyi representation of the sorted sample: the n gaps between
+    consecutive order statistics, drawn directly as D_i ~ Exp((n-i+1)/alpha).
+
+    Their prefix sums have the same joint law as the sorted i.i.d.
+    Exponential(1/alpha) sample that the library draws and sorts.
+    """
+    rates = (params.n - np.arange(params.n)) / params.alpha
+    return rng.exponentials(rates, params.n)
 
 
 def ks_two_sample_threshold(m, n, significance=0.01):

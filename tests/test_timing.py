@@ -11,11 +11,10 @@ from codedmatvec import (
     harmonic,
     inject_comp_times,
     sample_comp_times,
-    sample_spacings,
     variance_order_stat,
 )
 from codedmatvec.timing import harmonic_table
-from oracles import ks_two_sample_threshold
+from oracles import ks_two_sample_threshold, sample_spacings
 
 
 def test_harmonic_values():
