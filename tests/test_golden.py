@@ -151,7 +151,8 @@ GOLDEN = {
          "--m", "3", "--trials", "200", "--seed", "12"],
         "d76ef941553edc5e781c2615ff0bd0148429843a88c05afb68b0f67842a5419d",
     ),
-    # a = 0.3, where a*(r/n) and a*r/n round apart: pins the uncoded shift
+    # uncoded at a = 0.3, where a*(r/n) and a*r/n round apart; the printed digits
+    # hide that one-ulp shift, which test_timing pins
     "montecarlo_uncoded_a03.txt": (
         ["montecarlo", *NON_DYADIC, "--scheme", "uncoded", "--trials", "2000", "--seed", "12"],
         "520aea40d82e60756b80d15b2ba2e820881e1d5e5e5bbc563d4ec97c4fd0734c",

@@ -51,6 +51,9 @@ def test_cluster_params_validation():
         p.coded_work()
     assert p.uncoded().k == p.n
     assert p.uncoded().coded_work() == 1
+    # one shift for both schemes, a*r/k: at a=0.3, a*(r/k) would give 0.8999999999999999
+    q = ClusterParams(n=30, k=15, r=90, a=0.3, mu=1.0)
+    assert q.uncoded().t0 == 0.9
 
 
 def test_sample_comp_times_positive_and_sorted():
