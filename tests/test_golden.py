@@ -1,4 +1,5 @@
-"""Golden digests: SHA-256 of CLI outputs for fixed seeds.
+"""Golden digests: SHA-256 of CLI outputs for fixed seeds, and of the
+batched engine's exact per-trial arrays.
 
 Criterion 12 checks that a rerun reproduces its own output; these pin the
 outputs themselves, so a change that moves a single bit of any printed
@@ -9,7 +10,7 @@ speedup ladder, verify at n=1600).
 
 A digest may only change together with a stated reason for the change;
 re-bless by running this module as a script and pasting the digests it
-prints into GOLDEN:
+prints into GOLDEN and ENGINE_GOLDEN:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +19,7 @@ import hashlib
 
 import pytest
 
+from codedmatvec import ClusterParams, CommModel, run_trials
 from codedmatvec.cli import main
 
 EXAMPLE_INJECT = "0.1138,0.2725,0.6458,0.7033,5.5538"
@@ -168,6 +170,25 @@ GOLDEN = {
 }
 
 
+# The engine's exact per-trial arrays at full precision, raw little-endian
+# bytes, so a one-ulp move in kth_finish shows even where the printed
+# digits above hide it; each a makes a*r/k and a*(r/k) round apart.  Three
+# chunks per configuration.  t_total and busy_fraction are left out on
+# purpose: their contract is a bound against an exact max-plus oracle
+# (tests/test_engine.py), not a fixed bit pattern.
+ENGINE_FIELDS = ("kth_finish", "completed_by_comp_k", "q_idle", "count1", "count2")
+ENGINE_GOLDEN = {
+    "engine_n100_coded_p50": (
+        ClusterParams(n=100, k=70, r=700, a=0.7, mu=1.0), "coded", 0.01, 1500, 50,
+        "0d96d51b1eec54e94e2817fb3a9bca2fa1aeb126f4d4705d229a51d2e0804410",
+    ),
+    "engine_n1600_uncoded_p1200": (
+        ClusterParams(n=1600, k=1120, r=11200, a=0.2, mu=10.0), "uncoded", 0.0005, 100, 1200,
+        "f456c139a1b897564f246155880e387054fb4c5c86833557c28c15ed46752382",
+    ),
+}
+
+
 def _digest(argv, path) -> str:
     rc = main([*argv, "--out", str(path)])
     assert rc == 0, f"exit code {rc}"
@@ -180,6 +201,22 @@ def test_golden_digest(name, tmp_path):
     assert _digest(argv, tmp_path / name) == expected
 
 
+def _engine_digest(params, scheme, t_one, trials, p) -> str:
+    code = params.uncoded() if scheme == "uncoded" else params
+    batch = run_trials(code, CommModel.coded(code, t_one), trials, seed=3, p=p)
+    h = hashlib.sha256()
+    for field in ENGINE_FIELDS:
+        values = getattr(batch, field)
+        h.update(values.astype("<f8" if values.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_GOLDEN))
+def test_engine_digest(name):
+    *config, expected = ENGINE_GOLDEN[name]
+    assert _engine_digest(*config) == expected
+
+
 def _bless():  # pragma: no cover - maintenance helper
     import tempfile
     from pathlib import Path
@@ -187,6 +224,8 @@ def _bless():  # pragma: no cover - maintenance helper
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, _) in GOLDEN.items():
             print(f"{name}: {_digest(argv, Path(tmp) / name)}")
+    for name, (*config, _) in ENGINE_GOLDEN.items():
+        print(f"{name}: {_engine_digest(*config)}")
 
 
 if __name__ == "__main__":
