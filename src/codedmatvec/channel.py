@@ -7,7 +7,12 @@ t_cmm seconds.  The whole timeline follows from the single-pass recurrence
     comm_end[i] = max(comp_finish[i], comm_end[i-1]) + t_cmm
 
 over the first `needed` completion ranks; workers finishing after the
-needed-th transmission never occupy the channel.
+needed-th transmission never occupy the channel.  The single-trial path
+walks this recurrence.  It is linear in max-plus algebra, so the batched
+engine `run_trials` uses its closed forms instead (ranks from 1):
+
+    t_total     = max_j (comp_finish[j] + (needed - j + 1) * t_cmm)
+    comm_end[i] = i * t_cmm + max_{j<=i} (comp_finish[j] - (j - 1) * t_cmm)
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from .timing import ClusterParams, CompTimes, sample_comp_times
 LOWER_BOUND_REL_TOL = 1e-12
 LOWER_BOUND_ABS_TOL = 1e-15
 
-# float64 elements per draw matrix of `run_trials` (512 KiB) and per
-# recurrence block (64 KiB): memory stays bounded whatever the trial
-# count, and the blocks the recurrence walks stay in cache.
+# float64 elements per draw matrix of `run_trials` (512 KiB); its one
+# work matrix over the first `needed` ranks is no larger, so memory stays
+# bounded whatever the trial count.
 CHUNK_ELEMENTS = 2**16
-BLOCK_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,8 @@ def compute_metrics(t: Timeline) -> TimelineMetrics:
 class TrialArrays:
     """Per-trial results of `run_trials`; entry i is trial i, RngStream(seed, i).
 
-    The first six arrays hold Timeline.t_total, the needed-th completion
-    time and the TimelineMetrics fields.  count1/count2 are the
+    The first six arrays hold the run-time t_total, the needed-th
+    completion time and the TimelineMetrics fields.  count1/count2 are the
     `transmission_counts` of each trial when a pipeline index was given.
     """
 
@@ -178,16 +182,17 @@ def run_trials(
     seed: int,
     p: int | None = None,
 ) -> TrialArrays:
-    """Run trials 0..trials-1 of the (n, k) code `params` describes in
-    chunks; bit-identical to a loop of run_coded_trial(RngStream(seed, i))
-    plus compute_metrics.  Pass params.uncoded() for the uncoded scheme.
+    """Run trials 0..trials-1 of the (n, k) code `params` describes, trial
+    i on RngStream(seed, i); pass params.uncoded() for the uncoded scheme.
 
-    Each chunk draws its rows by re-keying one Philox stream, applies the
-    same inverse-CDF ufuncs as RngStream.exponentials, sorts the rows and
-    runs the channel recurrence as `needed` numpy steps across trials, so
-    every trial sees the same float operations as on its own.  The steps
-    run in blocks of ranks whose metrics are reduced as they go, so only
-    the draws and one block are ever held.
+    Each chunk re-keys one Philox stream per row, applies the inverse-CDF
+    ufuncs of RngStream.exponentials, sorts and shifts, so the completion
+    times cf are the single-trial path's bit for bit.  The channel follows
+    from the module's max-plus forms, with no step per rank: t_total is
+    the row max of cf + tail, within 2 ulp of the exact value and inside
+    [kth + t_cmm, kth + needed * t_cmm] in floats (its last term is the
+    lower end, and rounding is monotone); the ends, one running max, feed
+    only the integer metrics.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -199,30 +204,33 @@ def run_trials(
     rate = params.mu / work
     busy = needed * t_cmm
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
-    ranks = max(1, BLOCK_ELEMENTS // rows)
-    draws = np.empty((rows, n))
-    # transposed (rank, trial) blocks: each recurrence step is one
-    # contiguous row; ends[0] holds the end before the block's first rank
-    finish = np.empty((ranks, rows))
-    ends = np.empty((ranks + 1, rows))
-    idle = np.empty((ranks, rows), dtype=bool)
-    below = np.empty((ranks, rows), dtype=bool)
+    # one buffer for the draws and the work matrix: two buffers of about
+    # 512 KiB freed together leave a free heap top past glibc's trim
+    # threshold, and every call then faults their pages back in
+    buffer = np.empty(rows * (n + needed))
+    draws = buffer[: rows * n].reshape(rows, n)
+    scratch = buffer[rows * n :].reshape(rows, needed)
+    flags = np.empty((rows, needed), dtype=bool)
+    # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm, and
+    # ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
+    tail = t_cmm * np.arange(needed, 0, -1.0)
+    lead = t_cmm * np.arange(needed, dtype=np.float64)
+    lead_end = lead + t_cmm
 
     out = TrialArrays(
         t_total=np.empty(trials),
         kth_finish=np.empty(trials),
-        completed_by_comp_k=np.zeros(trials, dtype=np.intp),
+        completed_by_comp_k=np.empty(trials, dtype=np.intp),
         q_idle=np.empty(trials, dtype=np.intp),
         busy_fraction=np.zeros(trials),
         hit_lower_bound=np.empty(trials, dtype=bool),
-        count1=None if p is None else np.zeros(trials, dtype=np.intp),
+        count1=None if p is None else np.empty(trials, dtype=np.intp),
         count2=None if p is None else np.empty(trials, dtype=np.intp),
     )
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
-        times = draws[:m]
-        completed, q_idle = out.completed_by_comp_k[done], out.q_idle[done]
+        times, ends, flag = draws[:m], scratch[:m], flags[:m]
 
         uniform_rows(seed, first, times)
         np.negative(times, out=times)
@@ -233,34 +241,28 @@ def run_trials(
         # rows are sorted, NaN last: the end columns bound every value
         if not (np.all(times[:, 0] >= 0) and np.all(np.isfinite(times[:, -1]))):
             raise ValueError("computation times must be finite and >= 0")
-        kth = shift + times[:, needed - 1]
+        np.add(times, shift, out=times)
+        cf, kth = times[:, :needed], times[:, needed - 1]
+        total = out.t_total[done]
+
+        np.add(cf, tail, out=ends)
+        np.max(ends, axis=1, out=total)
+        np.subtract(cf, lead, out=ends)
+        np.maximum.accumulate(ends, axis=1, out=ends)
+        np.add(ends, lead_end, out=ends)
+        out.completed_by_comp_k[done] = np.count_nonzero(
+            np.less_equal(ends, kth[:, None], out=flag), axis=1)
         if p is not None:
             # rank p may lie past `needed` (a backlog that never clears)
-            finish_p = shift + times[:, p - 1]
+            out.count1[done] = np.count_nonzero(
+                np.less_equal(ends, times[:, p - 1, None], out=flag), axis=1)
+        # q_idle: the last rank that finds the channel free; rank 1 always does
+        flag[:, 0] = True
+        np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, 1:])
+        out.q_idle[done] = needed - np.argmax(flag[:, ::-1], axis=1)
 
-        # rank 1 starts the instant it finishes: max(finish, -inf) = finish
-        ends[0, :m] = -math.inf
-        for j0 in range(0, needed, ranks):
-            b = min(ranks, needed - j0)
-            cf, e, idl, le = finish[:b, :m], ends[: b + 1, :m], idle[:b, :m], below[:b, :m]
-            np.add(shift, times[:, j0 : j0 + b].T, out=cf)
-            steps = list(e)  # row views, so the loop is pure ufunc calls
-            for finish_j, prev, cur in zip(cf, steps, steps[1:]):
-                np.maximum(finish_j, prev, out=cur)
-                np.add(cur, t_cmm, out=cur)
-            # q_idle is 1 + the last rank that finds the channel free; block
-            # 0 always has one (rank 1)
-            np.greater_equal(cf, e[:-1], out=idl)
-            np.copyto(q_idle, j0 + b - np.argmax(idl[::-1], axis=0), where=idl.any(axis=0))
-            completed += np.count_nonzero(np.less_equal(e[1:], kth, out=le), axis=0)
-            if p is not None:
-                out.count1[done] += np.count_nonzero(np.less_equal(e[1:], finish_p, out=le), axis=0)
-            e[0] = e[b]
-
-        total = ends[0, :m]
-        out.t_total[done] = total
         out.kth_finish[done] = kth
-        span = total - (shift + times[:, 0])
+        span = total - cf[:, 0]
         np.divide(busy, span, out=out.busy_fraction[done], where=span > 0)
         out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
     if p is not None:

@@ -1,14 +1,15 @@
 """Independent reference implementations the tests check the library against.
 
 These deliberately use different mechanisms than the library (event queue
-instead of the single-pass recurrence, literal definition scans instead of
-the incremental ones, Renyi spacings instead of draw-and-sort) and must
-stay that way.
+instead of the single-pass recurrence, exact rationals instead of floats,
+literal definition scans instead of the incremental ones, Renyi spacings
+instead of draw-and-sort) and must stay that way.
 """
 
 import heapq
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +44,19 @@ def event_queue_schedule(comp_finish, t_cmm, needed):
             heapq.heappush(heap, (end, seq, "free", nxt))
             seq += 1
     return starts, ends
+
+
+def maxplus_total_exact(comp_finish, t_cmm, needed):
+    """Exact run-time of the serial FIFO channel on the given float inputs.
+
+    The recurrence end[i] = max(finish[i], end[i-1]) + t_cmm is linear in
+    max-plus algebra, so end[needed] = max over j <= needed of
+    finish[j] + (needed - j + 1) * t_cmm.  Evaluated in Fractions, with no
+    rounding at all; returns a Fraction.
+    """
+    t = Fraction(t_cmm)
+    return max(Fraction(float(x)) + (needed - j) * t
+               for j, x in enumerate(comp_finish[:needed]))
 
 
 def pipeline_scan(n, alpha, t_cmm):

@@ -1,12 +1,16 @@
 """The batched trial engine against the single-trial path it replaces.
 
-`run_trials` must give, array for array, exactly what a loop of
-run_*_trial(RngStream(seed, i)) plus compute_metrics gives, whatever the
-chunking; these tests compare with array_equal, never with a tolerance.
-The uncoded scheme runs the engine on params.uncoded(), the (n, n) code.
+`run_trials` evaluates the channel in max-plus closed form, the loop of
+run_*_trial(RngStream(seed, i)) plus compute_metrics walks the recurrence.
+Whatever the chunking, kth_finish and the integer metrics must be equal
+(array_equal, never a tolerance).  t_total is held to the exact rational
+max-plus value on the same inputs: within 2 ulp for the engine, within
+`needed` ulp for the recurrence, which rounds once per rank.  The uncoded
+scheme runs the engine on params.uncoded(), the (n, n) code.
 """
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from codedmatvec import (
     ClusterParams,
     CommModel,
+    RegimeFamily,
     RngStream,
     monte_carlo,
     run_coded_trial,
@@ -27,23 +32,29 @@ from codedmatvec import (
 )
 from codedmatvec import channel
 from codedmatvec.rng import uniform_rows
+from oracles import maxplus_total_exact
 
-FIELDS = ("t_total", "kth_finish", "completed_by_comp_k", "q_idle",
-          "busy_fraction", "hit_lower_bound")
+EXACT_FIELDS = ("kth_finish", "completed_by_comp_k", "q_idle", "hit_lower_bound")
+
+
+def _ulps(x, exact):
+    """|x - exact| in units in the last place of the float nearest exact."""
+    return abs(Fraction(float(x)) - exact) / Fraction(math.ulp(float(exact)))
 
 
 def _loop(params, comm, trials, seed, scheme, p=None):
     run = run_coded_trial if scheme == "coded" else run_uncoded_trial
-    rows = {name: [] for name in (*FIELDS, "count1", "count2")}
+    rows = {name: [] for name in (*EXACT_FIELDS, "t_total", "comp_finish",
+                                  "count1", "count2")}
     violations = 0
     for i in range(trials):
         timeline, metrics = run(params, comm, RngStream(seed, i))
         kth = timeline.comp_finish[timeline.needed - 1]
         rows["t_total"].append(timeline.t_total)
+        rows["comp_finish"].append(timeline.comp_finish[: timeline.needed])
         rows["kth_finish"].append(kth)
         rows["completed_by_comp_k"].append(metrics.completed_by_comp_k)
         rows["q_idle"].append(metrics.q_idle)
-        rows["busy_fraction"].append(metrics.busy_fraction)
         rows["hit_lower_bound"].append(metrics.hit_lower_bound)
         if p is not None:
             count1, count2 = transmission_counts(timeline, p)
@@ -58,8 +69,18 @@ def _assert_matches_loop(params, comm, trials, seed, scheme, p=None):
     code = params.uncoded() if scheme == "uncoded" else params
     batch = run_trials(code, comm, trials, seed, p=p)
     rows, violations = _loop(params, comm, trials, seed, scheme, p)
-    for name in FIELDS:
+    for name in EXACT_FIELDS:
         assert np.array_equal(getattr(batch, name), np.array(rows[name])), name
+    needed, t_cmm = code.k, comm.t_cmm
+    for i, finish in enumerate(rows["comp_finish"]):
+        exact = maxplus_total_exact(finish, t_cmm, needed)
+        assert _ulps(batch.t_total[i], exact) <= 2, (i, batch.t_total[i], exact)
+        assert _ulps(rows["t_total"][i], exact) <= needed, (i, rows["t_total"][i], exact)
+        # from the engine's own t_total: the loop's differs by the rounding
+        # of t_total, which a short span magnifies without bound
+        span = float(batch.t_total[i]) - float(finish[0])
+        want = needed * t_cmm / span if span > 0 else 0.0
+        assert batch.busy_fraction[i] == want, (i, batch.busy_fraction[i], want)
     if p is None:
         assert batch.count1 is None and batch.count2 is None
     else:
@@ -88,16 +109,13 @@ def configurations(draw):
 @settings(max_examples=60, deadline=None)
 @given(config=configurations(), seed=st.integers(0, 2**64 - 1),
        trials=st.integers(1, 12), rows_per_chunk=st.sampled_from([1, 2, 5, None]),
-       block=st.sampled_from([1, 3, 16, None]), data=st.data())
-def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chunk, block, data):
+       data=st.data())
+def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chunk, data):
     params, comm, scheme = config
     p = data.draw(st.integers(1, params.n)) if scheme == "coded" else None
-    # shrink the chunk and the recurrence block so small trial counts and
-    # small n cross chunk and block boundaries
+    # shrink the chunk so small trial counts and small n cross chunk boundaries
     chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * params.n
-    block = channel.BLOCK_ELEMENTS if block is None else block
-    with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk), \
-            mock.patch.object(channel, "BLOCK_ELEMENTS", block):
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
         _assert_matches_loop(params, comm, trials, seed, scheme, p)
 
 
@@ -117,6 +135,28 @@ def test_run_trials_exact_ties(scheme, t_one):
     params = ClusterParams(n=20, k=14, r=140, a=1.0, mu=1e18)
     make = CommModel.coded if scheme == "coded" else CommModel.uncoded
     _assert_matches_loop(params, make(params, t_one), 30, 4, scheme)
+
+
+CRITERION_03 = ClusterParams(n=100, k=70, r=700, a=1.0, mu=1.0)
+T_ONE_03 = CRITERION_03.k / (CRITERION_03.r * CRITERION_03.n)
+REGIME_2 = ClusterParams(n=1000, k=700, r=700, a=1.0, mu=1.0)
+
+
+@pytest.mark.parametrize("params, t_one, scheme", [
+    (CRITERION_03, T_ONE_03, "coded"),
+    (CRITERION_03, T_ONE_03, "uncoded"),
+    (REGIME_2, RegimeFamily(c=1.0, beta=0.5).t_one_cmm(REGIME_2.n), "coded"),
+], ids=["criterion03-coded", "criterion03-uncoded", "regime2-saturated"])
+def test_run_trials_sandwich_holds_bitwise(params, t_one, scheme):
+    # kth + t_cmm <= t_total <= kth + k*t_cmm in floats, on every trial, as
+    # verify checks it; taking t_total from the running max of the ends
+    # lands one ulp under the lower end on most criterion-03 trials
+    code = params.uncoded() if scheme == "uncoded" else params
+    comm = CommModel.coded(code, t_one)
+    batch = run_trials(code, comm, 2000, 301)
+    kth, total = batch.kth_finish, batch.t_total
+    assert np.count_nonzero(kth + comm.t_cmm > total) == 0
+    assert np.count_nonzero(total > kth + code.k * comm.t_cmm) == 0
 
 
 @settings(max_examples=25, deadline=None)
