@@ -128,8 +128,9 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
 
 def assemble_decode_input(job: CodedJob, worker_ids) -> DecodeInput:
     """Stack the chosen workers' coding blocks and results, ascending id."""
-    ids = sorted(set(int(i) for i in worker_ids))
-    if len(ids) != len(list(worker_ids)):
+    given = [int(i) for i in worker_ids]  # read a one-shot iterable once
+    ids = sorted(set(given))
+    if len(ids) != len(given):
         raise ValueError("worker ids must be distinct")
     k = job.r // job.rows_per_worker
     if len(ids) != k:

@@ -144,6 +144,15 @@ def test_decode_input_assembly_and_errors():
     assert inputs.z.shape == (6,)
 
 
+def test_decode_accepts_a_one_shot_iterable():
+    # used to read the generator twice and reject a valid subset as repeated
+    job = random_job(n=6, k=3, r=6, m=2, seed=2)
+    result = decode_from_workers(job, (i for i in (1, 2, 5)))
+    assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 2, 5]).y_hat)
+    with pytest.raises(ValueError, match="distinct"):
+        assemble_decode_input(job, (i for i in (1, 2, 2)))
+
+
 def test_decode_flags_singular_stack():
     job = random_job(n=4, k=2, r=2, m=2, seed=11)
     inputs = assemble_decode_input(job, [1, 2])
