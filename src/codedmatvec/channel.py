@@ -13,12 +13,18 @@ engine `run_trials` uses its closed forms instead (ranks from 1):
 
     t_total     = max_j (comp_finish[j] + (needed - j + 1) * t_cmm)
     comm_end[i] = i * t_cmm + max_{j<=i} (comp_finish[j] - (j - 1) * t_cmm)
+
+One `run_trials` call serves several codes of one n (the coded scheme
+and its uncoded (n, n) baseline, say) on common random numbers: the
+unit-rate exponentials are drawn and sorted once, and each code scales
+them by its own rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +36,10 @@ from .timing import ClusterParams, CompTimes, sample_comp_times
 LOWER_BOUND_REL_TOL = 1e-12
 LOWER_BOUND_ABS_TOL = 1e-15
 
-# float64 elements per draw matrix of `run_trials` (512 KiB); its one
-# work matrix over the first `needed` ranks is no larger, so memory stays
-# bounded whatever the trial count.
+# float64 elements per draw matrix of `run_trials` (512 KiB); each of its
+# two work matrices over the first `needed` ranks is no larger, and every
+# code of a call reuses them, so memory stays bounded whatever the trial
+# count.
 CHUNK_ELEMENTS = 2**16
 
 
@@ -176,98 +183,115 @@ class TrialArrays:
 
 
 def run_trials(
-    params: ClusterParams,
-    comm: CommModel,
+    codes: Sequence[tuple[ClusterParams, CommModel]],
     trials: int,
     seed: int,
     p: int | None = None,
-) -> TrialArrays:
-    """Run trials 0..trials-1 of the (n, k) code `params` describes, trial
-    i on RngStream(seed, i); pass params.uncoded() for the uncoded scheme.
+) -> list[TrialArrays]:
+    """Run trials 0..trials-1 of every (params, comm) pair in `codes`,
+    trial i of each on RngStream(seed, i), and return one TrialArrays per
+    pair, in order.  The pairs must share one n; the uncoded scheme is the
+    pair (params.uncoded(), CommModel.uncoded(params, t_one_cmm)).
 
     Each chunk re-keys one Philox stream per row, applies the inverse-CDF
-    ufuncs of RngStream.exponentials, sorts and shifts, so the completion
-    times cf are the single-trial path's bit for bit.  The channel follows
-    from the module's max-plus forms, with no step per rank: t_total is
-    the row max of cf + tail, within 2 ulp of the exact value and inside
-    [kth + t_cmm, kth + needed * t_cmm] in floats (its last term is the
-    lower end, and rounding is monotone); the ends, one running max, feed
-    only the integer metrics.
+    ufuncs of RngStream.exponentials and sorts the unit-rate draws once
+    for all pairs.  Each pair then divides the first `needed` columns by
+    its rate and adds its shift: correctly rounded division by a positive
+    scalar is monotone, so sort(x) / rate == sort(x / rate) bit for bit,
+    and the completion times cf are the single-trial path's.  The channel
+    follows from the module's max-plus forms, with no step per rank:
+    t_total is the row max of cf + tail, within 2 ulp of the exact value
+    and inside [kth + t_cmm, kth + needed * t_cmm] in floats (its last
+    term is the lower end, and rounding is monotone); the ends, one
+    running max, feed only the integer metrics.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    _check_work(comm, params.r / params.k)
-    work, needed, shift = params.coded_work(), params.k, params.t0
-    n, t_cmm = params.n, comm.t_cmm
+    codes = list(codes)
+    if not codes:
+        raise ValueError("codes must hold at least one (params, comm) pair")
+    n = codes[0][0].n
+    if any(params.n != n for params, _ in codes):
+        raise ValueError(f"codes must share one n, got n = {[params.n for params, _ in codes]}")
     if p is not None and not (isinstance(p, int) and 1 <= p <= n):
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
-    rate = params.mu / work
-    busy = needed * t_cmm
+    plans = []
+    for params, comm in codes:
+        _check_work(comm, params.r / params.k)
+        needed, t_cmm = params.k, comm.t_cmm
+        # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
+        # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
+        lead = t_cmm * np.arange(needed, dtype=np.float64)
+        out = TrialArrays(
+            t_total=np.empty(trials),
+            kth_finish=np.empty(trials),
+            completed_by_comp_k=np.empty(trials, dtype=np.intp),
+            q_idle=np.empty(trials, dtype=np.intp),
+            busy_fraction=np.zeros(trials),
+            hit_lower_bound=np.empty(trials, dtype=bool),
+            count1=None if p is None else np.empty(trials, dtype=np.intp),
+            count2=None if p is None else np.empty(trials, dtype=np.intp),
+        )
+        plans.append((params.mu / params.coded_work(), params.t0, needed, t_cmm,
+                      t_cmm * np.arange(needed, 0, -1.0), lead, lead + t_cmm, out))
+    width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
-    # one buffer for the draws and the work matrix: two buffers of about
-    # 512 KiB freed together leave a free heap top past glibc's trim
-    # threshold, and every call then faults their pages back in
-    buffer = np.empty(rows * (n + needed))
+    # one buffer for the draws and both work matrices, shared by every
+    # pair: buffers of about 512 KiB freed together leave a free heap top
+    # past glibc's trim threshold, and every call then faults their pages
+    # back in
+    buffer = np.empty(rows * (n + 2 * width))
     draws = buffer[: rows * n].reshape(rows, n)
-    scratch = buffer[rows * n :].reshape(rows, needed)
-    flags = np.empty((rows, needed), dtype=bool)
-    # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm, and
-    # ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
-    tail = t_cmm * np.arange(needed, 0, -1.0)
-    lead = t_cmm * np.arange(needed, dtype=np.float64)
-    lead_end = lead + t_cmm
+    work = buffer[rows * n : rows * (n + width)]
+    scratch = buffer[rows * (n + width) :]
+    flags = np.empty(rows * width, dtype=bool)
 
-    out = TrialArrays(
-        t_total=np.empty(trials),
-        kth_finish=np.empty(trials),
-        completed_by_comp_k=np.empty(trials, dtype=np.intp),
-        q_idle=np.empty(trials, dtype=np.intp),
-        busy_fraction=np.zeros(trials),
-        hit_lower_bound=np.empty(trials, dtype=bool),
-        count1=None if p is None else np.empty(trials, dtype=np.intp),
-        count2=None if p is None else np.empty(trials, dtype=np.intp),
-    )
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
-        times, ends, flag = draws[:m], scratch[:m], flags[:m]
-
+        times = draws[:m]
         uniform_rows(seed, first, times)
         np.negative(times, out=times)
         np.log1p(times, out=times)
         np.negative(times, out=times)
-        np.divide(times, rate, out=times)
         times.sort(axis=1)
-        # rows are sorted, NaN last: the end columns bound every value
-        if not (np.all(times[:, 0] >= 0) and np.all(np.isfinite(times[:, -1]))):
-            raise ValueError("computation times must be finite and >= 0")
-        np.add(times, shift, out=times)
-        cf, kth = times[:, :needed], times[:, needed - 1]
-        total = out.t_total[done]
+        for rate, shift, needed, t_cmm, tail, lead, lead_end, out in plans:
+            cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
+            ends = scratch[: m * needed].reshape(m, needed)
+            flag = flags[: m * needed].reshape(m, needed)
+            # rows are sorted, NaN last: the end columns bound every value
+            if not (np.all(cf[:, 0] >= 0) and np.all(np.isfinite(times[:, -1] / rate))):
+                raise ValueError("computation times must be finite and >= 0")
+            np.add(cf, shift, out=cf)
+            kth = cf[:, needed - 1]
+            total = out.t_total[done]
 
-        np.add(cf, tail, out=ends)
-        np.max(ends, axis=1, out=total)
-        np.subtract(cf, lead, out=ends)
-        np.maximum.accumulate(ends, axis=1, out=ends)
-        np.add(ends, lead_end, out=ends)
-        out.completed_by_comp_k[done] = np.count_nonzero(
-            np.less_equal(ends, kth[:, None], out=flag), axis=1)
-        if p is not None:
-            # rank p may lie past `needed` (a backlog that never clears)
-            out.count1[done] = np.count_nonzero(
-                np.less_equal(ends, times[:, p - 1, None], out=flag), axis=1)
-        # q_idle: the last rank that finds the channel free; rank 1 always does
-        flag[:, 0] = True
-        np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, 1:])
-        out.q_idle[done] = needed - np.argmax(flag[:, ::-1], axis=1)
+            np.add(cf, tail, out=ends)
+            np.max(ends, axis=1, out=total)
+            np.subtract(cf, lead, out=ends)
+            np.maximum.accumulate(ends, axis=1, out=ends)
+            np.add(ends, lead_end, out=ends)
+            out.completed_by_comp_k[done] = np.count_nonzero(
+                np.less_equal(ends, kth[:, None], out=flag), axis=1)
+            if p is not None:
+                # rank p may lie past `needed` (a backlog that never clears)
+                finish_p = times[:, p - 1] / rate + shift
+                out.count1[done] = np.count_nonzero(
+                    np.less_equal(ends, finish_p[:, None], out=flag), axis=1)
+            # q_idle: the last rank that finds the channel free; rank 1 always does
+            flag[:, 0] = True
+            np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, 1:])
+            out.q_idle[done] = needed - np.argmax(flag[:, ::-1], axis=1)
 
-        out.kth_finish[done] = kth
-        span = total - cf[:, 0]
-        np.divide(busy, span, out=out.busy_fraction[done], where=span > 0)
-        out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
+            out.kth_finish[done] = kth
+            span = total - cf[:, 0]
+            np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
+            out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
+    outs = [plan[-1] for plan in plans]
     if p is not None:
-        np.subtract(out.completed_by_comp_k, out.count1, out=out.count2)
-    return out
+        for out in outs:
+            np.subtract(out.completed_by_comp_k, out.count1, out=out.count2)
+    return outs
 
 
 def run_coded_trial(

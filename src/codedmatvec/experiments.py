@@ -126,7 +126,8 @@ def monte_carlo(
     uncoded scheme runs the (n, n) code, params.uncoded()."""
     if scheme not in ("coded", "uncoded"):
         raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
-    batch = run_trials(params.uncoded() if scheme == "uncoded" else params, comm, trials, seed)
+    code = params.uncoded() if scheme == "uncoded" else params
+    (batch,) = run_trials([(code, comm)], trials, seed)
     completed = batch.completed_by_comp_k
     frac_hit = float(np.mean(batch.hit_lower_bound))
     agg = AggregateMetrics(
@@ -199,8 +200,10 @@ def speedup_curve(
 
     With optimize=True the coded threshold is the leading-term minimizer
     over divisors of r instead of the fixed k_fraction.  Coded and
-    uncoded trials share streams (common random numbers), which makes a
-    degenerate k = n comparison come out at ratio exactly 1.
+    uncoded trials share streams (common random numbers): one run_trials
+    call draws and sorts each trial once for the (n, k) code and the
+    uncoded (n, n) code, which also makes a degenerate k = n comparison
+    come out at ratio exactly 1.
     """
     points = []
     for n in ns:
@@ -212,15 +215,17 @@ def speedup_curve(
                               comm_at_k=lambda kk: (r / kk) * t_one,
                               require_divisor=True)
         params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-        coded_mc, _ = monte_carlo(params, CommModel.coded(params, t_one),
-                                  trials, seed, scheme="coded")
-        uncoded_mc, _ = monte_carlo(params, CommModel.uncoded(params, t_one),
-                                    trials, seed, scheme="uncoded")
+        coded, uncoded = run_trials(
+            [(params, CommModel.coded(params, t_one)),
+             (params.uncoded(), CommModel.uncoded(params, t_one))],
+            trials, seed)
+        coded_mean = MCStats.from_samples(coded.t_total).mean
+        uncoded_mean = MCStats.from_samples(uncoded.t_total).mean
         points.append(SpeedupPoint(
             n=n, k=k, r=r, t_one_cmm=t_one,
-            coded_mean=coded_mc.mean,
-            uncoded_mean=uncoded_mc.mean,
-            ratio=uncoded_mc.mean / coded_mc.mean,
+            coded_mean=coded_mean,
+            uncoded_mean=uncoded_mean,
+            ratio=uncoded_mean / coded_mean,
         ))
     return points
 
@@ -247,7 +252,7 @@ def verify_transmission_lemmas(
     also checking the realization-level run-time sandwich on every trial."""
     p = pipeline_index(params.n, params.alpha, comm.t_cmm)
     n, k = params.n, params.k
-    batch = run_trials(params, comm, trials, seed, p=p)
+    (batch,) = run_trials([(params, comm)], trials, seed, p=p)
     c1, c2 = batch.count1, batch.count2
     kth, total = batch.kth_finish, batch.t_total
     inside = (kth + comm.t_cmm <= total) & (total <= kth + k * comm.t_cmm)

@@ -52,15 +52,24 @@ def uniform_rows(seed: int, first: int, out: np.ndarray) -> np.ndarray:
 
     One Philox bit generator is re-keyed through its state for each row
     (key (seed, stream_id), counter 0, empty buffer), which is what a fresh
-    RngStream starts from, without constructing one per row.
+    RngStream starts from, without constructing one per row.  The state
+    holds plain lists: the setter reads every entry by index, which costs
+    less on a list than on the numpy arrays the getter returns.
     """
     _check_key("seed", seed)
     _check_key("stream_id", first)
     _check_key("stream_id", first + max(len(out) - 1, 0))
     bit_gen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
     gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    key = state["state"]["key"]
+    key = [seed, first]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for j, row in enumerate(out):
         key[1] = first + j
         bit_gen.state = state

@@ -6,9 +6,12 @@ Whatever the chunking, kth_finish and the integer metrics must be equal
 (array_equal, never a tolerance).  t_total is held to the exact rational
 max-plus value on the same inputs: within 2 ulp for the engine, within
 `needed` ulp for the recurrence, which rounds once per rank.  The uncoded
-scheme runs the engine on params.uncoded(), the (n, n) code.
+scheme runs the engine on params.uncoded(), the (n, n) code.  A call over
+several codes of one n shares the draws and must return exactly what one
+call per code returns, every field included.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -67,7 +70,7 @@ def _loop(params, comm, trials, seed, scheme, p=None):
 
 def _assert_matches_loop(params, comm, trials, seed, scheme, p=None):
     code = params.uncoded() if scheme == "uncoded" else params
-    batch = run_trials(code, comm, trials, seed, p=p)
+    (batch,) = run_trials([(code, comm)], trials, seed, p=p)
     rows, violations = _loop(params, comm, trials, seed, scheme, p)
     for name in EXACT_FIELDS:
         assert np.array_equal(getattr(batch, name), np.array(rows[name])), name
@@ -119,6 +122,39 @@ def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chun
         _assert_matches_loop(params, comm, trials, seed, scheme, p)
 
 
+@st.composite
+def shared_n_codes(draw):
+    n = draw(st.integers(1, 200))
+    codes = []
+    for _ in range(draw(st.integers(2, 3))):
+        k = draw(st.one_of(st.just(n), st.integers(1, n)))  # k = n: the uncoded code
+        params = ClusterParams(n=n, k=k, r=math.lcm(n, k) * draw(st.integers(1, 3)),
+                               a=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                               mu=draw(st.sampled_from([0.5, 1.0, 3.0, 1e18])))
+        t_one = draw(st.sampled_from([0.0, 1.0 / (params.r * n), 0.1 / params.r, 10.0]))
+        codes.append((params, CommModel.coded(params, t_one)))
+    return codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=shared_n_codes(), seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 12),
+       rows_per_chunk=st.sampled_from([1, 2, 5, None]), data=st.data())
+def test_run_trials_codes_share_draws_exactly(codes, seed, trials, rows_per_chunk, data):
+    # one call over several codes of one n returns, field for field and bit
+    # for bit, what one call per code returns
+    n = codes[0][0].n
+    p = data.draw(st.none() | st.integers(1, n))
+    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * n
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
+        batches = run_trials(codes, trials, seed, p=p)
+        assert len(batches) == len(codes)
+        for code, batch in zip(codes, batches):
+            (alone,) = run_trials([code], trials, seed, p=p)
+            for field in dataclasses.fields(channel.TrialArrays):
+                want, got = getattr(alone, field.name), getattr(batch, field.name)
+                assert (got is None and want is None) or np.array_equal(got, want), field.name
+
+
 @pytest.mark.parametrize("scheme", ["coded", "uncoded"])
 def test_run_trials_crosses_real_chunk_boundary(scheme):
     params = ClusterParams(n=300, k=210, r=2100, a=1.0, mu=1.0)
@@ -153,7 +189,7 @@ def test_run_trials_sandwich_holds_bitwise(params, t_one, scheme):
     # lands one ulp under the lower end on most criterion-03 trials
     code = params.uncoded() if scheme == "uncoded" else params
     comm = CommModel.coded(code, t_one)
-    batch = run_trials(code, comm, 2000, 301)
+    (batch,) = run_trials([(code, comm)], 2000, 301)
     kth, total = batch.kth_finish, batch.t_total
     assert np.count_nonzero(kth + comm.t_cmm > total) == 0
     assert np.count_nonzero(total > kth + code.k * comm.t_cmm) == 0
@@ -211,12 +247,17 @@ def test_run_trials_rejects_bad_arguments():
     comm = CommModel.coded(params, 0.001)
     for trials in (0, -3, 2.0):
         with pytest.raises(ValueError, match="trials"):
-            run_trials(params, comm, trials, 0)
+            run_trials([(params, comm)], trials, 0)
     with pytest.raises(ValueError, match="p must"):
-        run_trials(params, comm, 5, 0, p=11)
+        run_trials([(params, comm)], 5, 0, p=11)
     # a coded comm model on the uncoded (n, n) code
     with pytest.raises(ValueError, match="work_per_worker"):
-        run_trials(params.uncoded(), comm, 5, 0)
+        run_trials([(params.uncoded(), comm)], 5, 0)
+    with pytest.raises(ValueError, match="at least one"):
+        run_trials([], 5, 0)
+    other = ClusterParams(n=20, k=14, r=140, a=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="one n"):
+        run_trials([(params, comm), (other, CommModel.coded(other, 0.001))], 5, 0)
 
 
 def test_verify_rejects_zero_trials():
@@ -230,7 +271,7 @@ def test_verify_rejects_zero_trials():
 def test_any_trial_replays_alone():
     params = ClusterParams(n=100, k=70, r=700, a=1.0, mu=1.0)
     comm = CommModel.coded(params, 0.001)
-    batch = run_trials(params, comm, 1000, 7)
+    (batch,) = run_trials([(params, comm)], 1000, 7)
     timeline, _ = run_coded_trial(params, comm, RngStream(7, 876))
     assert batch.t_total[876] == timeline.t_total
     mc, _ = monte_carlo(params, comm, 1000, 7)

@@ -203,7 +203,7 @@ def test_golden_digest(name, tmp_path):
 
 def _engine_digest(params, scheme, t_one, trials, p) -> str:
     code = params.uncoded() if scheme == "uncoded" else params
-    batch = run_trials(code, CommModel.coded(code, t_one), trials, seed=3, p=p)
+    (batch,) = run_trials([(code, CommModel.coded(code, t_one))], trials, seed=3, p=p)
     h = hashlib.sha256()
     for field in ENGINE_FIELDS:
         values = getattr(batch, field)
