@@ -1,11 +1,12 @@
 import argparse
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
 import codedmatvec.cli as cli
+import codedmatvec.config as config_module
 from codedmatvec import ConfigError, parse_config
 from codedmatvec.cli import main
 from codedmatvec.config import RunConfig
@@ -68,6 +69,63 @@ def test_parse_comments_lists_and_dashed_keys():
     assert cfg.k_fraction == 0.7
     assert cfg.inject == (0.1, 0.2)
     assert cfg.scheme == "uncoded"
+
+
+# one invalid value per key and its exact message; `out` takes any text
+INVALID_VALUES = [
+    ("n = 0", "n: must be >= 1, got 0"),
+    ("n = soon", "n: expected an integer, got 'soon'"),
+    ("k = 0", "k: must be >= 1, got 0"),
+    ("n = 5\nk = 9", "k: must satisfy k <= n, got k=9, n=5"),
+    ("r = 0", "r: must be >= 1, got 0"),
+    ("m = 0", "m: must be >= 1, got 0"),
+    ("trials = 0", "trials: must be >= 1, got 0"),
+    ("trials = 1.5", "trials: expected an integer, got '1.5'"),
+    ("seed = -1", "seed: must be >= 0, got -1"),
+    ("a = -1", "a: must be >= 0, got -1.0"),
+    ("a = nan", "a: must be >= 0, got nan"),
+    ("mu = 0", "mu: must be > 0, got 0.0"),
+    ("mu = x", "mu: expected a number, got 'x'"),
+    ("t1cmm = -1", "t1cmm: must be >= 0, got -1.0"),
+    ("beta = -1", "beta: must be >= 0, got -1.0"),
+    ("c = 0", "c: must be > 0, got 0.0"),
+    ("k_fraction = 0", "k_fraction: must lie in (0, 1], got 0.0"),
+    ("k-fraction = 1.5", "k_fraction: must lie in (0, 1], got 1.5"),
+    ("scheme = bogus", "scheme: must be one of coded/uncoded/systematic/random, got 'bogus'"),
+    ("format = xml", "format: must be one of csv/text, got 'xml'"),
+    ("inject = 0.1,nan", "inject: times must be >= 0"),
+    ("inject = 0.1,-1", "inject: times must be >= 0"),
+    ("inject = 0.1,x", "inject: expected a number, got 'x'"),
+    ("inject = ,", "inject: expected a comma-separated list of numbers"),
+    ("ns = 0,5", "ns: every entry must be >= 1"),
+    ("ns = 1,x", "ns: expected an integer, got 'x'"),
+    ("ns =", "ns: expected a comma-separated list of integers"),
+]
+
+
+@pytest.mark.parametrize("text, message", INVALID_VALUES,
+                         ids=[text.replace("\n", "; ") for text, _ in INVALID_VALUES])
+def test_parse_invalid_value_exact_message(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text, {})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n": 0}, "n: must be >= 1, got 0"),
+    ({"a": float("nan")}, "a: must be >= 0, got nan"),
+    ({"ns": (0, 5)}, "ns: every entry must be >= 1"),
+    ({"inject": (-1.0,)}, "inject: times must be >= 0"),
+    ({"format": "xml"}, "format: must be one of csv/text, got 'xml'"),
+], ids=["n", "a", "ns", "inject", "format"])
+def test_parse_typed_override_exact_message(overrides, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config("", overrides)
+    assert str(info.value) == message
+
+
+def test_every_config_key_has_one_table_row():
+    assert set(config_module._PARSERS) == {field.name for field in fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
