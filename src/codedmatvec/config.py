@@ -36,98 +36,47 @@ class RunConfig:
 
 _SCHEMES = ("coded", "uncoded", "systematic", "random")
 _FORMATS = ("csv", "text")
+_CASTS = {"integer": int, "number": float, "text": str}
 
 
-def _parse_int(key, text):
+def _parse(key, kind, text):
+    """Cast `text` to `kind`: an integer, a number, text, or a
+    comma-separated list of integers or numbers."""
+    if kind not in _CASTS:  # "integers" or "numbers"
+        items = [s.strip() for s in str(text).split(",") if s.strip()]
+        if not items:
+            raise ConfigError(f"{key}: expected a comma-separated list of {kind}")
+        return tuple(_parse(key, kind[:-1], s) for s in items)
     try:
-        return int(text)
+        return _CASTS[kind](text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+        article = "an" if kind == "integer" else "a"
+        raise ConfigError(f"{key}: expected {article} {kind}, got {text!r}") from None
 
 
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
-
-
-def _parse_float_list(key, text):
-    items = [s for s in str(text).split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key}: expected a comma-separated list of numbers")
-    return tuple(_parse_float(key, s.strip()) for s in items)
-
-
-def _parse_int_list(key, text):
-    items = [s for s in str(text).split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"{key}: expected a comma-separated list of integers")
-    return tuple(_parse_int(key, s.strip()) for s in items)
-
-
-_PARSERS = {
-    "n": _parse_int,
-    "k": _parse_int,
-    "r": _parse_int,
-    "m": _parse_int,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "a": _parse_float,
-    "mu": _parse_float,
-    "t1cmm": _parse_float,
-    "beta": _parse_float,
-    "c": _parse_float,
-    "k_fraction": _parse_float,
-    "scheme": lambda key, text: str(text),
-    "out": lambda key, text: str(text),
-    "format": lambda key, text: str(text),
-    "inject": _parse_float_list,
-    "ns": _parse_int_list,
+# key -> (kind, bound, the bound's wording with the value as {}), checked in
+# this order and then k <= n; each field of RunConfig has exactly one row
+_KEYS = {
+    "n": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
+    "k": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
+    "r": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
+    "m": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
+    "trials": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
+    "seed": ("integer", lambda v: v >= 0, "must be >= 0, got {}"),
+    "a": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
+    "mu": ("number", lambda v: v > 0, "must be > 0, got {}"),
+    "t1cmm": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
+    "beta": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
+    "c": ("number", lambda v: v > 0, "must be > 0, got {}"),
+    "k_fraction": ("number", lambda v: 0 < v <= 1, "must lie in (0, 1], got {}"),
+    "scheme": ("text", lambda v: v in _SCHEMES,
+              f"must be one of {'/'.join(_SCHEMES)}, got {{!r}}"),
+    "format": ("text", lambda v: v in _FORMATS,
+              f"must be one of {'/'.join(_FORMATS)}, got {{!r}}"),
+    "ns": ("integers", lambda v: all(x >= 1 for x in v), "every entry must be >= 1"),
+    "inject": ("numbers", lambda v: all(x >= 0 for x in v), "times must be >= 0"),
+    "out": ("text", lambda v: True, "any path"),
 }
-
-
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
-
-def _validate(values: dict):
-    def positive_int(key):
-        v = values.get(key)
-        if v is not None:
-            _require(v >= 1, f"{key}: must be >= 1, got {v}")
-
-    for key in ("n", "k", "r", "m", "trials"):
-        positive_int(key)
-    if values.get("seed") is not None:
-        _require(values["seed"] >= 0, f"seed: must be >= 0, got {values['seed']}")
-    if values.get("a") is not None:
-        _require(values["a"] >= 0, f"a: must be >= 0, got {values['a']}")
-    if values.get("mu") is not None:
-        _require(values["mu"] > 0, f"mu: must be > 0, got {values['mu']}")
-    if values.get("t1cmm") is not None:
-        _require(values["t1cmm"] >= 0, f"t1cmm: must be >= 0, got {values['t1cmm']}")
-    if values.get("beta") is not None:
-        _require(values["beta"] >= 0, f"beta: must be >= 0, got {values['beta']}")
-    if values.get("c") is not None:
-        _require(values["c"] > 0, f"c: must be > 0, got {values['c']}")
-    if values.get("k_fraction") is not None:
-        _require(0 < values["k_fraction"] <= 1,
-                 f"k_fraction: must lie in (0, 1], got {values['k_fraction']}")
-    if values.get("scheme") is not None:
-        _require(values["scheme"] in _SCHEMES,
-                 f"scheme: must be one of {'/'.join(_SCHEMES)}, got {values['scheme']!r}")
-    if values.get("format") is not None:
-        _require(values["format"] in _FORMATS,
-                 f"format: must be one of {'/'.join(_FORMATS)}, got {values['format']!r}")
-    if values.get("n") is not None and values.get("k") is not None:
-        _require(values["k"] <= values["n"],
-                 f"k: must satisfy k <= n, got k={values['k']}, n={values['n']}")
-    if values.get("ns") is not None:
-        _require(all(v >= 1 for v in values["ns"]), "ns: every entry must be >= 1")
-    if values.get("inject") is not None:
-        _require(all(v >= 0 for v in values["inject"]), "inject: times must be >= 0")
 
 
 def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunConfig:
@@ -146,21 +95,23 @@ def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunC
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, text = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](key, text.strip())
+        values[key] = _parse(key, _KEYS[key][0], text.strip())
 
     for key, value in (flag_overrides or {}).items():
         key = key.replace("-", "_")
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         if value is None:
             continue
-        if isinstance(value, str):
-            values[key] = _PARSERS[key](key, value)
-        else:
-            values[key] = value
+        values[key] = _parse(key, _KEYS[key][0], value) if isinstance(value, str) else value
 
-    _validate(values)
+    for key, (_, bound, wording) in _KEYS.items():
+        if values.get(key) is not None and not bound(values[key]):
+            raise ConfigError(f"{key}: {wording.format(values[key])}")
+    n, k = values.get("n"), values.get("k")
+    if n is not None and k is not None and k > n:
+        raise ConfigError(f"k: must satisfy k <= n, got k={k}, n={n}")
     return RunConfig(**values)
 

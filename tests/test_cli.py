@@ -125,7 +125,7 @@ def test_parse_typed_override_exact_message(overrides, message):
 
 
 def test_every_config_key_has_one_table_row():
-    assert set(config_module._PARSERS) == {field.name for field in fields(RunConfig)}
+    assert set(config_module._KEYS) == {field.name for field in fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
