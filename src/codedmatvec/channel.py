@@ -31,11 +31,6 @@ import numpy as np
 from .rng import RngStream, uniform_rows
 from .timing import ClusterParams, CompTimes, sample_comp_times
 
-# relative and absolute tolerances for "run-time equals the lower bound"
-# classification; they absorb float summation-order noise only.
-LOWER_BOUND_REL_TOL = 1e-12
-LOWER_BOUND_ABS_TOL = 1e-15
-
 # float64 elements per draw matrix of `run_trials` (512 KiB); each of its
 # two work matrices over the first `needed` ranks is no larger, and every
 # code of a call reuses them, so memory stays bounded whatever the trial
@@ -103,7 +98,9 @@ class TimelineMetrics:
     completed_by_comp_k -- transmissions finished by the needed-th
                            computation's completion time
     busy_fraction       -- channel busy time / (t_total - comp_finish[1])
-    hit_lower_bound     -- t_total equals comp_finish[needed] + t_cmm
+    hit_lower_bound     -- q_idle == needed: the needed-th result transmits
+                           the instant it finishes, so t_total is exactly
+                           comp_finish[needed] + t_cmm
     """
 
     q_idle: int
@@ -152,14 +149,11 @@ def compute_metrics(t: Timeline) -> TimelineMetrics:
     busy = t.needed * t.t_cmm
     span = float(t.t_total - t.comp_finish[0])
     busy_fraction = busy / span if span > 0 else 0.0
-    lower = kth_finish + t.t_cmm
-    hit = math.isclose(t.t_total, lower,
-                       rel_tol=LOWER_BOUND_REL_TOL, abs_tol=LOWER_BOUND_ABS_TOL)
     return TimelineMetrics(
         q_idle=q_idle,
         completed_by_comp_k=completed,
         busy_fraction=busy_fraction,
-        hit_lower_bound=hit,
+        hit_lower_bound=q_idle == t.needed,
     )
 
 
@@ -286,7 +280,7 @@ def run_trials(
             out.kth_finish[done] = kth
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
-            out.hit_lower_bound[done] = _isclose(total, kth + t_cmm)
+            out.hit_lower_bound[done] = out.q_idle[done] == needed
     outs = [plan[-1] for plan in plans]
     if p is not None:
         for out in outs:
@@ -326,13 +320,6 @@ def run_uncoded_trial(
 ) -> tuple[Timeline, TimelineMetrics]:
     """One uncoded trial: the coded trial of the (n, n) code."""
     return run_coded_trial(params.uncoded(), comm, rng, times)
-
-
-def _isclose(a, b):
-    """compute_metrics' math.isclose test, elementwise: symmetric in a and b
-    (np.isclose is not), |a - b| <= max(rel * max(|a|, |b|), abs)."""
-    scale = np.maximum(np.abs(a), np.abs(b))
-    return np.abs(a - b) <= np.maximum(LOWER_BOUND_REL_TOL * scale, LOWER_BOUND_ABS_TOL)
 
 
 def _check_work(comm, expected):

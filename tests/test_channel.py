@@ -80,6 +80,24 @@ def test_metrics_fully_backlogged():
     assert t.t_total == 4.0
 
 
+def test_lower_bound_hit_is_exact_on_the_recurrence():
+    # a hit is q_idle == needed: the needed-th result transmits the instant
+    # it finishes, so t_total is kth + t_cmm bit for bit, with no tolerance
+    params = ClusterParams(n=20, k=14, r=14, a=1.0, mu=1.0)
+    comm = CommModel.coded(params, 0.05)
+    hits = 0
+    for i in range(300):
+        t, m = run_coded_trial(params, comm, RngStream(13, i))
+        kth = t.comp_finish[t.needed - 1]
+        assert m.hit_lower_bound == (m.q_idle == t.needed)
+        if m.hit_lower_bound:
+            hits += 1
+            assert t.t_total == kth + t.t_cmm
+        else:
+            assert t.t_total >= kth + t.t_cmm
+    assert 100 < hits < 250  # 183 of 300 hit
+
+
 def test_event_queue_oracle_small():
     rng = np.random.default_rng(2024)
     for _ in range(100):

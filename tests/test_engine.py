@@ -209,21 +209,6 @@ def test_verify_report_counts_equal_transmission_counts_loop(n, seed, trials, t_
     assert report.mean_count2 == float(np.mean(np.array(rows["count2"], dtype=float)))
 
 
-# the engine only compares finite times; keep a - b from overflowing
-finite = st.floats(min_value=-1e300, max_value=1e300)
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=finite, b=finite, steps=st.integers(-3, 3))
-def test_isclose_matches_math_isclose(a, b, steps):
-    # also probe b right at the relative tolerance edge around a
-    near = a * (1 + steps * channel.LOWER_BOUND_REL_TOL / 2)
-    for x, y in ((a, b), (b, a), (a, near), (near, a), (a, steps * 1e-15), (a, a)):
-        want = math.isclose(x, y, rel_tol=channel.LOWER_BOUND_REL_TOL,
-                            abs_tol=channel.LOWER_BOUND_ABS_TOL)
-        assert channel._isclose(np.array([x]), np.array([y]))[0] == want, (x, y)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 2**64 - 8),
        rows=st.integers(0, 7), n=st.integers(1, 50))
