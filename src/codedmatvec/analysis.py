@@ -145,5 +145,7 @@ def optimize_k(
         if value < best_val:
             best_k, best_val = k, value
     if best_k is None:
-        raise ValueError(f"no feasible k in [1, {n - 1}] divides r={r}")
+        if require_divisor and not any(r % k == 0 for k in range(1, n)):
+            raise ValueError(f"no feasible k in [1, {n - 1}] divides r={r}")
+        raise ValueError(f"the objective is not finite at any feasible k in [1, {n - 1}]")
     return best_k, best_val

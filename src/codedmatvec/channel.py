@@ -54,6 +54,9 @@ class CommModel:
             raise ValueError(f"t_one_cmm must be >= 0, got {self.t_one_cmm!r}")
         if not math.isfinite(self.work_per_worker) or self.work_per_worker <= 0:
             raise ValueError(f"work_per_worker must be > 0, got {self.work_per_worker!r}")
+        if not math.isfinite(self.t_cmm):
+            raise ValueError(f"t_one_cmm: t_cmm = work_per_worker * t_one_cmm must be finite, "
+                             f"got {self.work_per_worker!r} * {self.t_one_cmm!r}")
 
     @property
     def t_cmm(self) -> float:

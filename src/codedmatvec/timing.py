@@ -46,6 +46,9 @@ class ClusterParams:
             raise ValueError(f"a: must be >= 0, got {self.a!r}")
         if not math.isfinite(self.mu) or self.mu <= 0:
             raise ValueError(f"mu: must be > 0, got {self.mu!r}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"a: the startup shift a*r/k must be finite, got "
+                             f"a={self.a!r}, r={self.r}, k={self.k}")
 
     @property
     def t0(self) -> float:

@@ -173,6 +173,12 @@ def test_optimize_k_boundary_and_errors():
     # k = 1 always divides r, so the divisor-restricted scan stays feasible
     got, _ = optimize_k(6, 7, 0.0, 1.0, lambda k: 0.0, require_divisor=True)
     assert got == 1
+    # an objective that overflows at every k is not a divisibility failure
+    for a, comm_at_k in ((1e308, lambda k: 0.0), (1.0, lambda k: 1e308 * 6 / k)):
+        with pytest.raises(ValueError, match="not finite at any feasible k in \\[1, 5\\]"):
+            optimize_k(6, 6, a, 1.0, comm_at_k, require_divisor=True)
+    with pytest.raises(ValueError, match="divides r=7.5"):
+        optimize_k(6, 7.5, 0.0, 1.0, lambda k: 0.0, require_divisor=True)
 
 
 def test_optimize_k_agrees_with_monte_carlo_sweep():

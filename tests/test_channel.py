@@ -178,6 +178,12 @@ def test_coded_trial_with_injected_example():
     assert metrics.hit_lower_bound
 
 
+def test_comm_model_rejects_non_finite_transmission_time():
+    with pytest.raises(ValueError, match="t_one_cmm: t_cmm = work_per_worker"):
+        CommModel(t_one_cmm=1e308, work_per_worker=10.0)
+    assert CommModel(t_one_cmm=1e307, work_per_worker=10.0).t_cmm == 1e308
+
+
 def test_trial_checks_comm_consistency():
     params = ClusterParams(n=4, k=2, r=4, a=0.0, mu=1.0)
     wrong = CommModel(t_one_cmm=0.1, work_per_worker=3.0)

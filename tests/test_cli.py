@@ -254,6 +254,42 @@ def test_optimize_k_output(capsys):
     assert float(got["expected_runtime"]) > 0
 
 
+CLUSTER_100 = ["--n", "100", "--k", "70", "--r", "700", "--mu", "1"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "montecarlo", "expect", "verify"])
+@pytest.mark.parametrize("flags, names", [
+    (["--a", "1", "--t1cmm", "1e308"], "error: t_one_cmm: "),
+    (["--a", "1e308", "--t1cmm", "0.001"], "error: a: "),
+], ids=["t1cmm", "a"])
+def test_non_finite_shift_or_transmission_time_is_exit_one(command, flags, names, capsys):
+    # finite inputs whose t_cmm = (r/k) * t1cmm or shift a*r/k overflows
+    assert main([command, *CLUSTER_100, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(names)
+    assert captured.out == ""
+
+
+def test_sweep_refuses_a_non_finite_transmission_time(capsys):
+    assert main(["sweep", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0",
+                 "--c", "1e308", "--trials", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: n=100: t_one_cmm: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-k", "--n", "100", "--r", "700", "--a", "1", "--mu", "1", "--t1cmm", "1e308"],
+    ["optimize-k", "--n", "100", "--r", "700", "--a", "1e308", "--mu", "1", "--t1cmm", "1"],
+    ["speedup", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0", "--c", "1e308"],
+], ids=["optimize-k-t1cmm", "optimize-k-a", "speedup"])
+def test_non_finite_objective_is_not_a_divisibility_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the objective is not finite at any feasible k in [1, 99]\n"
+    assert captured.out == ""
+
+
 def test_decode_check_example(capsys):
     rc = main(["decode-check", "--scheme", "systematic", "--n", "4", "--k", "2",
                "--r", "2", "--m", "2"])

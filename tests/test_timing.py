@@ -43,6 +43,9 @@ def test_cluster_params_validation():
         ClusterParams(n=4, k=2, r=4, a=0.0, mu=0.0)
     with pytest.raises(ValueError, match="a"):
         ClusterParams(n=4, k=2, r=4, a=-1.0, mu=1.0)
+    # a finite a whose shift a*r/k overflows
+    with pytest.raises(ValueError, match="a: the startup shift a\\*r/k must be finite"):
+        ClusterParams(n=4, k=2, r=4, a=1e308, mu=1.0)
     p = ClusterParams(n=5, k=3, r=5, a=1.0, mu=1.0)
     assert p.t0 == pytest.approx(5 / 3, rel=1e-15)
     assert p.alpha == pytest.approx(5 / 3, rel=1e-15)
