@@ -24,7 +24,7 @@ from .analysis import (
     optimize_k,
     pipeline_index,
 )
-from .channel import CommModel, run_coded_trial, run_uncoded_trial
+from .channel import CommModel, run_coded_trial
 from .coding import encode_random_linear, encode_systematic_mds, recovery_error
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
@@ -128,24 +128,20 @@ def _write(records, config: RunConfig):
         sys.stdout.write(text)
 
 
-def _params(config: RunConfig) -> ClusterParams:
-    return ClusterParams(n=config.n, k=config.k, r=config.r, a=config.a, mu=config.mu)
-
-
-def _comm(config: RunConfig, params: ClusterParams) -> CommModel:
-    if config.scheme == "uncoded":
-        return CommModel.uncoded(params, config.t1cmm)
-    return CommModel.coded(params, config.t1cmm)
+def _code(config: RunConfig) -> tuple[ClusterParams, ClusterParams, CommModel]:
+    """The cluster as given, the code its scheme runs (the uncoded scheme is
+    the (n, n) code) and that code's channel."""
+    params = ClusterParams(n=config.n, k=config.k, r=config.r, a=config.a, mu=config.mu)
+    code = params.uncoded() if config.scheme == "uncoded" else params
+    return params, code, CommModel.coded(code, config.t1cmm)
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
-    params = _params(config)
-    comm = _comm(config, params)
-    run = run_uncoded_trial if config.scheme == "uncoded" else run_coded_trial
+    _, code, comm = _code(config)
     if config.inject is not None:
-        t, metrics = run(params, comm, times=inject_comp_times(config.inject))
+        t, metrics = run_coded_trial(code, comm, times=inject_comp_times(config.inject))
     else:
-        t, metrics = run(params, comm, RngStream(config.seed, 0))
+        t, metrics = run_coded_trial(code, comm, RngStream(config.seed, 0))
     if config.format == "csv":
         records = [
             [("rank", i + 1), ("comp_finish", f"{t.comp_finish[i]:.9f}"),
@@ -160,9 +156,8 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 
 
 def _cmd_montecarlo(config: RunConfig, args) -> int:
-    params = _params(config)
-    comm = _comm(config, params)
-    mc, agg = monte_carlo(params, comm, config.trials, config.seed, scheme=config.scheme)
+    params, code, comm = _code(config)
+    mc, agg = monte_carlo(code, comm, config.trials, config.seed)
     _write([[
         ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
         ("trials", mc.trials), ("mean", mc.mean), ("variance", mc.variance),
@@ -218,10 +213,8 @@ def _cmd_optimize_k(config: RunConfig, args) -> int:
 
 
 def _cmd_expect(config: RunConfig, args) -> int:
-    params = _params(config)
-    comm = _comm(config, params)
-    # the uncoded scheme is the (n, n) code; the record keeps the k given
-    code = params.uncoded() if config.scheme == "uncoded" else params
+    # the record keeps the k given
+    params, code, comm = _code(config)
     bracket = expectation_bracket_coded(code, comm)
     record = [
         ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
@@ -295,9 +288,8 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
-    params = _params(config)
-    comm = _comm(config, params)
-    report = verify_transmission_lemmas(params, comm, config.trials, config.seed)
+    _, code, comm = _code(config)
+    report = verify_transmission_lemmas(code, comm, config.trials, config.seed)
     passed = report.sandwich_violations == 0
     _write([[*vars(report).items(), ("pass", passed)]], config)
     return 0 if passed else 2
