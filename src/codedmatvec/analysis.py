@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .channel import CommModel
+from .channel import CommModel, _check_work
 from .timing import ClusterParams, expected_order_stat, harmonic_table
 
 
@@ -58,6 +58,7 @@ def expectation_bracket_coded(params: ClusterParams, comm: CommModel) -> Latency
     """Bracket on the expected coded run-time: the t0 + E[T_(k)] core plus
     one transmission (channel idle at the k-th completion) up to k
     transmissions (all communication deferred past it)."""
+    _check_work(params, comm)
     core = expected_runtime_regime3(params)
     return LatencyBracket(lower=core + comm.t_cmm, upper=core + params.k * comm.t_cmm)
 

@@ -214,7 +214,7 @@ def run_trials(
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
     plans = []
     for params, comm in codes:
-        _check_work(comm, params.r / params.k)
+        _check_work(params, comm)
         needed, t_cmm = params.k, comm.t_cmm
         # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
         # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
@@ -229,7 +229,7 @@ def run_trials(
             count1=None if p is None else np.empty(trials, dtype=np.intp),
             count2=None if p is None else np.empty(trials, dtype=np.intp),
         )
-        plans.append((params.mu / params.coded_work(), params.t0, needed, t_cmm,
+        plans.append((params.mu / (params.r / params.k), params.t0, needed, t_cmm,
                       t_cmm * np.arange(needed, 0, -1.0), lead, lead + t_cmm, out))
     width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
@@ -299,15 +299,16 @@ def run_coded_trial(
 ) -> tuple[Timeline, TimelineMetrics]:
     """One coded trial: n workers at r/k inner products each, wait for k.
 
-    With `times` given, the injected realization is used instead of
-    sampling (the startup shift a*r/k is still applied), which also
-    admits configurations where k does not divide r.
+    The load r/k may be fractional: only encoding needs k dividing r, the
+    codes decode-check can encode.  With `times` given, the injected
+    realization is used instead of sampling (the startup shift a*r/k is
+    still applied).
     """
-    _check_work(comm, params.r / params.k)
+    _check_work(params, comm)
     if times is None:
         if rng is None:
             raise ValueError("an RngStream is required when no times are injected")
-        times = sample_comp_times(params, params.coded_work(), rng)
+        times = sample_comp_times(params, params.r / params.k, rng)
     elif times.n != params.n:
         raise ValueError(f"need {params.n} injected times, got {times.n}")
     comp_finish = params.t0 + times.sorted
@@ -325,10 +326,14 @@ def run_uncoded_trial(
     return run_coded_trial(params.uncoded(), comm, rng, times)
 
 
-def _check_work(comm, expected):
-    if not math.isclose(comm.work_per_worker, expected, rel_tol=1e-9):
+def _check_work(params: ClusterParams, comm: CommModel):
+    # the load must be the code's r/k; t0 and t_cmm are finite, t0 + k*t_cmm may not be
+    if not math.isclose(comm.work_per_worker, params.r / params.k, rel_tol=1e-9):
         raise ValueError(
             f"comm.work_per_worker={comm.work_per_worker} does not match "
-            f"the scheme's per-worker load {expected}"
+            f"the scheme's per-worker load {params.r / params.k}"
         )
+    if not math.isfinite(params.t0 + params.k * comm.t_cmm):
+        raise ValueError(f"a, t_one_cmm: the run-time bound t0 + k*t_cmm must be finite, "
+                         f"got t0={params.t0!r}, k={params.k}, t_cmm={comm.t_cmm!r}")
 

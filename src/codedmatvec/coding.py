@@ -59,7 +59,6 @@ class DecodeInput:
 @dataclass(frozen=True)
 class DecodeResult:
     y_hat: np.ndarray
-    relative_residual: float
     well_conditioned: bool
 
 
@@ -160,12 +159,8 @@ def decode(inputs: DecodeInput) -> DecodeResult:
     except np.linalg.LinAlgError:
         y_hat = np.linalg.lstsq(s, z, rcond=None)[0]
         cond = math.inf
-    z_norm = np.linalg.norm(z)
-    residual = np.linalg.norm(s @ y_hat - z)
-    relative_residual = residual / z_norm if z_norm > 0 else residual
     return DecodeResult(
         y_hat=y_hat,
-        relative_residual=float(relative_residual),
         well_conditioned=bool(np.isfinite(cond) and cond < COND_LIMIT),
     )
 

@@ -55,7 +55,7 @@ def _parse(key, kind, text):
 
 
 # key -> (kind, bound, the bound's wording with the value as {}), checked in
-# this order and then k <= n; each field of RunConfig has exactly one row
+# this order, then finiteness, then k <= n; each RunConfig field has one row
 _KEYS = {
     "n": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
     "k": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
@@ -108,8 +108,12 @@ def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunC
         values[key] = _parse(key, _KEYS[key][0], value) if isinstance(value, str) else value
 
     for key, (_, bound, wording) in _KEYS.items():
-        if values.get(key) is not None and not bound(values[key]):
-            raise ConfigError(f"{key}: {wording.format(values[key])}")
+        value = values.get(key)
+        if value is not None and not bound(value):
+            raise ConfigError(f"{key}: {wording.format(value)}")
+        # every number's bound refuses nan and -inf, which leaves +inf
+        if float("inf") in (value if isinstance(value, tuple) else (value,)):
+            raise ConfigError(f"{key}: must be finite, got inf")
     n, k = values.get("n"), values.get("k")
     if n is not None and k is not None and k > n:
         raise ConfigError(f"k: must satisfy k <= n, got k={k}, n={n}")

@@ -4,7 +4,7 @@ and the transmission-count reports behind the asymptotic claims."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ class AggregateMetrics:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One ladder point of a regime sweep (or its per-row failure)."""
+    """One ladder point of a regime sweep."""
 
     n: int
     k: int
@@ -58,12 +58,11 @@ class SweepRow:
     beta: float
     c: float
     t_cmm: float
-    mc: MCStats | None
+    mc: MCStats
     frac_lower_bound_hit: float
     mean_completed_by_comp_k: float
     closed_form_leading: float
     gap: float
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -154,34 +153,24 @@ def sweep_regime(
     seed: int = 0,
 ) -> list[SweepRow]:
     """One coded Monte Carlo configuration per n, with t_one_cmm drawn
-    from the scaling family."""
+    from the scaling family.  A ladder point that cannot run raises
+    ValueError("n=<n>: <reason>")."""
     rows = []
     for n in ns:
         k = round_k(k_fraction, n)
         r = r_rule(n, k)
-        row = SweepRow(
-            n=n, k=k, r=r, beta=family.beta, c=family.c,
-            t_cmm=(r / k) * family.t_one_cmm(n),
-            mc=None, frac_lower_bound_hit=math.nan,
-            mean_completed_by_comp_k=math.nan,
-            closed_form_leading=math.nan, gap=math.nan,
-        )
         try:
             params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
             comm = CommModel.coded(params, family.t_one_cmm(n))
             mc, agg = monte_carlo(params, comm, trials, seed, scheme="coded")
         except ValueError as exc:
-            rows.append(replace(row, error=str(exc)))
-            continue
+            raise ValueError(f"n={n}: {exc}") from exc
         closed_form = expected_runtime_regime3(params)
-        rows.append(replace(
-            row,
-            mc=mc,
+        rows.append(SweepRow(
+            n=n, k=k, r=r, beta=family.beta, c=family.c, t_cmm=comm.t_cmm, mc=mc,
             frac_lower_bound_hit=agg.frac_lower_bound_hit,
             mean_completed_by_comp_k=agg.mean_completed_by_comp_k,
-            closed_form_leading=closed_form,
-            gap=mc.mean - closed_form,
-        ))
+            closed_form_leading=closed_form, gap=mc.mean - closed_form))
     return rows
 
 

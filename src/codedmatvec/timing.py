@@ -60,13 +60,6 @@ class ClusterParams:
         """Mean of the coded variable part: r / (mu * k) seconds."""
         return self.r / (self.mu * self.k)
 
-    def coded_work(self) -> int:
-        """Inner products per coded worker; requires k | r."""
-        if self.r % self.k != 0:
-            raise ValueError(f"a run requires k | r, with k = n when uncoded: "
-                             f"k={self.k}, r={self.r}")
-        return self.r // self.k
-
     def uncoded(self) -> "ClusterParams":
         """The uncoded baseline as the (n, n) code: each worker takes r/n
         inner products and the master waits for all n."""
@@ -94,15 +87,15 @@ class CompTimes:
         return self.sorted.size
 
 
-def sample_comp_times(params: ClusterParams, work_per_worker: int, rng: RngStream) -> CompTimes:
+def sample_comp_times(params: ClusterParams, work_per_worker: float, rng: RngStream) -> CompTimes:
     """Sample the variable parts for n workers doing `work_per_worker`
     inner products each: i.i.d. Exponential(mu / w), then sort.
 
     The shift a*w is not included; the caller adds it when building
     absolute completion times.
     """
-    if not isinstance(work_per_worker, int) or work_per_worker < 1:
-        raise ValueError(f"work_per_worker must be a positive integer, got {work_per_worker!r}")
+    if not math.isfinite(work_per_worker) or work_per_worker <= 0:
+        raise ValueError(f"work_per_worker must be finite and > 0, got {work_per_worker!r}")
     times = rng.exponentials(params.mu / work_per_worker, params.n)
     times.sort()
     return CompTimes(sorted=times)

@@ -162,11 +162,15 @@ def test_single_worker_trial():
     assert timeline.t_total == pytest.approx(t1 + 0.3, rel=1e-15)
 
 
-def test_coded_trial_requires_divisibility_when_sampling():
-    params = example_params()  # k=3 does not divide r=5
+def test_coded_trial_samples_a_fractional_load():
+    # k=3 does not divide r=5: each worker takes r/k = 5/3 inner products
+    params = example_params()
     comm = CommModel.coded(params, 0.12)
-    with pytest.raises(ValueError):
-        run_coded_trial(params, comm, RngStream(0, 0))
+    timeline, metrics = run_coded_trial(params, comm, RngStream(0, 0))
+    draws = np.sort(RngStream(0, 0).exponentials(params.mu / (5 / 3), 5))
+    assert np.array_equal(timeline.comp_finish, params.t0 + draws)
+    injected = run_coded_trial(params, comm, times=inject_comp_times(draws))
+    assert injected[0].t_total == timeline.t_total and injected[1] == metrics
 
 
 def test_coded_trial_with_injected_example():

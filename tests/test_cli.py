@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import warnings
 from dataclasses import dataclass, fields
 
 import pytest
@@ -84,16 +85,22 @@ INVALID_VALUES = [
     ("seed = -1", "seed: must be >= 0, got -1"),
     ("a = -1", "a: must be >= 0, got -1.0"),
     ("a = nan", "a: must be >= 0, got nan"),
+    ("a = inf", "a: must be finite, got inf"),
     ("mu = 0", "mu: must be > 0, got 0.0"),
     ("mu = x", "mu: expected a number, got 'x'"),
+    ("mu = inf", "mu: must be finite, got inf"),
     ("t1cmm = -1", "t1cmm: must be >= 0, got -1.0"),
+    ("t1cmm = inf", "t1cmm: must be finite, got inf"),
     ("beta = -1", "beta: must be >= 0, got -1.0"),
+    ("beta = inf", "beta: must be finite, got inf"),
     ("c = 0", "c: must be > 0, got 0.0"),
+    ("c = inf", "c: must be finite, got inf"),
     ("k_fraction = 0", "k_fraction: must lie in (0, 1], got 0.0"),
     ("k-fraction = 1.5", "k_fraction: must lie in (0, 1], got 1.5"),
     ("scheme = bogus", "scheme: must be one of coded/uncoded/systematic/random, got 'bogus'"),
     ("format = xml", "format: must be one of csv/text, got 'xml'"),
     ("inject = 0.1,nan", "inject: times must be >= 0"),
+    ("inject = 0.1,inf", "inject: must be finite, got inf"),
     ("inject = 0.1,-1", "inject: times must be >= 0"),
     ("inject = 0.1,x", "inject: expected a number, got 'x'"),
     ("inject = ,", "inject: expected a comma-separated list of numbers"),
@@ -170,14 +177,26 @@ def test_simulate_missing_key_exit_code(capsys):
     assert "t1cmm" in capsys.readouterr().err
 
 
-def test_uncoded_divisibility_error_names_n_and_r(capsys):
-    # the uncoded run is the (n, n) code: its k is n=7, which does not divide r=9
-    rc = main(["montecarlo", "--scheme", "uncoded", "--n", "7", "--k", "3", "--r", "9",
-               "--a", "1", "--mu", "1", "--t1cmm", "0.01", "--trials", "10"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "k = n when uncoded" in err
-    assert "k=7, r=9" in err
+@pytest.mark.parametrize("cluster", [
+    ["--n", "7", "--k", "3", "--r", "9"],
+    ["--n", "100", "--k", "70", "--r", "690"],
+], ids=["n7-r9", "n100-r690"])
+def test_uncoded_run_takes_a_fractional_load(cluster, capsys):
+    # the uncoded run is the (n, n) code, whose n need not divide r
+    assert main(["montecarlo", "--scheme", "uncoded", *cluster, "--a", "1", "--mu", "1",
+                 "--t1cmm", "0.01", "--trials", "10"]) == 0
+    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+    assert got["trials"] == "10" and float(got["mean"]) > 0
+
+
+def test_optimize_k_star_runs_in_montecarlo(capsys):
+    # the unrestricted optimum k*=69 does not divide r=700, and a run takes it
+    flags = ["--n", "100", "--r", "700", "--a", "1", "--mu", "1", "--t1cmm", "0.001"]
+    assert main(["optimize-k", *flags]) == 0
+    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+    assert got["k_star"] == "69"
+    assert main(["montecarlo", *flags, "--k", got["k_star"], "--trials", "50"]) == 0
+    assert "mean=" in capsys.readouterr().out
 
 
 def test_usage_error_is_exit_one(capsys):
@@ -261,20 +280,41 @@ CLUSTER_100 = ["--n", "100", "--k", "70", "--r", "700", "--mu", "1"]
 @pytest.mark.parametrize("flags, names", [
     (["--a", "1", "--t1cmm", "1e308"], "error: t_one_cmm: "),
     (["--a", "1e308", "--t1cmm", "0.001"], "error: a: "),
-], ids=["t1cmm", "a"])
+    (["--a", "1", "--t1cmm", "1.5e307"], "error: a, t_one_cmm: "),
+    (["--a", "2.5e305", "--t1cmm", "2.55e305"], "error: a, t_one_cmm: "),
+], ids=["t1cmm", "a", "runtime-t1cmm", "runtime-a-t1cmm"])
 def test_non_finite_shift_or_transmission_time_is_exit_one(command, flags, names, capsys):
-    # finite inputs whose t_cmm = (r/k) * t1cmm or shift a*r/k overflows
-    assert main([command, *CLUSTER_100, *flags]) == 1
+    # finite inputs whose t_cmm = (r/k) * t1cmm, shift a*r/k or run-time bound
+    # t0 + k*t_cmm overflows, refused before any array arithmetic can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *CLUSTER_100, *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(names)
+    assert "Warning" not in captured.err
     assert captured.out == ""
 
 
 def test_sweep_refuses_a_non_finite_transmission_time(capsys):
-    assert main(["sweep", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0",
-                 "--c", "1e308", "--trials", "50"]) == 1
+    # a failing ladder point fails the command, named by its n: t_cmm itself
+    # overflows at c=1e308, the run-time bound t0 + k*t_cmm at c=1.5e307
+    for c, names in (("1e308", "error: n=100: t_one_cmm: "),
+                     ("1.5e307", "error: n=100: a, t_one_cmm: ")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0",
+                         "--c", c, "--trials", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(names)
+        assert captured.out == ""
+
+
+def test_optimize_k_refuses_an_infinite_rate(capsys):
+    # mu = inf would zero the order-statistic term, and the scan would still pick a k
+    assert main(["optimize-k", "--n", "10", "--r", "120", "--a", "1", "--mu", "inf",
+                 "--t1cmm", "0.01"]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: n=100: t_one_cmm: ")
+    assert captured.err == "error: mu: must be finite, got inf\n"
     assert captured.out == ""
 
 
@@ -314,6 +354,12 @@ def test_decode_check_needs_coding_scheme(capsys):
     rc = main(["decode-check", "--n", "4", "--k", "2", "--r", "2", "--m", "2"])
     assert rc == 1
     assert capsys.readouterr().err == "error: scheme: required for this command\n"
+
+
+def test_decode_check_still_requires_k_dividing_r(capsys):
+    # a run takes any load, but a code has k equal row blocks
+    assert main(["decode-check", "--scheme", "random", "--n", "5", "--k", "3", "--r", "5"]) == 1
+    assert "encoding requires k | r" in capsys.readouterr().err
 
 
 def test_decode_check_failure_exit_code(monkeypatch, capsys):

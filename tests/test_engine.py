@@ -6,9 +6,10 @@ Whatever the chunking, kth_finish and the integer metrics must be equal
 (array_equal, never a tolerance).  t_total is held to the exact rational
 max-plus value on the same inputs: within 2 ulp for the engine, within
 `needed` ulp for the recurrence, which rounds once per rank.  The uncoded
-scheme runs the engine on params.uncoded(), the (n, n) code.  A call over
-several codes of one n shares the draws and must return exactly what one
-call per code returns, every field included.
+scheme runs the engine on params.uncoded(), the (n, n) code, and neither k
+nor n need divide r.  A call over several codes of one n shares the draws
+and must return exactly what one call per code returns, every field
+included.
 """
 
 import dataclasses
@@ -97,7 +98,7 @@ def configurations(draw):
     n = draw(st.integers(1, 300))
     k = draw(st.integers(1, n))
     scheme = draw(st.sampled_from(["coded", "uncoded"]))
-    r = math.lcm(n, k) * draw(st.integers(1, 3))
+    r = draw(st.integers(1, 3 * math.lcm(n, k)))  # r/k and r/n may be fractional
     # mu=1e18 with a=1: every completion rounds to the startup shift, so
     # completion times tie exactly with each other and with channel releases
     # a=0.3 makes the shift a*r/k round differently from a*(r/k)
@@ -128,7 +129,7 @@ def shared_n_codes(draw):
     codes = []
     for _ in range(draw(st.integers(2, 3))):
         k = draw(st.one_of(st.just(n), st.integers(1, n)))  # k = n: the uncoded code
-        params = ClusterParams(n=n, k=k, r=math.lcm(n, k) * draw(st.integers(1, 3)),
+        params = ClusterParams(n=n, k=k, r=draw(st.integers(1, 3 * math.lcm(n, k))),
                                a=draw(st.sampled_from([0.0, 0.3, 1.0])),
                                mu=draw(st.sampled_from([0.5, 1.0, 3.0, 1e18])))
         t_one = draw(st.sampled_from([0.0, 1.0 / (params.r * n), 0.1 / params.r, 10.0]))

@@ -99,17 +99,18 @@ def test_sweep_rows():
                         a=1.0, mu=1.0, trials=300, seed=4)
     assert [row.n for row in rows] == [10, 20]
     for row in rows:
-        assert row.error is None
         assert row.gap == pytest.approx(row.mc.mean - row.closed_form_leading, rel=1e-14)
         assert row.t_cmm == pytest.approx(1.0 / row.n, rel=1e-12)
 
 
-def test_sweep_infeasible_rows_marked_and_skipped():
-    family = RegimeFamily(c=1.0, beta=1.0)
-    rows = sweep_regime(family, [10], 0.7, r_rule=lambda n, k: k + 1,
+def test_sweep_runs_fractional_loads_and_names_a_failing_point():
+    # k=7 does not divide r=8: the point runs at load 8/7
+    rows = sweep_regime(RegimeFamily(c=1.0, beta=1.0), [10], 0.7, r_rule=lambda n, k: k + 1,
                         a=1.0, mu=1.0, trials=10, seed=0)
-    assert rows[0].error is not None
-    assert rows[0].mc is None
+    assert (rows[0].k, rows[0].r, rows[0].mc.trials) == (7, 8, 10)
+    # t_cmm = (70/7) * 1e308 overflows at n=10
+    with pytest.raises(ValueError, match=r"^n=10: t_one_cmm: "):
+        sweep_regime(RegimeFamily(c=1e308, beta=0.0), [10], 0.7, trials=10)
 
 
 def test_sweep_means_inside_expectation_bracket():

@@ -95,6 +95,12 @@ GOLDEN = {
          "--t1cmm", "0.01", "--seed", "12"],
         "123ec7ff69470d0faf52176639757666a970e937f05b356466df06f7af1dcfca",
     ),
+    # the README example sampled: k=3 does not divide r=5, each worker takes 5/3
+    "simulate_seeded_fractional.csv": (
+        ["simulate", "--n", "5", "--k", "3", "--r", "5", "--a", "1", "--mu", "1",
+         "--t1cmm", "0.12", "--seed", "3"],
+        "c05284b1c682f3bfc266898e67b3c85bd524c2f4277d435652095db9f5b4afc0",
+    ),
     "simulate_seeded_uncoded.csv": (
         ["simulate", "--n", "20", "--k", "10", "--r", "20", "--a", "1", "--mu", "1",
          "--t1cmm", "0.01", "--seed", "12", "--scheme", "uncoded"],

@@ -49,11 +49,9 @@ def test_cluster_params_validation():
     p = ClusterParams(n=5, k=3, r=5, a=1.0, mu=1.0)
     assert p.t0 == pytest.approx(5 / 3, rel=1e-15)
     assert p.alpha == pytest.approx(5 / 3, rel=1e-15)
-    # divisibility is a per-scheme requirement, not a construction one
-    with pytest.raises(ValueError, match="k | r|coded"):
-        p.coded_work()
+    # k need not divide r: the load r/k enters only through t0, alpha and t_cmm
     assert p.uncoded().k == p.n
-    assert p.uncoded().coded_work() == 1
+    assert p.uncoded().alpha == 1.0
     # one shift for both schemes, a*r/k: at a=0.3, a*(r/k) would give 0.8999999999999999
     q = ClusterParams(n=30, k=15, r=90, a=0.3, mu=1.0)
     assert q.uncoded().t0 == 0.9
@@ -79,8 +77,12 @@ def test_sample_comp_times_law_of_large_numbers():
 
 def test_sample_comp_times_rejects_bad_work():
     params = ClusterParams(n=4, k=2, r=4, a=0.0, mu=1.0)
-    with pytest.raises(ValueError):
-        sample_comp_times(params, 0, RngStream(1, 0))
+    for work in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="work_per_worker must be finite and > 0"):
+            sample_comp_times(params, work, RngStream(1, 0))
+    # any positive finite load: the order statistics of the draws at rate mu / w
+    ct = sample_comp_times(params, 2.5, RngStream(1, 0))
+    assert np.array_equal(ct.sorted, np.sort(RngStream(1, 0).exponentials(1.0 / 2.5, 4)))
 
 
 def test_inject_comp_times_golden_and_errors():
