@@ -32,9 +32,7 @@ from .channel import (
 )
 from .coding import (
     CodedJob,
-    DecodeInput,
     DecodeResult,
-    assemble_decode_input,
     decode,
     decode_from_workers,
     encode_random_linear,

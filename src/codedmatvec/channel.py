@@ -37,6 +37,10 @@ from .timing import ClusterParams, CompTimes, sample_comp_times
 # count.
 CHUNK_ELEMENTS = 2**16
 
+# Generator.random returns multiples of 2**-53 below 1, so no unit-rate
+# draw -log1p(-u) exceeds this (36.7368...)
+LARGEST_UNIT_DRAW = -math.log1p(-(1 - 2**-53))
+
 
 @dataclass(frozen=True)
 class CommModel:
@@ -256,9 +260,6 @@ def run_trials(
             cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
             ends = scratch[: m * needed].reshape(m, needed)
             flag = flags[: m * needed].reshape(m, needed)
-            # rows are sorted, NaN last: the end columns bound every value
-            if not (np.all(cf[:, 0] >= 0) and np.all(np.isfinite(times[:, -1] / rate))):
-                raise ValueError("computation times must be finite and >= 0")
             np.add(cf, shift, out=cf)
             kth = cf[:, needed - 1]
             total = out.t_total[done]
@@ -336,4 +337,12 @@ def _check_work(params: ClusterParams, comm: CommModel):
     if not math.isfinite(params.t0 + params.k * comm.t_cmm):
         raise ValueError(f"a, t_one_cmm: the run-time bound t0 + k*t_cmm must be finite, "
                          f"got t0={params.t0!r}, k={params.k}, t_cmm={comm.t_cmm!r}")
-
+    # nor may the largest run-time B: it takes the engine's float operations
+    # in their order at the largest draw, and each is monotone in its
+    # operands, so B bounds every t_total; a rate that underflows to 0
+    # would divide every draw to inf
+    rate = params.mu / (params.r / params.k)
+    if rate == 0 or not math.isfinite(
+            (LARGEST_UNIT_DRAW / rate + params.t0) + params.k * comm.t_cmm):
+        raise ValueError(f"mu: the largest run-time t0 + 36.74*r/(mu*k) + k*t_cmm must be "
+                         f"finite, got mu={params.mu!r}, r={params.r}, k={params.k}")

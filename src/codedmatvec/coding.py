@@ -44,25 +44,12 @@ class CodedJob:
 
 
 @dataclass(frozen=True)
-class DecodeInput:
-    """Aggregated system from k responding workers.
-
-    stacked_s -- r x r matrix of their coding blocks, ascending worker id
-    z         -- their concatenated result vectors, same order
-    """
-
-    worker_ids: tuple
-    stacked_s: np.ndarray
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     y_hat: np.ndarray
     well_conditioned: bool
 
 
-def _check_encode_args(a_matrix, params):
+def _check_encode_args(a_matrix, x, params):
     a = np.asarray(a_matrix, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("a_matrix must be a non-empty 2-d array")
@@ -70,14 +57,16 @@ def _check_encode_args(a_matrix, params):
         raise ValueError(f"a_matrix must have r={params.r} rows, got {a.shape[0]}")
     if params.r % params.k != 0:
         raise ValueError(f"encoding requires k | r: k={params.k}, r={params.r}")
-    return a
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size != a.shape[1]:
+        raise ValueError(f"x must be a vector of length {a.shape[1]}")
+    return a, x
 
 
 def encode_random_linear(a_matrix, x, params: ClusterParams, rng: RngStream) -> CodedJob:
     """Assign each worker r/k random linear combinations of A's rows,
     with i.i.d. standard-normal coefficients."""
-    a = _check_encode_args(a_matrix, params)
-    x = _check_input_vector(x, a)
+    a, x = _check_encode_args(a_matrix, x, params)
     w = params.r // params.k
     coding = tuple(rng.standard_normals((w, params.r)) for _ in range(params.n))
     assignments = tuple(s @ a for s in coding)
@@ -92,8 +81,7 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     any k generator rows form an invertible mix of identity rows and
     rows of a Vandermonde matrix with distinct positive nodes.
     """
-    a = _check_encode_args(a_matrix, params)
-    x = _check_input_vector(x, a)
+    a, x = _check_encode_args(a_matrix, x, params)
     n, k, r = params.n, params.k, params.r
     w = r // k
     eye_w = np.eye(w)
@@ -111,13 +99,6 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments)
 
 
-def _check_input_vector(x, a):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != a.shape[1]:
-        raise ValueError(f"x must be a vector of length {a.shape[1]}")
-    return x
-
-
 def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     """Worker's local product A_i~ x (worker_id is 1-based)."""
     if not 1 <= worker_id <= job.n:
@@ -125,8 +106,34 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     return job.assignments[worker_id - 1] @ job.x
 
 
-def assemble_decode_input(job: CodedJob, worker_ids) -> DecodeInput:
-    """Stack the chosen workers' coding blocks and results, ascending id."""
+def decode(stacked_s: np.ndarray, z: np.ndarray) -> DecodeResult:
+    """Solve stacked_s @ y = z for y: stacked_s is the r x r stack of k
+    workers' coding blocks, z their concatenated results in that order.
+
+    A solve whose condition number reaches COND_LIMIT is flagged as
+    untrustworthy (it is still returned, via least squares if the stack
+    is numerically singular, so the caller can retry another subset).
+    """
+    if stacked_s.ndim != 2 or stacked_s.shape[0] != stacked_s.shape[1]:
+        raise ValueError("stacked_s must be square")
+    if z.ndim != 1 or z.size != stacked_s.shape[0]:
+        raise ValueError("z length must match stacked_s")
+    cond = np.linalg.cond(stacked_s)
+    try:
+        y_hat = np.linalg.solve(stacked_s, z)
+    except np.linalg.LinAlgError:
+        y_hat = np.linalg.lstsq(stacked_s, z, rcond=None)[0]
+        cond = math.inf
+    return DecodeResult(
+        y_hat=y_hat,
+        well_conditioned=bool(np.isfinite(cond) and cond < COND_LIMIT),
+    )
+
+
+def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
+    """Decode y from the results of exactly k distinct workers (1-based
+    ids, any order, any iterable): their coding blocks and results are
+    stacked in ascending id and solved by `decode`."""
     given = [int(i) for i in worker_ids]  # read a one-shot iterable once
     ids = sorted(set(given))
     if len(ids) != len(given):
@@ -136,37 +143,8 @@ def assemble_decode_input(job: CodedJob, worker_ids) -> DecodeInput:
         raise ValueError(f"decoding needs exactly k={k} workers, got {len(ids)}")
     if ids[0] < 1 or ids[-1] > job.n:
         raise ValueError(f"worker ids must lie in [1, {job.n}]")
-    stacked_s = np.vstack([job.coding[i - 1] for i in ids])
-    z = np.concatenate([worker_compute(job, i) for i in ids])
-    return DecodeInput(worker_ids=tuple(ids), stacked_s=stacked_s, z=z)
-
-
-def decode(inputs: DecodeInput) -> DecodeResult:
-    """Solve stacked_s @ y = z for y.
-
-    A solve whose condition number reaches COND_LIMIT is flagged as
-    untrustworthy (it is still returned, via least squares if the stack
-    is numerically singular, so the caller can retry another subset).
-    """
-    s, z = inputs.stacked_s, inputs.z
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("stacked_s must be square")
-    if z.ndim != 1 or z.size != s.shape[0]:
-        raise ValueError("z length must match stacked_s")
-    cond = np.linalg.cond(s)
-    try:
-        y_hat = np.linalg.solve(s, z)
-    except np.linalg.LinAlgError:
-        y_hat = np.linalg.lstsq(s, z, rcond=None)[0]
-        cond = math.inf
-    return DecodeResult(
-        y_hat=y_hat,
-        well_conditioned=bool(np.isfinite(cond) and cond < COND_LIMIT),
-    )
-
-
-def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
-    return decode(assemble_decode_input(job, worker_ids))
+    return decode(np.vstack([job.coding[i - 1] for i in ids]),
+                  np.concatenate([worker_compute(job, i) for i in ids]))
 
 
 def recovery_error(job: CodedJob, worker_ids):

@@ -5,6 +5,7 @@ import pytest
 from codedmatvec import (
     ClusterParams,
     CommModel,
+    LatencyBracket,
     Regime,
     RegimeFamily,
     classify_regime,
@@ -33,6 +34,8 @@ def test_bracket_coded_example_numbers():
     assert bracket.lower == pytest.approx(3.1722222222222225, rel=1e-12)
     assert bracket.upper == pytest.approx(3.5722222222222224, rel=1e-12)
     assert bracket.upper - bracket.lower == pytest.approx(0.4, rel=1e-12)
+    with pytest.raises(ValueError, match=r"^bracket lower bound exceeds upper bound$"):
+        LatencyBracket(lower=2.0, upper=1.0)
 
 
 def test_bracket_contains_monte_carlo_mean():

@@ -43,6 +43,8 @@ def test_scheduler_validation():
         schedule_serial_channel([1.0, 2.0], 0.1, needed=3)
     with pytest.raises(ValueError):
         schedule_serial_channel([1.0, 2.0], -0.1, needed=2)
+    with pytest.raises(ValueError, match=r"^comp_finish must be finite$"):
+        schedule_serial_channel([0.1, math.nan], 0.1, 1)
 
 
 def test_instant_channel_identity():
@@ -186,6 +188,10 @@ def test_comm_model_rejects_non_finite_transmission_time():
     with pytest.raises(ValueError, match="t_one_cmm: t_cmm = work_per_worker"):
         CommModel(t_one_cmm=1e308, work_per_worker=10.0)
     assert CommModel(t_one_cmm=1e307, work_per_worker=10.0).t_cmm == 1e308
+    with pytest.raises(ValueError, match=r"^t_one_cmm must be >= 0, got -1\.0$"):
+        CommModel(t_one_cmm=-1.0, work_per_worker=10.0)
+    with pytest.raises(ValueError, match=r"^work_per_worker must be > 0, got 0\.0$"):
+        CommModel(t_one_cmm=0.1, work_per_worker=0.0)
 
 
 def test_trial_checks_comm_consistency():
@@ -236,6 +242,8 @@ def test_injected_times_must_match_n():
     comm = CommModel.coded(params, 0.12)
     with pytest.raises(ValueError):
         run_coded_trial(params, comm, times=inject_comp_times([0.1, 0.2]))
+    with pytest.raises(ValueError, match=r"^an RngStream is required when no times are injected$"):
+        run_coded_trial(params, comm)
 
 
 

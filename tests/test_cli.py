@@ -309,6 +309,31 @@ def test_sweep_refuses_a_non_finite_transmission_time(capsys):
         assert captured.out == ""
 
 
+TINY_MU_CLUSTER = ["--n", "100", "--k", "70", "--r", "700", "--a", "1", "--t1cmm", "0.001"]
+TINY_MU_LADDER = ["--ns", "100", "--a", "1", "--beta", "1", "--c", "1", "--trials", "50"]
+
+
+@pytest.mark.parametrize("mu", ["1e-306", "1e-307"])
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", *TINY_MU_CLUSTER, "--format", "text", "--seed", "1"], "error: mu: "),
+    (["verify", *TINY_MU_CLUSTER, "--trials", "50"], "error: mu: "),
+    (["montecarlo", *TINY_MU_CLUSTER, "--trials", "50"], "error: mu: "),
+    (["expect", *TINY_MU_CLUSTER], "error: mu: "),
+    (["speedup", *TINY_MU_LADDER], "error: mu: "),
+    (["sweep", *TINY_MU_LADDER], "error: n=100: mu: "),
+], ids=["simulate", "verify", "montecarlo", "expect", "speedup", "sweep"])
+def test_a_tiny_mu_whose_largest_run_time_overflows_is_exit_one(argv, names, mu, capsys):
+    # a finite mu so small that the largest draw's run-time t0 + 36.74*r/(mu*k)
+    # + k*t_cmm overflows; it used to print inf or fail unnamed after a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--mu", mu]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(names)
+    assert "Warning" not in captured.err
+    assert captured.out == ""
+
+
 def test_optimize_k_refuses_an_infinite_rate(capsys):
     # mu = inf would zero the order-statistic term, and the scan would still pick a k
     assert main(["optimize-k", "--n", "10", "--r", "120", "--a", "1", "--mu", "inf",

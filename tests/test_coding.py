@@ -6,7 +6,6 @@ import pytest
 from codedmatvec import (
     ClusterParams,
     RngStream,
-    assemble_decode_input,
     decode,
     decode_from_workers,
     encode_random_linear,
@@ -51,6 +50,11 @@ def test_encode_divisibility_and_shape_errors():
         encode_random_linear(np.ones((3, 2)), np.ones(2), good, RngStream(0, 0))
     with pytest.raises(ValueError):
         encode_systematic_mds(np.ones((4, 2)), np.ones(3), good)
+    for a_matrix in (np.ones(4), np.ones((4, 0))):
+        with pytest.raises(ValueError, match=r"^a_matrix must be a non-empty 2-d array$"):
+            encode_systematic_mds(a_matrix, np.ones(2), good)
+        with pytest.raises(ValueError, match=r"^a_matrix must be a non-empty 2-d array$"):
+            encode_random_linear(a_matrix, np.ones(2), good, RngStream(0, 0))
 
 
 def test_example_construction_4_2():
@@ -132,16 +136,21 @@ def test_random_linear_decode_subsets():
 
 def test_decode_input_assembly_and_errors():
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    with pytest.raises(ValueError):
-        assemble_decode_input(job, [1, 2])  # too few
-    with pytest.raises(ValueError):
-        assemble_decode_input(job, [1, 2, 2])  # repeated
-    with pytest.raises(ValueError):
-        assemble_decode_input(job, [1, 2, 9])  # out of range
-    inputs = assemble_decode_input(job, [5, 1, 3])
-    assert inputs.worker_ids == (1, 3, 5)
-    assert inputs.stacked_s.shape == (6, 6)
-    assert inputs.z.shape == (6,)
+    with pytest.raises(ValueError, match=r"^decoding needs exactly k=3 workers, got 2$"):
+        decode_from_workers(job, [1, 2])
+    with pytest.raises(ValueError, match=r"^worker ids must be distinct$"):
+        decode_from_workers(job, [1, 2, 2])
+    with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
+        decode_from_workers(job, [1, 2, 9])
+    with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
+        decode_from_workers(job, [0, 2, 3])
+    # blocks and results stack in ascending id, whatever order the ids come in
+    result = decode_from_workers(job, [5, 1, 3])
+    stacked = decode(np.vstack([job.coding[i] for i in (0, 2, 4)]),
+                     np.concatenate([worker_compute(job, i) for i in (1, 3, 5)]))
+    assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 3, 5]).y_hat)
+    assert np.array_equal(result.y_hat, stacked.y_hat)
+    assert result.y_hat.shape == (6,)
 
 
 def test_decode_accepts_a_one_shot_iterable():
@@ -150,17 +159,24 @@ def test_decode_accepts_a_one_shot_iterable():
     result = decode_from_workers(job, (i for i in (1, 2, 5)))
     assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 2, 5]).y_hat)
     with pytest.raises(ValueError, match="distinct"):
-        assemble_decode_input(job, (i for i in (1, 2, 2)))
+        decode_from_workers(job, (i for i in (1, 2, 2)))
 
 
 def test_decode_flags_singular_stack():
     job = random_job(n=4, k=2, r=2, m=2, seed=11)
-    inputs = assemble_decode_input(job, [1, 2])
-    broken = type(inputs)(
-        worker_ids=inputs.worker_ids,
-        stacked_s=np.ones((2, 2)),
-        z=inputs.z,
-    )
-    result = decode(broken)
+    z = np.concatenate([worker_compute(job, 1), worker_compute(job, 2)])
+    result = decode(np.ones((2, 2)), z)
     assert not result.well_conditioned
+    assert result.y_hat.shape == (2,)
 
+
+def test_decode_checks_the_shapes_it_is_given():
+    z = np.ones(2)
+    with pytest.raises(ValueError, match=r"^stacked_s must be square$"):
+        decode(np.ones((2, 3)), z)
+    with pytest.raises(ValueError, match=r"^stacked_s must be square$"):
+        decode(np.ones(4), z)
+    with pytest.raises(ValueError, match=r"^z length must match stacked_s$"):
+        decode(np.eye(2), np.ones(3))
+    with pytest.raises(ValueError, match=r"^z length must match stacked_s$"):
+        decode(np.eye(2), np.ones((2, 1)))

@@ -262,3 +262,46 @@ def test_any_trial_replays_alone():
     assert batch.t_total[876] == timeline.t_total
     mc, _ = monte_carlo(params, comm, 1000, 7)
     assert mc.mean == float(np.mean(batch.t_total))
+
+
+def _smallest_accepted_mu(n, k, r, a, t_one_cmm):
+    # positive floats order as their bit patterns: bisect those
+    def accepted(bits):
+        params = ClusterParams(n=n, k=k, r=r, a=a, mu=float(np.int64(bits).view(np.float64)))
+        try:
+            channel._check_work(params, CommModel.coded(params, t_one_cmm))
+        except ValueError as err:
+            assert str(err).startswith("mu: ")
+            return False
+        return True
+
+    lo, hi = int(np.float64(5e-324).view(np.int64)), int(np.float64(1.0).view(np.int64))
+    assert not accepted(lo) and accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+@pytest.mark.parametrize("n, k, r, a, t_one_cmm", [
+    (100, 70, 700, 1.0, 0.001),  # the draw dominates
+    (8, 3, 10, 0.0, 5e306),      # k*t_cmm is most of B, at a fractional load
+    (8, 5, 10, 1e307, 0.0),      # the shift is most of B
+])
+def test_largest_draw_at_the_smallest_accepted_mu_stays_within_the_bound(n, k, r, a, t_one_cmm):
+    # every uniform at its largest value 1 - 2**-53, at the mu where B is just
+    # finite: the engine runs without a warning, and every run-time is B
+    mu = _smallest_accepted_mu(n, k, r, a, t_one_cmm)
+    params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
+    comm = CommModel.coded(params, t_one_cmm)
+    bound = (channel.LARGEST_UNIT_DRAW / (mu / (r / k)) + params.t0) + k * comm.t_cmm
+    assert math.isfinite(bound) and bound > 1e308
+
+    def largest_uniform(seed, first, out):
+        out.fill(1 - 2**-53)
+        return out
+
+    with mock.patch.object(channel, "uniform_rows", largest_uniform):
+        (out,) = run_trials([(params, comm)], 3, 0, p=1)
+    assert np.all(np.isfinite(out.kth_finish)) and np.all(out.kth_finish <= bound)
+    assert np.all(np.isfinite(out.t_total)) and np.all(out.t_total == bound)

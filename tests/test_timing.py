@@ -35,6 +35,10 @@ def test_harmonic_table_equals_fsum():
 
 
 def test_cluster_params_validation():
+    with pytest.raises(ValueError, match=r"^n: must be a positive integer, got 0$"):
+        ClusterParams(n=0, k=1, r=4, a=0.0, mu=1.0)
+    with pytest.raises(ValueError, match=r"^r: must be a positive integer, got 0$"):
+        ClusterParams(n=4, k=2, r=0, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match="k"):
         ClusterParams(n=4, k=0, r=4, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match="k"):
