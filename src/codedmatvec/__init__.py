@@ -10,7 +10,6 @@ curves.
 
 from .analysis import (
     LatencyBracket,
-    Regime,
     RegimeFamily,
     classify_regime,
     expectation_bracket_coded,

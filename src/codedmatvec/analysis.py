@@ -3,19 +3,12 @@ regime classification, and numeric optimization of the recovery threshold."""
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .channel import CommModel, _check_work
 from .timing import ClusterParams, expected_order_stat, harmonic_table
-
-
-class Regime(enum.Enum):
-    I = "I"
-    II = "II"
-    III = "III"
 
 
 @dataclass(frozen=True)
@@ -110,12 +103,13 @@ def pipeline_index(n: int, alpha: float, t_cmm: float) -> int:
     return n if dipped else 1
 
 
-def classify_regime(family: RegimeFamily) -> Regime:
-    if family.beta > 1:
-        return Regime.I
-    if family.beta == 1:
-        return Regime.III
-    return Regime.II
+def classify_regime(beta: float) -> str:
+    """The regime, "I", "II" or "III", of the family c * n**(-beta); c plays no part."""
+    if beta > 1:
+        return "I"
+    if beta == 1:
+        return "III"
+    return "II"
 
 
 def optimize_k(

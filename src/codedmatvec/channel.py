@@ -169,8 +169,9 @@ class TrialArrays:
     """Per-trial results of `run_trials`; entry i is trial i, RngStream(seed, i).
 
     The first six arrays hold the run-time t_total, the needed-th
-    completion time and the TimelineMetrics fields.  count1/count2 are the
-    `transmission_counts` of each trial when a pipeline index was given.
+    completion time and the TimelineMetrics fields.  Given a pipeline index,
+    count1 holds each trial's first `transmission_counts`; the second is
+    completed_by_comp_k - count1.
     """
 
     t_total: np.ndarray
@@ -180,7 +181,6 @@ class TrialArrays:
     busy_fraction: np.ndarray
     hit_lower_bound: np.ndarray
     count1: np.ndarray | None = None
-    count2: np.ndarray | None = None
 
 
 def run_trials(
@@ -218,7 +218,7 @@ def run_trials(
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
     plans = []
     for params, comm in codes:
-        _check_work(params, comm)
+        _check_work(params, comm, trials)
         needed, t_cmm = params.k, comm.t_cmm
         # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
         # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
@@ -231,7 +231,6 @@ def run_trials(
             busy_fraction=np.zeros(trials),
             hit_lower_bound=np.empty(trials, dtype=bool),
             count1=None if p is None else np.empty(trials, dtype=np.intp),
-            count2=None if p is None else np.empty(trials, dtype=np.intp),
         )
         plans.append((params.mu / (params.r / params.k), params.t0, needed, t_cmm,
                       t_cmm * np.arange(needed, 0, -1.0), lead, lead + t_cmm, out))
@@ -285,11 +284,7 @@ def run_trials(
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
             out.hit_lower_bound[done] = out.q_idle[done] == needed
-    outs = [plan[-1] for plan in plans]
-    if p is not None:
-        for out in outs:
-            np.subtract(out.completed_by_comp_k, out.count1, out=out.count2)
-    return outs
+    return [plan[-1] for plan in plans]
 
 
 def run_coded_trial(
@@ -327,9 +322,9 @@ def run_uncoded_trial(
     return run_coded_trial(params.uncoded(), comm, rng, times)
 
 
-def _check_work(params: ClusterParams, comm: CommModel):
+def _check_work(params: ClusterParams, comm: CommModel, trials: int = 1):
     # the load must be the code's r/k; t0 and t_cmm are finite, t0 + k*t_cmm may not be
-    if not math.isclose(comm.work_per_worker, params.r / params.k, rel_tol=1e-9):
+    if comm.work_per_worker != params.r / params.k:
         raise ValueError(
             f"comm.work_per_worker={comm.work_per_worker} does not match "
             f"the scheme's per-worker load {params.r / params.k}"
@@ -342,7 +337,12 @@ def _check_work(params: ClusterParams, comm: CommModel):
     # operands, so B bounds every t_total; a rate that underflows to 0
     # would divide every draw to inf
     rate = params.mu / (params.r / params.k)
-    if rate == 0 or not math.isfinite(
-            (LARGEST_UNIT_DRAW / rate + params.t0) + params.k * comm.t_cmm):
+    bound = (LARGEST_UNIT_DRAW / rate + params.t0) + params.k * comm.t_cmm if rate else math.inf
+    if not math.isfinite(bound):
         raise ValueError(f"mu: the largest run-time t0 + 36.74*r/(mu*k) + k*t_cmm must be "
                          f"finite, got mu={params.mu!r}, r={params.r}, k={params.k}")
+    # every run-time lies in [0, B], so a sum of `trials` squared deviations
+    # stays below trials*B*B; the factor 2 leaves room for its rounding
+    if not math.isfinite(2 * trials * bound * bound):
+        raise ValueError(f"a, mu, t_one_cmm: the moment bound 2*trials*B*B must be finite, "
+                         f"got B={bound!r}, trials={trials}")

@@ -227,8 +227,7 @@ def _cmd_expect(config: RunConfig, args) -> int:
             ("variance_Tk", variance_order_stat(params, params.k)),
         ]
     if config.beta is not None:
-        # the regime depends on beta alone
-        record.append(("regime", classify_regime(RegimeFamily(c=1.0, beta=config.beta)).value))
+        record.append(("regime", classify_regime(config.beta)))
     _write([record], config)
     return 0
 

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import RegimeFamily, expected_runtime_regime3, optimize_k, pipeline_index
-from .channel import CommModel, Timeline, run_trials
+from .channel import CommModel, Timeline, _check_work, run_trials
 from .timing import ClusterParams
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -18,7 +18,7 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class MCStats:
-    """Aggregate of one Monte Carlo configuration's total run-times."""
+    """Mean, variance and standard error of one array of per-trial samples."""
 
     mean: float
     variance: float
@@ -44,8 +44,8 @@ class AggregateMetrics:
     mean_completed_by_comp_k: float
     mean_q_idle: float
     mean_busy_fraction: float
-    stderr_frac_lower_bound_hit: float = 0.0
-    stderr_completed_by_comp_k: float = 0.0
+    stderr_frac_lower_bound_hit: float
+    stderr_completed_by_comp_k: float
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,15 @@ def monte_carlo(
         raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
     code = params.uncoded() if scheme == "uncoded" else params
     (batch,) = run_trials([(code, comm)], trials, seed)
-    completed = batch.completed_by_comp_k
+    completed = MCStats.from_samples(batch.completed_by_comp_k)
     frac_hit = float(np.mean(batch.hit_lower_bound))
     agg = AggregateMetrics(
         frac_lower_bound_hit=frac_hit,
-        mean_completed_by_comp_k=float(np.mean(completed)),
+        mean_completed_by_comp_k=completed.mean,
         mean_q_idle=float(np.mean(batch.q_idle)),
         mean_busy_fraction=float(np.mean(batch.busy_fraction)),
         stderr_frac_lower_bound_hit=math.sqrt(frac_hit * (1.0 - frac_hit) / trials),
-        stderr_completed_by_comp_k=(
-            float(np.std(completed, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-        ),
+        stderr_completed_by_comp_k=completed.stderr,
     )
     return MCStats.from_samples(batch.t_total), agg
 
@@ -185,7 +183,8 @@ def speedup_curve(
     seed: int = 0,
     optimize: bool = False,
 ) -> list[SpeedupPoint]:
-    """Mean uncoded over mean coded run-time per ladder point.
+    """Mean uncoded over mean coded run-time per ladder point.  A ladder
+    point that cannot run raises ValueError("n=<n>: <reason>").
 
     With optimize=True the coded threshold is the leading-term minimizer
     over divisors of r instead of the fixed k_fraction.  Coded and
@@ -199,23 +198,21 @@ def speedup_curve(
         k = round_k(k_fraction, n)
         r = r_rule(n, k)
         t_one = family.t_one_cmm(n)
-        if optimize:
-            k, _ = optimize_k(n, r, a, mu,
-                              comm_at_k=lambda kk: (r / kk) * t_one,
-                              require_divisor=True)
-        params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-        coded, uncoded = run_trials(
-            [(params, CommModel.coded(params, t_one)),
-             (params.uncoded(), CommModel.uncoded(params, t_one))],
-            trials, seed)
-        coded_mean = MCStats.from_samples(coded.t_total).mean
-        uncoded_mean = MCStats.from_samples(uncoded.t_total).mean
-        points.append(SpeedupPoint(
-            n=n, k=k, r=r, t_one_cmm=t_one,
-            coded_mean=coded_mean,
-            uncoded_mean=uncoded_mean,
-            ratio=uncoded_mean / coded_mean,
-        ))
+        try:
+            if optimize:
+                k, _ = optimize_k(n, r, a, mu,
+                                  comm_at_k=lambda kk: (r / kk) * t_one,
+                                  require_divisor=True)
+            params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
+            coded, uncoded = run_trials(
+                [(params, CommModel.coded(params, t_one)),
+                 (params.uncoded(), CommModel.uncoded(params, t_one))],
+                trials, seed)
+        except ValueError as exc:
+            raise ValueError(f"n={n}: {exc}") from exc
+        coded_mean, uncoded_mean = float(np.mean(coded.t_total)), float(np.mean(uncoded.t_total))
+        points.append(SpeedupPoint(n=n, k=k, r=r, t_one_cmm=t_one, coded_mean=coded_mean,
+                                   uncoded_mean=uncoded_mean, ratio=uncoded_mean / coded_mean))
     return points
 
 
@@ -239,30 +236,29 @@ def verify_transmission_lemmas(
 ) -> LemmaReport:
     """Measure the pipeline transmission counts over repeated coded trials,
     also checking the realization-level run-time sandwich on every trial."""
+    # a rate whose run-times overflow would reach pipeline_index as alpha = inf
+    _check_work(params, comm, trials)
     p = pipeline_index(params.n, params.alpha, comm.t_cmm)
     n, k = params.n, params.k
     (batch,) = run_trials([(params, comm)], trials, seed, p=p)
-    c1, c2 = batch.count1, batch.count2
+    c1, c2 = batch.count1, batch.completed_by_comp_k - batch.count1
     kth, total = batch.kth_finish, batch.t_total
     inside = (kth + comm.t_cmm <= total) & (total <= kth + k * comm.t_cmm)
     violations = trials - int(np.count_nonzero(inside))
-    deficit_p = (p - c1) / n
     deficit_k = (k - p - c2) / n
-    shortfall = np.maximum(deficit_k, 0.0)
-
-    def _se(x):
-        return float(np.std(x, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-
+    deficit_p = MCStats.from_samples((p - c1) / n)
+    signed = MCStats.from_samples(deficit_k)
+    shortfall = MCStats.from_samples(np.maximum(deficit_k, 0.0))
     return LemmaReport(
         n=n, k=k, p=p, trials=trials,
         mean_count1=float(np.mean(c1)),
         mean_count2=float(np.mean(c2)),
-        mean_deficit_p=float(np.mean(deficit_p)),
-        stderr_deficit_p=_se(deficit_p),
-        mean_deficit_k_signed=float(np.mean(deficit_k)),
-        stderr_deficit_k_signed=_se(deficit_k),
-        mean_deficit_k_shortfall=float(np.mean(shortfall)),
-        stderr_deficit_k_shortfall=_se(shortfall),
+        mean_deficit_p=deficit_p.mean,
+        stderr_deficit_p=deficit_p.stderr,
+        mean_deficit_k_signed=signed.mean,
+        stderr_deficit_k_signed=signed.stderr,
+        mean_deficit_k_shortfall=shortfall.mean,
+        stderr_deficit_k_shortfall=shortfall.stderr,
         sandwich_violations=violations,
     )
 

@@ -201,6 +201,11 @@ def test_trial_checks_comm_consistency():
         run_coded_trial(params, wrong, RngStream(0, 0))
     with pytest.raises(ValueError):
         run_uncoded_trial(params, wrong, RngStream(0, 0))
+    # one part in 10**12 off r/k once passed a relative tolerance and ran
+    # with t_cmm = 0.010000000000010001: the load must be r/k exactly
+    near = CommModel(t_one_cmm=0.001, work_per_worker=10 * (1 + 1e-12))
+    with pytest.raises(ValueError, match="work_per_worker"):
+        run_coded_trial(ClusterParams(n=10, k=7, r=70, a=1.0, mu=1.0), near, RngStream(0, 0))
 
 
 def test_uncoded_single_worker_equals_coded():

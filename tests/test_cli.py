@@ -1,6 +1,9 @@
 import argparse
 import csv
 import io
+import itertools
+import math
+import re
 import warnings
 from dataclasses import dataclass, fields
 
@@ -319,7 +322,7 @@ TINY_MU_LADDER = ["--ns", "100", "--a", "1", "--beta", "1", "--c", "1", "--trial
     (["verify", *TINY_MU_CLUSTER, "--trials", "50"], "error: mu: "),
     (["montecarlo", *TINY_MU_CLUSTER, "--trials", "50"], "error: mu: "),
     (["expect", *TINY_MU_CLUSTER], "error: mu: "),
-    (["speedup", *TINY_MU_LADDER], "error: mu: "),
+    (["speedup", *TINY_MU_LADDER], "error: n=100: mu: "),
     (["sweep", *TINY_MU_LADDER], "error: n=100: mu: "),
 ], ids=["simulate", "verify", "montecarlo", "expect", "speedup", "sweep"])
 def test_a_tiny_mu_whose_largest_run_time_overflows_is_exit_one(argv, names, mu, capsys):
@@ -343,16 +346,90 @@ def test_optimize_k_refuses_an_infinite_rate(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["optimize-k", "--n", "100", "--r", "700", "--a", "1", "--mu", "1", "--t1cmm", "1e308"],
-    ["optimize-k", "--n", "100", "--r", "700", "--a", "1e308", "--mu", "1", "--t1cmm", "1"],
-    ["speedup", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0", "--c", "1e308"],
+@pytest.mark.parametrize("argv, point", [
+    (["optimize-k", "--n", "100", "--r", "700", "--a", "1", "--mu", "1", "--t1cmm", "1e308"],
+     ""),
+    (["optimize-k", "--n", "100", "--r", "700", "--a", "1e308", "--mu", "1", "--t1cmm", "1"],
+     ""),
+    (["speedup", "--ns", "100", "--a", "1", "--mu", "1", "--beta", "0", "--c", "1e308"],
+     "n=100: "),
 ], ids=["optimize-k-t1cmm", "optimize-k-a", "speedup"])
-def test_non_finite_objective_is_not_a_divisibility_error(argv, capsys):
+def test_non_finite_objective_is_not_a_divisibility_error(argv, point, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: the objective is not finite at any feasible k in [1, 99]\n"
+    assert captured.err == (
+        f"error: {point}the objective is not finite at any feasible k in [1, 99]\n")
     assert captured.out == ""
+
+
+MOMENT_LADDER = ["--ns", "100", "--beta", "1", "--c", "1"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["montecarlo", *TINY_MU_CLUSTER, "--mu", "1e-305", "--trials", "50"],
+     "error: a, mu, t_one_cmm: "),
+    (["expect", *TINY_MU_CLUSTER, "--mu", "1e-200"], "error: a, mu, t_one_cmm: "),
+    (["montecarlo", *TINY_MU_CLUSTER, "--a", "1e304", "--mu", "1", "--trials", "10000"],
+     "error: a, mu, t_one_cmm: "),
+    (["sweep", *MOMENT_LADDER, "--a", "1", "--mu", "1e-305", "--trials", "50"],
+     "error: n=100: a, mu, t_one_cmm: "),
+    (["speedup", *MOMENT_LADDER, "--a", "1e305", "--mu", "1", "--trials", "10000"],
+     "error: n=100: a, mu, t_one_cmm: "),
+    (["simulate", *TINY_MU_CLUSTER, "--mu", "1e-300", "--format", "text"],
+     "error: a, mu, t_one_cmm: "),
+    (["verify", *TINY_MU_CLUSTER, "--mu", "1e-320", "--trials", "50"], "error: mu: "),
+], ids=["montecarlo-mu", "expect", "montecarlo-a", "sweep", "speedup", "simulate", "verify"])
+def test_run_times_whose_moments_overflow_are_exit_one(argv, names, capsys):
+    # a finite largest run-time B whose squares overflow across the trials
+    # used to print variance_Tk=inf, variance=inf, stderr=inf or inf,inf,nan;
+    # verify used to refuse mu = 1e-320 as "alpha must be > 0, got inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(names)
+    assert "Warning" not in captured.err
+    assert captured.out == ""
+
+
+GRID_CLUSTER = ["--n", "10", "--k", "7", "--r", "70"]
+GRID_LADDER = ["--ns", "10,20", "--beta", "1", "--trials", "50"]
+GRID_COMMANDS = {
+    "simulate": ["simulate", *GRID_CLUSTER, "--format", "text"],
+    "montecarlo": ["montecarlo", *GRID_CLUSTER, "--trials", "50"],
+    "expect": ["expect", *GRID_CLUSTER],
+    "verify": ["verify", *GRID_CLUSTER, "--trials", "50"],
+    "sweep": ["sweep", *GRID_LADDER],
+    "speedup": ["speedup", *GRID_LADDER],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_COMMANDS))
+def test_no_timing_command_prints_a_non_finite_number(name, capsys):
+    # shifts, rates and transmission times out to the float range: each call
+    # prints only finite numbers or exits 1 with a refusal, never with a warning
+    ladder = name in ("sweep", "speedup")
+    for a, mu, t1 in itertools.product(["0", "1", "1e150", "1e304"],
+                                        ["1e-320", "1e-305", "1e-150", "1", "1e300"],
+                                        ["0", "1e-3", "1e150", "1e306"]):
+        # c must be > 0
+        comm = ["--c", "1e-3" if t1 == "0" else t1] if ladder else ["--t1cmm", t1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([*GRID_COMMANDS[name], "--a", a, "--mu", mu, *comm])
+        captured = capsys.readouterr()
+        case = (a, mu, t1, rc, captured.err, captured.out)
+        if rc == 0:
+            numbers = []
+            for token in re.split("[=,\n]", captured.out):
+                try:
+                    numbers.append(float(token))
+                except ValueError:
+                    pass  # a key, a scheme or a boolean
+            assert all(map(math.isfinite, numbers)), case
+        else:
+            assert rc == 1 and captured.err.startswith("error: "), case
+            assert captured.out == "", case
 
 
 def test_decode_check_example(capsys):

@@ -212,7 +212,9 @@ def _engine_digest(params, scheme, t_one, trials, p) -> str:
     (batch,) = run_trials([(code, CommModel.coded(code, t_one))], trials, seed=3, p=p)
     h = hashlib.sha256()
     for field in ENGINE_FIELDS:
-        values = getattr(batch, field)
+        # count2 is completed_by_comp_k - count1, as in transmission_counts
+        values = (batch.completed_by_comp_k - batch.count1 if field == "count2"
+                  else getattr(batch, field))
         h.update(values.astype("<f8" if values.dtype.kind == "f" else "<i8").tobytes())
     return h.hexdigest()
 
