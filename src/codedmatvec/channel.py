@@ -232,7 +232,7 @@ def run_trials(
             hit_lower_bound=np.empty(trials, dtype=bool),
             count1=None if p is None else np.empty(trials, dtype=np.intp),
         )
-        plans.append((params.mu / (params.r / params.k), params.t0, needed, t_cmm,
+        plans.append((params.rate, params.t0, needed, t_cmm,
                       t_cmm * np.arange(needed, 0, -1.0), lead, lead + t_cmm, out))
     width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
@@ -336,7 +336,7 @@ def _check_work(params: ClusterParams, comm: CommModel, trials: int = 1):
     # in their order at the largest draw, and each is monotone in its
     # operands, so B bounds every t_total; a rate that underflows to 0
     # would divide every draw to inf
-    rate = params.mu / (params.r / params.k)
+    rate = params.rate
     bound = (LARGEST_UNIT_DRAW / rate + params.t0) + params.k * comm.t_cmm if rate else math.inf
     if not math.isfinite(bound):
         raise ValueError(f"mu: the largest run-time t0 + 36.74*r/(mu*k) + k*t_cmm must be "

@@ -1,10 +1,10 @@
 """Linear coding of the matrix-vector job y = A x.
 
-Each worker i holds a coded block A_i~ = S_i A with S_i of shape
-(r/k, r); the results of any k workers stack into an r x r system that
-recovers y.  Two schemes: dense Gaussian random-linear coding, and a
-systematic MDS construction whose parity blocks take Vandermonde
-combinations of the k row-blocks of A.
+A code is one generator array S of shape (n, r/k, r): worker i holds
+A_i~ = S[i-1] @ A, and the blocks of any k workers gather, with one
+index, into an r x r system that recovers y.  Two schemes: dense
+Gaussian random-linear coding, and a systematic MDS construction whose
+parity blocks take Vandermonde combinations of the k row-blocks of A.
 """
 
 from __future__ import annotations
@@ -23,24 +23,17 @@ COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class CodedJob:
-    """Immutable encoded job: matrix, input, and per-worker assignments."""
+    """Immutable encoded job: A, x, the (n, r/k, r) generator `coding` and
+    the (n, r/k, m) `assignments = coding @ A`; worker i owns row i - 1."""
 
     a_matrix: np.ndarray
     x: np.ndarray
-    coding: tuple
-    assignments: tuple
+    coding: np.ndarray
+    assignments: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.coding)
-
-    @property
-    def r(self) -> int:
-        return self.a_matrix.shape[0]
-
-    @property
-    def rows_per_worker(self) -> int:
-        return self.coding[0].shape[0]
+        return self.coding.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,13 +57,11 @@ def _check_encode_args(a_matrix, x, params):
 
 
 def encode_random_linear(a_matrix, x, params: ClusterParams, rng: RngStream) -> CodedJob:
-    """Assign each worker r/k random linear combinations of A's rows,
-    with i.i.d. standard-normal coefficients."""
+    """Give worker i the i-th of n consecutive (r/k, r) standard-normal
+    draws of `rng`: r/k random linear combinations of A's rows."""
     a, x = _check_encode_args(a_matrix, x, params)
-    w = params.r // params.k
-    coding = tuple(rng.standard_normals((w, params.r)) for _ in range(params.n))
-    assignments = tuple(s @ a for s in coding)
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments)
+    coding = rng.standard_normals((params.n, params.r // params.k, params.r))
+    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
 
 
 def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
@@ -83,26 +74,20 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     """
     a, x = _check_encode_args(a_matrix, x, params)
     n, k, r = params.n, params.k, params.r
-    w = r // k
-    eye_w = np.eye(w)
-    coding = []
-    for i in range(n):
-        if i < k:
-            g = np.zeros(k)
-            g[i] = 1.0
-        else:
-            theta = float(i - k + 1)
-            g = theta ** np.arange(k, dtype=np.float64)
-        coding.append(np.kron(g, eye_w))
-    coding = tuple(coding)
-    assignments = tuple(s @ a for s in coding)
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=assignments)
+    theta = np.arange(1, n - k + 1, dtype=np.float64)[:, None]
+    generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
+    coding = np.kron(generator, np.eye(r // k)).reshape(n, r // k, r)
+    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
+
+
+def _is_id(worker_id) -> bool:  # a bool is an int to Python; int() truncates a float
+    return isinstance(worker_id, (int, np.integer)) and not isinstance(worker_id, bool)
 
 
 def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     """Worker's local product A_i~ x (worker_id is 1-based)."""
-    if not 1 <= worker_id <= job.n:
-        raise ValueError(f"worker_id must be in [1, {job.n}], got {worker_id!r}")
+    if not (_is_id(worker_id) and 1 <= worker_id <= job.n):
+        raise ValueError(f"worker_id must be an integer in [1, {job.n}], got {worker_id!r}")
     return job.assignments[worker_id - 1] @ job.x
 
 
@@ -132,19 +117,22 @@ def decode(stacked_s: np.ndarray, z: np.ndarray) -> DecodeResult:
 
 def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     """Decode y from the results of exactly k distinct workers (1-based
-    ids, any order, any iterable): their coding blocks and results are
-    stacked in ascending id and solved by `decode`."""
-    given = [int(i) for i in worker_ids]  # read a one-shot iterable once
+    integer ids, any order, any iterable): their coding blocks and
+    results are gathered in ascending id and solved by `decode`."""
+    given = list(worker_ids)  # read a one-shot iterable once
+    bad = [i for i in given if not _is_id(i)]
+    if bad:
+        raise ValueError(f"worker ids must be integers, got {bad[0]!r}")
     ids = sorted(set(given))
     if len(ids) != len(given):
         raise ValueError("worker ids must be distinct")
-    k = job.r // job.rows_per_worker
-    if len(ids) != k:
-        raise ValueError(f"decoding needs exactly k={k} workers, got {len(ids)}")
-    if ids[0] < 1 or ids[-1] > job.n:
-        raise ValueError(f"worker ids must lie in [1, {job.n}]")
-    return decode(np.vstack([job.coding[i - 1] for i in ids]),
-                  np.concatenate([worker_compute(job, i) for i in ids]))
+    n, w, r = job.coding.shape
+    if len(ids) != r // w:
+        raise ValueError(f"decoding needs exactly k={r // w} workers, got {len(ids)}")
+    if ids[0] < 1 or ids[-1] > n:
+        raise ValueError(f"worker ids must lie in [1, {n}]")
+    rows = np.array(ids) - 1
+    return decode(job.coding[rows].reshape(r, r), (job.assignments[rows] @ job.x).ravel())
 
 
 def recovery_error(job: CodedJob, worker_ids):
@@ -158,4 +146,3 @@ def recovery_error(job: CodedJob, worker_ids):
     y_norm = np.linalg.norm(y)
     err = np.linalg.norm(result.y_hat - y)
     return (float(err / y_norm) if y_norm > 0 else float(err)), result.well_conditioned
-

@@ -82,9 +82,9 @@ _KEYS = {
 def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunConfig:
     """Parse `key = value` text, then apply flag overrides on top.
 
-    Override values may be raw strings (as argparse delivers them) or
-    already-typed values; both go through the same casting and
-    validation.
+    Override values are strings, as argparse delivers them (None leaves
+    a key unset); they go through the same casting and validation as
+    the file's values.
     """
     values: dict = {}
     for lineno, raw_line in enumerate(file_contents.splitlines(), start=1):
@@ -105,7 +105,9 @@ def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunC
             raise ConfigError(f"unknown key {key!r}")
         if value is None:
             continue
-        values[key] = _parse(key, _KEYS[key][0], value) if isinstance(value, str) else value
+        if not isinstance(value, str):
+            raise ConfigError(f"{key}: expected a string, got {value!r}")
+        values[key] = _parse(key, _KEYS[key][0], value)
 
     for key, (_, bound, wording) in _KEYS.items():
         value = values.get(key)

@@ -56,6 +56,11 @@ class ClusterParams:
         return self.a * self.r / self.k
 
     @property
+    def rate(self) -> float:
+        """Exponential rate of a coded worker's variable part: mu / (r/k) per second."""
+        return self.mu / (self.r / self.k)
+
+    @property
     def alpha(self) -> float:
         """Mean of the coded variable part: r / (mu * k) seconds."""
         return self.r / (self.mu * self.k)

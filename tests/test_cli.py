@@ -122,12 +122,15 @@ def test_parse_invalid_value_exact_message(text, message):
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"n": 0}, "n: must be >= 1, got 0"),
-    ({"a": float("nan")}, "a: must be >= 0, got nan"),
-    ({"ns": (0, 5)}, "ns: every entry must be >= 1"),
-    ({"inject": (-1.0,)}, "inject: times must be >= 0"),
+    ({"n": "0"}, "n: must be >= 1, got 0"),
+    ({"a": "nan"}, "a: must be >= 0, got nan"),
+    ({"ns": "0,5"}, "ns: every entry must be >= 1"),
+    ({"inject": "-1"}, "inject: times must be >= 0"),
     ({"format": "xml"}, "format: must be one of csv/text, got 'xml'"),
-], ids=["n", "a", "ns", "inject", "format"])
+    # a typed value used to skip the cast: n = 3.5 came back as RunConfig(n=3.5)
+    ({"n": 3.5}, "n: expected a string, got 3.5"),
+    ({"trials": True}, "trials: expected a string, got True"),
+], ids=["n", "a", "ns", "inject", "format", "float", "bool"])
 def test_parse_typed_override_exact_message(overrides, message):
     with pytest.raises(ConfigError) as info:
         parse_config("", overrides)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -28,8 +29,29 @@ def random_job(n, k, r, m, seed=0, scheme="random"):
 def test_random_linear_shapes():
     job = random_job(n=6, k=3, r=12, m=5)
     assert job.n == 6
-    assert all(s.shape == (4, 12) for s in job.coding)
-    assert all(at.shape == (4, 5) for at in job.assignments)
+    assert job.coding.shape == (6, 4, 12)
+    assert job.assignments.shape == (6, 4, 5)
+
+
+@pytest.mark.parametrize("scheme", ["random", "systematic"])
+@pytest.mark.parametrize("n, k, r, m", [(6, 3, 12, 5), (5, 5, 5, 1), (7, 2, 4, 3)])
+def test_code_is_one_generator_array(n, k, r, m, scheme):
+    job = random_job(n=n, k=k, r=r, m=m, seed=4, scheme=scheme)
+    assert isinstance(job.coding, np.ndarray) and job.coding.dtype == np.float64
+    assert job.coding.shape == (n, r // k, r)
+    assert np.array_equal(job.assignments, job.coding @ job.a_matrix)
+
+
+def test_random_linear_blocks_are_consecutive_draws():
+    # worker i holds the i-th of n (r/k, r) draws that follow A and x in
+    # the stream: the layout the golden digests depend on
+    n, k, r, m = 5, 2, 6, 3
+    job = random_job(n=n, k=k, r=r, m=m, seed=8)
+    rng = RngStream(8, 0)
+    rng.standard_normals((r, m))
+    rng.standard_normals(m)
+    for block in job.coding:
+        assert np.array_equal(block, rng.standard_normals((r // k, r)))
 
 
 def test_scalar_random_linear():
@@ -110,10 +132,12 @@ def test_worker_compute_against_direct_multiply():
     for wid in range(1, 9):
         direct = job.coding[wid - 1] @ job.a_matrix @ job.x
         assert np.allclose(worker_compute(job, wid), direct, rtol=1e-12)
-    with pytest.raises(ValueError):
-        worker_compute(job, 0)
-    with pytest.raises(ValueError):
-        worker_compute(job, 9)
+    assert np.array_equal(worker_compute(job, np.int64(2)), worker_compute(job, 2))
+    # a float or bool id is refused, not truncated or read as 0/1
+    for bad in (0, 9, 1.5, 2.0, True, np.True_, np.float64(3.0), "2"):
+        message = f"^worker_id must be an integer in \\[1, 8\\], got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            worker_compute(job, bad)
 
 
 def test_worker_compute_zero_input():
@@ -144,13 +168,26 @@ def test_decode_input_assembly_and_errors():
         decode_from_workers(job, [1, 2, 9])
     with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
         decode_from_workers(job, [0, 2, 3])
+    # int() used to truncate these to workers 1, 2 (and 3, 4 or 1, 2, 3)
+    for ids, bad in (((1.5, 2.7), "1.5"), ((3.9, 4, 5), "3.9"), ((True, 2, 3), "True"),
+                     ((1, 2, 3.0), "3.0"), ((1, np.True_, 3), "np.True_")):
+        with pytest.raises(ValueError, match=f"^worker ids must be integers, got {re.escape(bad)}$"):
+            decode_from_workers(job, ids)
     # blocks and results stack in ascending id, whatever order the ids come in
     result = decode_from_workers(job, [5, 1, 3])
-    stacked = decode(np.vstack([job.coding[i] for i in (0, 2, 4)]),
-                     np.concatenate([worker_compute(job, i) for i in (1, 3, 5)]))
     assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 3, 5]).y_hat)
-    assert np.array_equal(result.y_hat, stacked.y_hat)
+    assert np.array_equal(result.y_hat, decode_from_workers(job, np.array([3, 5, 1])).y_hat)
     assert result.y_hat.shape == (6,)
+    # the gathered system is the hand-stacked one, bit for bit, for every
+    # subset of both schemes
+    for scheme in ("random", "systematic"):
+        job = random_job(n=6, k=3, r=6, m=2, seed=2, scheme=scheme)
+        for subset in itertools.combinations(range(1, 7), 3):
+            stacked = decode(np.vstack([job.coding[i - 1] for i in subset]),
+                             np.concatenate([worker_compute(job, i) for i in subset]))
+            result = decode_from_workers(job, subset[::-1])
+            assert np.array_equal(result.y_hat, stacked.y_hat), (scheme, subset)
+            assert result.well_conditioned == stacked.well_conditioned
 
 
 def test_decode_accepts_a_one_shot_iterable():
