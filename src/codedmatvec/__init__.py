@@ -37,6 +37,7 @@ from .coding import (
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
+    recovery_errors,
     worker_compute,
 )
 from .config import ConfigError, RunConfig, parse_config

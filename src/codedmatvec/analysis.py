@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .channel import CommModel, _check_work
 from .timing import ClusterParams, expected_order_stat, harmonic_table
 
@@ -91,16 +93,16 @@ def pipeline_index(n: int, alpha: float, t_cmm: float) -> int:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
     if not math.isfinite(t_cmm) or t_cmm < 0:
         raise ValueError(f"t_cmm must be >= 0, got {t_cmm!r}")
-    acc = 0.0
-    dipped = False
-    for j in range(1, n + 1):
-        acc += alpha / (n - j + 1)
-        f = acc - (j - 1) * t_cmm
-        if f < 0:
-            dipped = True
-        elif dipped:
-            return j
-    return n if dipped else 1
+    # cumsum adds in sequence, so f is the running sum bit for bit; like
+    # Python floats, a sum or product past the largest float is inf, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.cumsum(alpha / np.arange(n, 0, -1.0)) - np.arange(n) * t_cmm
+    negative = f < 0
+    if not negative.any():
+        return 1
+    dip = int(negative.argmax())
+    recrossed = ~negative[dip:]
+    return dip + int(recrossed.argmax()) + 1 if recrossed.any() else n
 
 
 def classify_regime(beta: float) -> str:

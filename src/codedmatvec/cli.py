@@ -25,7 +25,13 @@ from .analysis import (
     pipeline_index,
 )
 from .channel import CommModel, run_coded_trial
-from .coding import encode_random_linear, encode_systematic_mds, recovery_error
+from .coding import (
+    decode_chunk,
+    decode_from_workers,
+    encode_random_linear,
+    encode_systematic_mds,
+    recovery_errors,
+)
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
@@ -260,13 +266,14 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
     failures = 0
     unflagged = 0
     max_err = 0.0
-    for subset in subsets:
-        err, ok = recovery_error(job, subset)
-        max_err = max(max_err, err)
-        if err > tol:
+    # one chunk of subsets at a time, so memory stays bounded; only a
+    # failing subset pays for the condition number behind its flag
+    while chunk := list(itertools.islice(subsets, decode_chunk(config.r))):
+        errors = recovery_errors(job, chunk)
+        max_err = float(np.fmax.reduce(errors, initial=max_err))  # skips NaN, as max() did
+        for subset in itertools.compress(chunk, errors > tol):
             failures += 1
-            if ok:
-                unflagged += 1
+            unflagged += decode_from_workers(job, subset).well_conditioned
     recovered = (checked - failures) / checked
     if config.scheme == "systematic":
         passed = failures == 0

@@ -5,10 +5,16 @@ A_i~ = S[i-1] @ A, and the blocks of any k workers gather, with one
 index, into an r x r system that recovers y.  Two schemes: dense
 Gaussian random-linear coding, and a systematic MDS construction whose
 parity blocks take Vandermonde combinations of the k row-blocks of A.
+
+`decode_from_workers` solves one subset's system and flags it by its
+condition number; `recovery_errors` checks many subsets against A x,
+gathering a chunk of systems with one index and solving them in one
+call, with no condition numbers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +25,9 @@ from .timing import ClusterParams
 
 # stacked solves with condition estimates beyond this are flagged, not trusted
 COND_LIMIT = 1e8
+
+# float64 elements of the r x r systems one batched solve gathers (512 KiB)
+CHUNK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -115,24 +124,63 @@ def decode(stacked_s: np.ndarray, z: np.ndarray) -> DecodeResult:
     )
 
 
+def decode_chunk(r: int) -> int:
+    """Subsets per batched solve of r x r systems: CHUNK_ELEMENTS worth, at least one."""
+    return max(1, CHUNK_ELEMENTS // (r * r))
+
+
+def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Check each subset's worker ids and gather its system in ascending
+    id: the (B, r, r) coding stacks and the (B, r) stacked results."""
+    n, w, r = job.coding.shape
+    rows = np.empty((len(subsets), r // w), dtype=np.intp)
+    for row, worker_ids in zip(rows, subsets):
+        given = list(worker_ids)  # read a one-shot iterable once
+        bad = [i for i in given if not _is_id(i)]
+        if bad:
+            raise ValueError(f"worker ids must be integers, got {bad[0]!r}")
+        ids = sorted(set(given))
+        if len(ids) != len(given):
+            raise ValueError("worker ids must be distinct")
+        if len(ids) != r // w:
+            raise ValueError(f"decoding needs exactly k={r // w} workers, got {len(ids)}")
+        if ids[0] < 1 or ids[-1] > n:
+            raise ValueError(f"worker ids must lie in [1, {n}]")
+        row[:] = ids
+    rows -= 1
+    return (job.coding[rows].reshape(len(rows), r, r),
+            (job.assignments[rows] @ job.x).reshape(len(rows), r))
+
+
 def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     """Decode y from the results of exactly k distinct workers (1-based
     integer ids, any order, any iterable): their coding blocks and
     results are gathered in ascending id and solved by `decode`."""
-    given = list(worker_ids)  # read a one-shot iterable once
-    bad = [i for i in given if not _is_id(i)]
-    if bad:
-        raise ValueError(f"worker ids must be integers, got {bad[0]!r}")
-    ids = sorted(set(given))
-    if len(ids) != len(given):
-        raise ValueError("worker ids must be distinct")
-    n, w, r = job.coding.shape
-    if len(ids) != r // w:
-        raise ValueError(f"decoding needs exactly k={r // w} workers, got {len(ids)}")
-    if ids[0] < 1 or ids[-1] > n:
-        raise ValueError(f"worker ids must lie in [1, {n}]")
-    rows = np.array(ids) - 1
-    return decode(job.coding[rows].reshape(r, r), (job.assignments[rows] @ job.x).ravel())
+    stacks, results = _gather(job, [worker_ids])
+    return decode(stacks[0], results[0])
+
+
+def recovery_errors(job: CodedJob, subsets) -> np.ndarray:
+    """Relative error ||y_hat - A x|| / ||A x|| of decoding from each
+    subset of worker ids, in order, bit for bit as `recovery_error` takes
+    it.  The subsets are read lazily, `decode_chunk(r)` at a time, and each
+    chunk is checked like `decode_from_workers` and solved in one call; a
+    chunk with a singular stack is decoded subset by subset, so `decode`'s
+    least-squares result is kept."""
+    y = job.a_matrix @ job.x
+    y_norm = np.linalg.norm(y)
+    subsets = iter(subsets)
+    errors = [np.empty(0)]
+    while chunk := list(itertools.islice(subsets, decode_chunk(job.coding.shape[2]))):
+        stacks, results = _gather(job, chunk)
+        try:
+            y_hat = np.linalg.solve(stacks, results[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            y_hat = np.array([decode(s, z).y_hat for s, z in zip(stacks, results)])
+        diff = y_hat - y
+        errors.append(np.sqrt(np.vecdot(diff, diff)))  # np.linalg.norm's dot, row by row
+    errors = np.concatenate(errors)
+    return errors / y_norm if y_norm > 0 else errors
 
 
 def recovery_error(job: CodedJob, worker_ids):

@@ -80,6 +80,22 @@ def pipeline_scan(n, alpha, t_cmm):
     return n
 
 
+def pipeline_index_loop(n, alpha, t_cmm):
+    """The running-sum loop `pipeline_index` replaced, kept as its
+    bit-for-bit reference: f(j) accumulates alpha/(n-j+1) one term at a
+    time, and the first j with f(j) >= 0 after a dip is returned."""
+    acc = 0.0
+    dipped = False
+    for j in range(1, n + 1):
+        acc += alpha / (n - j + 1)
+        f = acc - (j - 1) * t_cmm
+        if f < 0:
+            dipped = True
+        elif dipped:
+            return j
+    return n if dipped else 1
+
+
 def pipeline_f(n, alpha, t_cmm, j):
     """f(j) evaluated directly from the definition."""
     return math.fsum(alpha / (n - i + 1) for i in range(1, j + 1)) - (j - 1) * t_cmm

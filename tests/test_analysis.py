@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedmatvec import (
     ClusterParams,
@@ -16,7 +18,7 @@ from codedmatvec import (
     optimize_k,
     pipeline_index,
 )
-from oracles import leading_term_scan, pipeline_f, pipeline_scan
+from oracles import leading_term_scan, pipeline_f, pipeline_index_loop, pipeline_scan
 
 
 def test_bracket_coded_degenerate_channel():
@@ -99,6 +101,31 @@ def test_pipeline_index_saturates_when_backlogged():
     p = pipeline_index(n, alpha, t_cmm)
     assert p == n == pipeline_scan(n, alpha, t_cmm)
     assert pipeline_f(n, alpha, t_cmm, n) < 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 300),
+       alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       t_cmm=st.floats(min_value=0.0, allow_infinity=False),
+       j=st.integers(2, 300), ulps=st.integers(-2, 2), free=st.booleans())
+@example(n=10, alpha=10.0, t_cmm=0.1, j=2, ulps=0, free=True)  # no dip
+@example(n=10, alpha=0.5, t_cmm=0.1, j=2, ulps=0, free=True)  # dip, re-cross at 8
+@example(n=100, alpha=0.1, t_cmm=0.1, j=2, ulps=0, free=True)  # never re-crosses
+@example(n=3, alpha=1e308, t_cmm=1e308, j=2, ulps=0, free=True)  # f(3) = inf - inf
+def test_pipeline_index_is_the_loop(n, alpha, t_cmm, j, ulps, free):
+    if not free and j <= n:
+        # the t_cmm at which f(j) is the loop's zero, a few ulps either way:
+        # there p turns on the last bit of each partial sum
+        acc = 0.0
+        for i in range(1, j + 1):
+            acc += alpha / (n - i + 1)
+        t_cmm = acc / (j - 1)
+        for _ in range(abs(ulps)):
+            t_cmm = math.nextafter(t_cmm, math.copysign(math.inf, ulps))
+        t_cmm = max(t_cmm, 0.0)
+        if not math.isfinite(t_cmm):
+            return
+    assert pipeline_index(n, alpha, t_cmm) == pipeline_index_loop(n, alpha, t_cmm)
 
 
 def test_pipeline_index_example_and_errors():

@@ -7,11 +7,19 @@ import re
 import warnings
 from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 
 import codedmatvec.cli as cli
 import codedmatvec.config as config_module
-from codedmatvec import ConfigError, parse_config
+from codedmatvec import (
+    ClusterParams,
+    ConfigError,
+    RngStream,
+    encode_systematic_mds,
+    parse_config,
+    recovery_error,
+)
 from codedmatvec.cli import main
 from codedmatvec.config import RunConfig
 
@@ -470,12 +478,32 @@ def test_decode_check_still_requires_k_dividing_r(capsys):
 def test_decode_check_failure_exit_code(monkeypatch, capsys):
     import codedmatvec.cli as cli
 
-    monkeypatch.setattr(cli, "recovery_error", lambda job, subset: (1.0, True))
+    monkeypatch.setattr(cli, "recovery_errors", lambda job, subsets: np.ones(len(subsets)))
     rc = main(["decode-check", "--scheme", "random", "--n", "4", "--k", "2",
                "--r", "4", "--m", "2", "--trials", "10"])
     assert rc == 2
     got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
     assert got["pass"] == "false"
+
+
+def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
+    # the printed counts are those of recovery_error subset by subset,
+    # condition-number flag included
+    rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
+               "--r", "14", "--m", "5", "--seed", "12"])
+    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+    rng = RngStream(12, 0)
+    a = rng.standard_normals((14, 5))
+    job = encode_systematic_mds(a, rng.standard_normals(5),
+                                ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
+    results = [recovery_error(job, subset)
+               for subset in itertools.combinations(range(1, 15), 7)]
+    failed = [ok for err, ok in results if err > 1e-10]
+    assert (len(failed), sum(failed)) == (32, 7)
+    assert rc == 2 and got["pass"] == "false"
+    assert got["failures"] == str(len(failed))
+    assert got["unflagged_failures"] == str(sum(failed))
+    assert got["max_relative_error"] == f"{max(err for err, _ in results):.9g}"
 
 
 def test_verify_clean_run(capsys):

@@ -6,14 +6,17 @@ import pytest
 
 from codedmatvec import (
     ClusterParams,
+    CodedJob,
     RngStream,
     decode,
     decode_from_workers,
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
+    recovery_errors,
     worker_compute,
 )
+from codedmatvec.coding import decode_chunk
 
 
 def random_job(n, k, r, m, seed=0, scheme="random"):
@@ -217,3 +220,41 @@ def test_decode_checks_the_shapes_it_is_given():
         decode(np.eye(2), np.ones(3))
     with pytest.raises(ValueError, match=r"^z length must match stacked_s$"):
         decode(np.eye(2), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("scheme", ["systematic", "random"])
+def test_recovery_errors_are_recovery_error_bit_for_bit(scheme):
+    # the benchmark's shape, every subset: the systematic code fails many of
+    # them, so errors far from 0 are compared too
+    job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme=scheme)
+    subsets = list(itertools.combinations(range(1, 17), 8))
+    expected = np.array([recovery_error(job, subset)[0] for subset in subsets])
+    errors = recovery_errors(job, iter(subsets))
+    assert errors.dtype == np.float64
+    assert np.array_equal(errors, expected)
+    assert recovery_errors(job, []).shape == (0,)
+
+
+def test_recovery_errors_keep_the_least_squares_fallback():
+    # workers 1 and 2 hold the same row, so their stack is exactly singular and
+    # the chunk's solve fails: every subset of it is decoded on its own
+    coding = np.array([[[1.0, 2.0]], [[1.0, 2.0]], [[0.0, 1.0]], [[3.0, 1.0]]])
+    a = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, 1.0]])
+    x = np.array([0.3, -1.1, 2.0])
+    job = CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
+    subsets = list(itertools.combinations(range(1, 5), 2))
+    assert not decode_from_workers(job, (1, 2)).well_conditioned
+    expected = np.array([recovery_error(job, subset)[0] for subset in subsets])
+    assert np.array_equal(recovery_errors(job, subsets), expected)
+    assert expected[0] > 0.1  # the least-squares answer, not y
+
+
+def test_recovery_errors_refuse_bad_subsets_as_decode_from_workers_does():
+    job = random_job(n=6, k=3, r=6, m=2, seed=2)
+    for ids in ((1.5, 2, 3), (1, 2, 3.0), (True, 2, 3), (1, np.True_, 3), (1, 2, 2),
+                (1, 2, 9), (0, 2, 3), (1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError) as single:
+            decode_from_workers(job, ids)
+        # the same message when the bad subset follows a full chunk of good ones
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            recovery_errors(job, [(1, 2, 3)] * decode_chunk(6) + [ids])
