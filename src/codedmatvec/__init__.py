@@ -30,14 +30,15 @@ from .channel import (
     schedule_serial_channel,
 )
 from .coding import (
+    AnyKCheck,
     CodedJob,
     DecodeResult,
+    check_any_k,
     decode,
     decode_from_workers,
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
-    recovery_errors,
     worker_compute,
 )
 from .config import ConfigError, RunConfig, parse_config

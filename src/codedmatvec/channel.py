@@ -130,21 +130,15 @@ def schedule_serial_channel(comp_finish, t_cmm: float, needed: int) -> Timeline:
     if not math.isfinite(t_cmm) or t_cmm < 0:
         raise ValueError(f"t_cmm must be >= 0, got {t_cmm!r}")
 
-    starts = []
-    ends = []
-    free = -math.inf
-    for x in cf[:needed].tolist():
-        s = x if x >= free else free
-        free = s + t_cmm
-        starts.append(s)
-        ends.append(free)
+    free = -math.inf  # each start is max(comp_finish, previous end): exact
+    ends = np.array([free := (c if c >= free else free) + t_cmm for c in cf[:needed].tolist()])
     return Timeline(
         comp_finish=cf,
-        comm_start=np.array(starts),
-        comm_end=np.array(ends),
+        comm_start=np.concatenate((cf[:1], np.maximum(cf[1:needed], ends[:-1]))),
+        comm_end=ends,
         needed=needed,
         t_cmm=t_cmm,
-        t_total=ends[-1],
+        t_total=free,
     )
 
 

@@ -25,13 +25,7 @@ from .analysis import (
     pipeline_index,
 )
 from .channel import CommModel, run_coded_trial
-from .coding import (
-    decode_chunk,
-    decode_from_workers,
-    encode_random_linear,
-    encode_systematic_mds,
-    recovery_errors,
-)
+from .coding import check_any_k, encode_random_linear, encode_systematic_mds
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
@@ -243,50 +237,23 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
     rng = RngStream(config.seed, 0)
     a_matrix = rng.standard_normals((config.r, config.m))
     x = rng.standard_normals(config.m)
-
-    if config.scheme == "systematic":
-        job = encode_systematic_mds(a_matrix, x, params)
-        tol = 1e-10
-    else:
-        job = encode_random_linear(a_matrix, x, params, rng)
-        tol = 1e-8
-
-    total_subsets = math.comb(config.n, config.k)
-    exhaustive = total_subsets <= 20_000
+    job = (encode_systematic_mds(a_matrix, x, params) if config.scheme == "systematic"
+           else encode_random_linear(a_matrix, x, params, rng))
+    exhaustive = math.comb(config.n, config.k) <= 20_000
     if exhaustive:
         subsets = itertools.combinations(range(1, config.n + 1), config.k)
-        checked = total_subsets
-    else:
-        checked = min(config.trials, 20_000)
-        subsets = (
-            sorted(np.argsort(rng.uniforms(config.n))[: config.k] + 1)
-            for _ in range(checked)
-        )
-
-    failures = 0
-    unflagged = 0
-    max_err = 0.0
-    # one chunk of subsets at a time, so memory stays bounded; only a
-    # failing subset pays for the condition number behind its flag
-    while chunk := list(itertools.islice(subsets, decode_chunk(config.r))):
-        errors = recovery_errors(job, chunk)
-        max_err = float(np.fmax.reduce(errors, initial=max_err))  # skips NaN, as max() did
-        for subset in itertools.compress(chunk, errors > tol):
-            failures += 1
-            unflagged += decode_from_workers(job, subset).well_conditioned
-    recovered = (checked - failures) / checked
-    if config.scheme == "systematic":
-        passed = failures == 0
-    else:
-        passed = recovered >= 0.99 and unflagged == 0
+    else:  # drawn lazily, after the random code's draws
+        subsets = (sorted(np.argsort(rng.uniforms(config.n))[: config.k] + 1)
+                   for _ in range(min(config.trials, 20_000)))
+    check = check_any_k(job, subsets, config.scheme)
     _write([[
         ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
-        ("m", config.m), ("subsets_checked", checked), ("exhaustive", exhaustive),
-        ("tolerance", tol), ("max_relative_error", max_err),
-        ("failures", failures), ("unflagged_failures", unflagged),
-        ("recovered_fraction", recovered), ("pass", passed),
+        ("m", config.m), ("subsets_checked", check.subsets_checked), ("exhaustive", exhaustive),
+        ("tolerance", check.tolerance), ("max_relative_error", check.max_relative_error),
+        ("failures", check.failures), ("unflagged_failures", check.unflagged_failures),
+        ("recovered_fraction", check.recovered_fraction), ("pass", check.passed),
     ]], config)
-    return 0 if passed else 2
+    return 0 if check.passed else 2
 
 
 def _cmd_verify(config: RunConfig, args) -> int:

@@ -7,9 +7,10 @@ Gaussian random-linear coding, and a systematic MDS construction whose
 parity blocks take Vandermonde combinations of the k row-blocks of A.
 
 `decode_from_workers` solves one subset's system and flags it by its
-condition number; `recovery_errors` checks many subsets against A x,
-gathering a chunk of systems with one index and solving them in one
-call, with no condition numbers.
+condition number.  `check_any_k` is the any-k verdict: it decodes many
+subsets, a chunk of systems gathered with one index and solved in one
+call, compares each with A x, takes condition numbers only for the
+failing subsets, and judges the scheme by its row of ANY_K_RULES.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ COND_LIMIT = 1e8
 
 # float64 elements of the r x r systems one batched solve gathers (512 KiB)
 CHUNK_ELEMENTS = 2**16
+
+# per scheme: the tolerance on a subset's relative error, and the least
+# recovered fraction that passes (an unflagged failure never passes)
+ANY_K_RULES = {"systematic": (1e-10, 1.0), "random": (1e-8, 0.99)}
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,20 @@ class CodedJob:
 class DecodeResult:
     y_hat: np.ndarray
     well_conditioned: bool
+
+
+@dataclass(frozen=True)
+class AnyKCheck:
+    """The any-k verdict: a subset fails when its relative error is not within
+    `tolerance`, unflagged when `decode` would call its stack well conditioned."""
+
+    subsets_checked: int
+    tolerance: float
+    max_relative_error: float
+    failures: int
+    unflagged_failures: int
+    recovered_fraction: float
+    passed: bool
 
 
 def _check_encode_args(a_matrix, x, params):
@@ -84,7 +103,10 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     a, x = _check_encode_args(a_matrix, x, params)
     n, k, r = params.n, params.k, params.r
     theta = np.arange(1, n - k + 1, dtype=np.float64)[:, None]
-    generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
+    with np.errstate(over="ignore"):  # refused below, naming the code
+        generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
+    if not np.isfinite(generator).all():
+        raise ValueError(f"systematic code overflows float64 at n={n}, k={k}")
     coding = np.kron(generator, np.eye(r // k)).reshape(n, r // k, r)
     return CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
 
@@ -124,11 +146,6 @@ def decode(stacked_s: np.ndarray, z: np.ndarray) -> DecodeResult:
     )
 
 
-def decode_chunk(r: int) -> int:
-    """Subsets per batched solve of r x r systems: CHUNK_ELEMENTS worth, at least one."""
-    return max(1, CHUNK_ELEMENTS // (r * r))
-
-
 def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Check each subset's worker ids and gather its system in ascending
     id: the (B, r, r) coding stacks and the (B, r) stacked results."""
@@ -160,27 +177,44 @@ def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     return decode(stacks[0], results[0])
 
 
-def recovery_errors(job: CodedJob, subsets) -> np.ndarray:
-    """Relative error ||y_hat - A x|| / ||A x|| of decoding from each
-    subset of worker ids, in order, bit for bit as `recovery_error` takes
-    it.  The subsets are read lazily, `decode_chunk(r)` at a time, and each
-    chunk is checked like `decode_from_workers` and solved in one call; a
-    chunk with a singular stack is decoded subset by subset, so `decode`'s
-    least-squares result is kept."""
+def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
+    """Decode y from each subset of worker ids and judge the scheme by
+    ANY_K_RULES[scheme].  Each relative error ||y_hat - A x|| / ||A x||,
+    and each failing subset's flag, is bit for bit `recovery_error`'s.
+    The subsets are read lazily, CHUNK_ELEMENTS worth of systems at a time;
+    each chunk is checked like `decode_from_workers`, gathered and solved
+    once (one with a singular stack is decoded subset by subset, keeping
+    `decode`'s least-squares result), and only its failing stacks pay for
+    condition numbers."""
+    tol, least_recovered = ANY_K_RULES[scheme]
     y = job.a_matrix @ job.x
-    y_norm = np.linalg.norm(y)
+    y_norm = np.linalg.norm(y) or 1.0  # a zero A x leaves the errors absolute
+    chunk_size = max(1, CHUNK_ELEMENTS // job.coding.shape[2] ** 2)
     subsets = iter(subsets)
-    errors = [np.empty(0)]
-    while chunk := list(itertools.islice(subsets, decode_chunk(job.coding.shape[2]))):
+    checked = failures = unflagged = 0
+    max_error = 0.0
+    while chunk := list(itertools.islice(subsets, chunk_size)):
         stacks, results = _gather(job, chunk)
         try:
             y_hat = np.linalg.solve(stacks, results[..., None])[..., 0]
         except np.linalg.LinAlgError:
             y_hat = np.array([decode(s, z).y_hat for s, z in zip(stacks, results)])
         diff = y_hat - y
-        errors.append(np.sqrt(np.vecdot(diff, diff)))  # np.linalg.norm's dot, row by row
-    errors = np.concatenate(errors)
-    return errors / y_norm if y_norm > 0 else errors
+        errors = np.sqrt(np.vecdot(diff, diff)) / y_norm  # np.linalg.norm's dot, row by row
+        failing = ~(errors <= tol)  # so a NaN error fails
+        checked += len(chunk)
+        failures += int(failing.sum())
+        max_error = np.maximum(max_error, errors.max())  # and a NaN is the max
+        if failing.any():
+            unflagged += int((np.linalg.cond(stacks[failing]) < COND_LIMIT).sum())
+    if not checked:
+        raise ValueError("no subsets to check")
+    recovered = (checked - failures) / checked
+    return AnyKCheck(
+        subsets_checked=checked, tolerance=tol, max_relative_error=float(max_error),
+        failures=failures, unflagged_failures=unflagged, recovered_fraction=recovered,
+        passed=recovered >= least_recovered and unflagged == 0,
+    )
 
 
 def recovery_error(job: CodedJob, worker_ids):

@@ -5,12 +5,13 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
 import codedmatvec.cli as cli
+import codedmatvec.coding as coding
 import codedmatvec.config as config_module
 from codedmatvec import (
     ClusterParams,
@@ -475,15 +476,9 @@ def test_decode_check_still_requires_k_dividing_r(capsys):
     assert "encoding requires k | r" in capsys.readouterr().err
 
 
-def test_decode_check_failure_exit_code(monkeypatch, capsys):
-    import codedmatvec.cli as cli
-
-    monkeypatch.setattr(cli, "recovery_errors", lambda job, subsets: np.ones(len(subsets)))
-    rc = main(["decode-check", "--scheme", "random", "--n", "4", "--k", "2",
-               "--r", "4", "--m", "2", "--trials", "10"])
-    assert rc == 2
-    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
-    assert got["pass"] == "false"
+def _decode_check_inputs(r, m, seed):
+    rng = RngStream(seed, 0)
+    return rng.standard_normals((r, m)), rng.standard_normals(m)
 
 
 def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
@@ -492,9 +487,7 @@ def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
     rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
                "--r", "14", "--m", "5", "--seed", "12"])
     got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
-    rng = RngStream(12, 0)
-    a = rng.standard_normals((14, 5))
-    job = encode_systematic_mds(a, rng.standard_normals(5),
+    job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
                                 ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
     results = [recovery_error(job, subset)
                for subset in itertools.combinations(range(1, 15), 7)]
@@ -504,6 +497,59 @@ def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
     assert got["failures"] == str(len(failed))
     assert got["unflagged_failures"] == str(sum(failed))
     assert got["max_relative_error"] == f"{max(err for err, _ in results):.9g}"
+
+
+def test_decode_check_failure_exit_code(monkeypatch, capsys):
+    # every worker's result is off by one, so no subset decodes A x
+    check_any_k = cli.check_any_k
+    monkeypatch.setattr(cli, "check_any_k", lambda job, subsets, scheme: check_any_k(
+        replace(job, assignments=job.assignments + 1.0), subsets, scheme))
+    rc = main(["decode-check", "--scheme", "random", "--n", "4", "--k", "2",
+               "--r", "4", "--m", "2", "--trials", "10"])
+    assert rc == 2
+    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+    assert got["pass"] == "false"
+    assert got["failures"] == got["subsets_checked"] == "6"
+
+
+def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
+    # one gather and one solve per chunk, no per-subset decode, and condition
+    # numbers only for the failing stacks of the chunks that have them
+    job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
+                                ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
+    subsets = list(itertools.combinations(range(1, 15), 7))
+    failing = [i for i, subset in enumerate(subsets) if recovery_error(job, subset)[0] > 1e-10]
+    calls = {"gathered": [], "solved": [], "cond": []}
+
+    def counting(name, fn, size):
+        def call(*args):
+            calls[name].append(size(*args))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(coding, "_gather", counting("gathered", coding._gather,
+                                                    lambda job, chunk: len(chunk)))
+    monkeypatch.setattr(np.linalg, "solve",
+                        counting("solved", np.linalg.solve, lambda a, b: len(a)))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, len))
+    monkeypatch.setattr(coding, "decode", None)
+    rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
+               "--r", "14", "--m", "5", "--seed", "12"])
+    monkeypatch.undo()
+    assert rc == 2 and "failures=32\n" in capsys.readouterr().out
+    assert calls["gathered"] == calls["solved"] and sum(calls["solved"]) == len(subsets)
+    chunk_of = np.searchsorted(np.cumsum(calls["solved"]), failing, side="right")
+    assert len(calls["solved"]) > 1 and len(set(chunk_of)) < len(calls["solved"])
+    assert calls["cond"] == list(np.bincount(chunk_of)[sorted(set(chunk_of))])
+
+
+def test_decode_check_refuses_a_systematic_code_that_overflows(capsys):
+    # the parity node 150 ** 149 overflows; every decode used to be NaN and pass
+    rc = main(["decode-check", "--scheme", "systematic", "--n", "300", "--k", "150",
+               "--r", "150", "--m", "2", "--trials", "20"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: systematic code overflows float64 at n=300, k=150")
 
 
 def test_verify_clean_run(capsys):

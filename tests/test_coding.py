@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +10,15 @@ from codedmatvec import (
     ClusterParams,
     CodedJob,
     RngStream,
+    check_any_k,
     decode,
     decode_from_workers,
     encode_random_linear,
     encode_systematic_mds,
     recovery_error,
-    recovery_errors,
     worker_compute,
 )
-from codedmatvec.coding import decode_chunk
+from codedmatvec.coding import CHUNK_ELEMENTS
 
 
 def random_job(n, k, r, m, seed=0, scheme="random"):
@@ -80,6 +82,10 @@ def test_encode_divisibility_and_shape_errors():
             encode_systematic_mds(a_matrix, np.ones(2), good)
         with pytest.raises(ValueError, match=r"^a_matrix must be a non-empty 2-d array$"):
             encode_random_linear(a_matrix, np.ones(2), good, RngStream(0, 0))
+    # the parity node 150 ** 149 overflows float64, with no numpy warning
+    overflowing = ClusterParams(n=300, k=150, r=150, a=0.0, mu=1.0)
+    with pytest.raises(ValueError, match=r"^systematic code overflows float64 at n=300, k=150$"):
+        encode_systematic_mds(np.ones((150, 2)), np.ones(2), overflowing)
 
 
 def test_example_construction_4_2():
@@ -222,20 +228,31 @@ def test_decode_checks_the_shapes_it_is_given():
         decode(np.eye(2), np.ones((2, 1)))
 
 
+def per_subset_verdict(job, subsets, tol):
+    """(failures, unflagged failures, max error) from recovery_error, subset by subset."""
+    results = [recovery_error(job, subset) for subset in subsets]
+    failed = [ok for err, ok in results if not err <= tol]
+    return len(failed), sum(failed), max(err for err, _ in results)
+
+
 @pytest.mark.parametrize("scheme", ["systematic", "random"])
-def test_recovery_errors_are_recovery_error_bit_for_bit(scheme):
+def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
     # the benchmark's shape, every subset: the systematic code fails many of
-    # them, so errors far from 0 are compared too
+    # them, so errors far from 0 and both flags are compared too
+    tol = {"systematic": 1e-10, "random": 1e-8}[scheme]
     job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme=scheme)
     subsets = list(itertools.combinations(range(1, 17), 8))
-    expected = np.array([recovery_error(job, subset)[0] for subset in subsets])
-    errors = recovery_errors(job, iter(subsets))
-    assert errors.dtype == np.float64
-    assert np.array_equal(errors, expected)
-    assert recovery_errors(job, []).shape == (0,)
+    check = check_any_k(job, iter(subsets), scheme)
+    assert (check.subsets_checked, check.tolerance) == (len(subsets), tol)
+    assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
+        per_subset_verdict(job, subsets, tol)
+    if scheme == "systematic":
+        assert (check.failures, check.unflagged_failures, check.passed) == (1761, 146, False)
+    with pytest.raises(ValueError, match="^no subsets to check$"):
+        check_any_k(job, [], scheme)
 
 
-def test_recovery_errors_keep_the_least_squares_fallback():
+def test_check_any_k_keeps_the_least_squares_fallback():
     # workers 1 and 2 hold the same row, so their stack is exactly singular and
     # the chunk's solve fails: every subset of it is decoded on its own
     coding = np.array([[[1.0, 2.0]], [[1.0, 2.0]], [[0.0, 1.0]], [[3.0, 1.0]]])
@@ -244,17 +261,45 @@ def test_recovery_errors_keep_the_least_squares_fallback():
     job = CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
     subsets = list(itertools.combinations(range(1, 5), 2))
     assert not decode_from_workers(job, (1, 2)).well_conditioned
-    expected = np.array([recovery_error(job, subset)[0] for subset in subsets])
-    assert np.array_equal(recovery_errors(job, subsets), expected)
-    assert expected[0] > 0.1  # the least-squares answer, not y
+    assert recovery_error(job, (1, 2))[0] > 0.1  # the least-squares answer, not y
+    check = check_any_k(job, subsets, "random")
+    assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
+        per_subset_verdict(job, subsets, 1e-8)
+    assert (check.failures, check.unflagged_failures) == (1, 0)
 
 
-def test_recovery_errors_refuse_bad_subsets_as_decode_from_workers_does():
+def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
+    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // 36)
     for ids in ((1.5, 2, 3), (1, 2, 3.0), (True, 2, 3), (1, np.True_, 3), (1, 2, 2),
                 (1, 2, 9), (0, 2, 3), (1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError) as single:
             decode_from_workers(job, ids)
         # the same message when the bad subset follows a full chunk of good ones
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-            recovery_errors(job, [(1, 2, 3)] * decode_chunk(6) + [ids])
+            check_any_k(job, full_chunk + [ids], "random")
+
+
+def test_check_any_k_verdicts_without_the_cli():
+    # the systematic (14, 7) code at seed 12 fails 32 subsets, 7 of them
+    # with a stack decode calls well conditioned
+    job = random_job(n=14, k=7, r=14, m=5, seed=12, scheme="systematic")
+    check = check_any_k(job, itertools.combinations(range(1, 15), 7), "systematic")
+    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 32, 7)
+    assert check.recovered_fraction == 3400 / 3432 and not check.passed
+    # Example 1's (4, 2) code recovers from every pair
+    example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
+    check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")
+    assert (check.subsets_checked, check.failures, check.recovered_fraction, check.passed) == \
+        (6, 0, 1.0, True)
+
+
+def test_a_nan_result_fails_the_check():
+    # NaN compares false with any tolerance; it must count as a failure
+    job = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
+    assignments = job.assignments.copy()
+    assignments[3, 0, 0] = np.nan
+    check = check_any_k(replace(job, assignments=assignments),
+                        itertools.combinations(range(1, 5), 2), "systematic")
+    assert (check.failures, check.unflagged_failures, check.passed) == (3, 3, False)
+    assert math.isnan(check.max_relative_error)
