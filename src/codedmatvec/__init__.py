@@ -34,7 +34,6 @@ from .coding import (
     CodedJob,
     DecodeResult,
     check_any_k,
-    decode,
     decode_from_workers,
     encode_random_linear,
     encode_systematic_mds,

@@ -1,14 +1,15 @@
 """Linear coding of the matrix-vector job y = A x.
 
-A code is one generator array S of shape (n, r/k, r): worker i holds
-A_i~ = S[i-1] @ A, and the blocks of any k workers gather, with one
-index, into an r x r system that recovers y.  Two schemes: dense
-Gaussian random-linear coding, and a systematic MDS construction whose
-parity blocks take Vandermonde combinations of the k row-blocks of A.
+A code is a block code with one n x k generator G: A is split into k
+row-blocks A_b of r/k rows, and worker i holds sum_b G[i-1, b] * A_b.
+The results of any k workers gather, with one index, into a k x k system
+G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
+schemes: a Gaussian random generator, and a systematic MDS generator
+whose parity rows take Vandermonde combinations of the row-blocks.
 
-`decode_from_workers` solves one subset's system and flags it by its
-condition number.  `check_any_k` is the any-k verdict: it decodes many
-subsets, a chunk of systems gathered with one index and solved in one
+`decode_from_workers` solves one subset's system and flags it by the
+condition number of G_S (that of the r x r stack G_S ⊗ I_{r/k}).
+`check_any_k` is the any-k verdict: it solves a chunk of subsets in one
 call, compares each with A x, takes condition numbers only for the
 failing subsets, and judges the scheme by its row of ANY_K_RULES.
 """
@@ -16,7 +17,6 @@ failing subsets, and judges the scheme by its row of ANY_K_RULES.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +24,11 @@ import numpy as np
 from .rng import RngStream
 from .timing import ClusterParams
 
-# stacked solves with condition estimates beyond this are flagged, not trusted
+# solves whose generator rows have condition numbers beyond this are flagged, not trusted
 COND_LIMIT = 1e8
 
-# float64 elements of the r x r systems one batched solve gathers (512 KiB)
+# a batched solve takes CHUNK_ELEMENTS // r**2 subsets (at least one); each
+# gathers k*k + r <= 2 r**2 float64, so a chunk stays within 1 MiB
 CHUNK_ELEMENTS = 2**16
 
 # per scheme: the tolerance on a subset's relative error, and the least
@@ -37,17 +38,24 @@ ANY_K_RULES = {"systematic": (1e-10, 1.0), "random": (1e-8, 0.99)}
 
 @dataclass(frozen=True)
 class CodedJob:
-    """Immutable encoded job: A, x, the (n, r/k, r) generator `coding` and
-    the (n, r/k, m) `assignments = coding @ A`; worker i owns row i - 1."""
+    """Immutable encoded job: A, x, the (n, k) `generator` and the (n, r/k, m)
+    `assignments`, whose row i - 1 is worker i's sum_b generator[i-1, b] * A_b."""
 
     a_matrix: np.ndarray
     x: np.ndarray
-    coding: np.ndarray
+    generator: np.ndarray
     assignments: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.coding.shape[0]
+        return self.generator.shape[0]
+
+    @property
+    def coding(self) -> np.ndarray:
+        """(n, r/k, r) generator ⊗ I_{r/k}, built when read: worker i holds coding[i-1] @ A."""
+        n, k = self.generator.shape
+        w = self.assignments.shape[1]
+        return np.kron(self.generator, np.eye(w)).reshape(n, w, k * w)
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,7 @@ class DecodeResult:
 @dataclass(frozen=True)
 class AnyKCheck:
     """The any-k verdict: a subset fails when its relative error is not within
-    `tolerance`, unflagged when `decode` would call its stack well conditioned."""
+    `tolerance`, unflagged when its generator rows are well conditioned."""
 
     subsets_checked: int
     tolerance: float
@@ -84,12 +92,18 @@ def _check_encode_args(a_matrix, x, params):
     return a, x
 
 
+def _encode(a, x, generator) -> CodedJob:
+    n, k = generator.shape
+    w, m = a.shape[0] // k, a.shape[1]
+    assignments = (generator @ a.reshape(k, w * m)).reshape(n, w, m)
+    return CodedJob(a_matrix=a, x=x, generator=generator, assignments=assignments)
+
+
 def encode_random_linear(a_matrix, x, params: ClusterParams, rng: RngStream) -> CodedJob:
-    """Give worker i the i-th of n consecutive (r/k, r) standard-normal
-    draws of `rng`: r/k random linear combinations of A's rows."""
+    """Block code whose generator is the next (n, k) standard-normal draw of
+    `rng`: worker i holds a Gaussian combination of A's k row-blocks."""
     a, x = _check_encode_args(a_matrix, x, params)
-    coding = rng.standard_normals((params.n, params.r // params.k, params.r))
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
+    return _encode(a, x, rng.standard_normals((params.n, params.k)))
 
 
 def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
@@ -101,14 +115,13 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     rows of a Vandermonde matrix with distinct positive nodes.
     """
     a, x = _check_encode_args(a_matrix, x, params)
-    n, k, r = params.n, params.k, params.r
+    n, k = params.n, params.k
     theta = np.arange(1, n - k + 1, dtype=np.float64)[:, None]
     with np.errstate(over="ignore"):  # refused below, naming the code
         generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
     if not np.isfinite(generator).all():
         raise ValueError(f"systematic code overflows float64 at n={n}, k={k}")
-    coding = np.kron(generator, np.eye(r // k)).reshape(n, r // k, r)
-    return CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
+    return _encode(a, x, generator)
 
 
 def _is_id(worker_id) -> bool:  # a bool is an int to Python; int() truncates a float
@@ -122,35 +135,11 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     return job.assignments[worker_id - 1] @ job.x
 
 
-def decode(stacked_s: np.ndarray, z: np.ndarray) -> DecodeResult:
-    """Solve stacked_s @ y = z for y: stacked_s is the r x r stack of k
-    workers' coding blocks, z their concatenated results in that order.
-
-    A solve whose condition number reaches COND_LIMIT is flagged as
-    untrustworthy (it is still returned, via least squares if the stack
-    is numerically singular, so the caller can retry another subset).
-    """
-    if stacked_s.ndim != 2 or stacked_s.shape[0] != stacked_s.shape[1]:
-        raise ValueError("stacked_s must be square")
-    if z.ndim != 1 or z.size != stacked_s.shape[0]:
-        raise ValueError("z length must match stacked_s")
-    cond = np.linalg.cond(stacked_s)
-    try:
-        y_hat = np.linalg.solve(stacked_s, z)
-    except np.linalg.LinAlgError:
-        y_hat = np.linalg.lstsq(stacked_s, z, rcond=None)[0]
-        cond = math.inf
-    return DecodeResult(
-        y_hat=y_hat,
-        well_conditioned=bool(np.isfinite(cond) and cond < COND_LIMIT),
-    )
-
-
 def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Check each subset's worker ids and gather its system in ascending
-    id: the (B, r, r) coding stacks and the (B, r) stacked results."""
-    n, w, r = job.coding.shape
-    rows = np.empty((len(subsets), r // w), dtype=np.intp)
+    id: the (B, k, k) generator rows and the (B, k, r/k) results."""
+    n, k = job.generator.shape
+    rows = np.empty((len(subsets), k), dtype=np.intp)
     for row, worker_ids in zip(rows, subsets):
         given = list(worker_ids)  # read a one-shot iterable once
         bad = [i for i in given if not _is_id(i)]
@@ -159,46 +148,60 @@ def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
         ids = sorted(set(given))
         if len(ids) != len(given):
             raise ValueError("worker ids must be distinct")
-        if len(ids) != r // w:
-            raise ValueError(f"decoding needs exactly k={r // w} workers, got {len(ids)}")
+        if len(ids) != k:
+            raise ValueError(f"decoding needs exactly k={k} workers, got {len(ids)}")
         if ids[0] < 1 or ids[-1] > n:
             raise ValueError(f"worker ids must lie in [1, {n}]")
         row[:] = ids
     rows -= 1
-    return (job.coding[rows].reshape(len(rows), r, r),
-            (job.assignments[rows] @ job.x).reshape(len(rows), r))
+    return job.generator[rows], job.assignments[rows] @ job.x
+
+
+def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Each subset's (k, k) generator rows and its decoded y (B rows of r), every
+    row of a system first divided by its largest |entry| (a zero row stays)."""
+    g, z = _gather(job, subsets)
+    scale = np.abs(g).max(axis=2, keepdims=True)
+    scale[scale == 0] = 1.0
+    return g, _solve(g / scale, z / scale).reshape(len(g), -1)
+
+
+def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve a batch of systems in one call, or one by one if one is
+    singular; a singular system is solved by least squares."""
+    try:
+        return np.linalg.solve(g, z)
+    except np.linalg.LinAlgError:
+        if g.ndim == 2:
+            return np.linalg.lstsq(g, z, rcond=None)[0]
+        return np.array([_solve(a, b) for a, b in zip(g, z)])
 
 
 def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
-    """Decode y from the results of exactly k distinct workers (1-based
-    integer ids, any order, any iterable): their coding blocks and
-    results are gathered in ascending id and solved by `decode`."""
-    stacks, results = _gather(job, [worker_ids])
-    return decode(stacks[0], results[0])
+    """Decode y from the results of exactly k distinct workers (1-based integer
+    ids, any order, any iterable), gathered in ascending id.  A decode whose
+    generator rows reach COND_LIMIT is flagged as untrustworthy; it is still
+    returned, by least squares if they are singular, so the caller can retry."""
+    g, y_hat = _decode(job, [worker_ids])
+    return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(np.linalg.cond(g[0]) < COND_LIMIT))
 
 
 def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
     """Decode y from each subset of worker ids and judge the scheme by
     ANY_K_RULES[scheme].  Each relative error ||y_hat - A x|| / ||A x||,
     and each failing subset's flag, is bit for bit `recovery_error`'s.
-    The subsets are read lazily, CHUNK_ELEMENTS worth of systems at a time;
-    each chunk is checked like `decode_from_workers`, gathered and solved
-    once (one with a singular stack is decoded subset by subset, keeping
-    `decode`'s least-squares result), and only its failing stacks pay for
-    condition numbers."""
+    The subsets are read lazily, a chunk at a time; each chunk is checked
+    and solved once as `decode_from_workers` solves one subset, and only
+    its failing subsets pay for condition numbers."""
     tol, least_recovered = ANY_K_RULES[scheme]
     y = job.a_matrix @ job.x
     y_norm = np.linalg.norm(y) or 1.0  # a zero A x leaves the errors absolute
-    chunk_size = max(1, CHUNK_ELEMENTS // job.coding.shape[2] ** 2)
+    chunk_size = max(1, CHUNK_ELEMENTS // job.a_matrix.shape[0] ** 2)
     subsets = iter(subsets)
     checked = failures = unflagged = 0
     max_error = 0.0
     while chunk := list(itertools.islice(subsets, chunk_size)):
-        stacks, results = _gather(job, chunk)
-        try:
-            y_hat = np.linalg.solve(stacks, results[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            y_hat = np.array([decode(s, z).y_hat for s, z in zip(stacks, results)])
+        g, y_hat = _decode(job, chunk)
         diff = y_hat - y
         errors = np.sqrt(np.vecdot(diff, diff)) / y_norm  # np.linalg.norm's dot, row by row
         failing = ~(errors <= tol)  # so a NaN error fails
@@ -206,7 +209,7 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
         failures += int(failing.sum())
         max_error = np.maximum(max_error, errors.max())  # and a NaN is the max
         if failing.any():
-            unflagged += int((np.linalg.cond(stacks[failing]) < COND_LIMIT).sum())
+            unflagged += int((np.linalg.cond(g[failing]) < COND_LIMIT).sum())
     if not checked:
         raise ValueError("no subsets to check")
     recovered = (checked - failures) / checked
@@ -218,13 +221,9 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
 
 
 def recovery_error(job: CodedJob, worker_ids):
-    """Decode from the given workers and compare against the direct product.
-
-    Returns (relative_error, well_conditioned) where relative_error is
-    ||y_hat - A x|| / ||A x||.
-    """
+    """Decode from the given workers and compare against the direct product:
+    (relative_error, well_conditioned), the error ||y_hat - A x|| / ||A x||."""
     result = decode_from_workers(job, worker_ids)
     y = job.a_matrix @ job.x
-    y_norm = np.linalg.norm(y)
-    err = np.linalg.norm(result.y_hat - y)
-    return (float(err / y_norm) if y_norm > 0 else float(err)), result.well_conditioned
+    err = np.linalg.norm(result.y_hat - y) / (np.linalg.norm(y) or 1.0)
+    return float(err), result.well_conditioned

@@ -4,10 +4,14 @@ reads the benchmark's files as text, so it also sees imports inside the
 code strings that run.py hands to fresh interpreters."""
 
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+from codedmatvec.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 IMPORT = re.compile(r"^\s*from (codedmatvec(?:\.\w+)*) import (\([^)]*\)|.*)$", re.MULTILINE)
@@ -29,3 +33,29 @@ def test_the_benchmark_imports_from_the_package():
 @pytest.mark.parametrize("path, module, name", list(benchmark_imports()))
 def test_every_name_the_benchmark_imports_exists(path, module, name):
     assert hasattr(importlib.import_module(module), name), f"{path}: {module}.{name}"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """perfbench/workloads.py, loaded without writing a bytecode cache there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_decode_workload_checks_pass(workloads, capsys):
+    # the decode-anyk workload's own output checks, so that a decode change the
+    # benchmark would judge outputs_incorrect fails here first
+    assert (workloads.DECODE_N, workloads.DECODE_K, workloads.DECODE_R,
+            workloads.DECODE_M) == (16, 8, 64, 5)
+    for seed in (101, 102):
+        workloads._replay_decode(seed)
+    schemes = []
+    for argv in workloads._decode_round(101):
+        rc = main(argv)
+        workloads._check_decode(argv, rc, capsys.readouterr().out)
+        schemes.append(argv[argv.index("--scheme") + 1])
+    assert schemes == ["systematic", "random"]

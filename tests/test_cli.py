@@ -492,7 +492,7 @@ def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
     results = [recovery_error(job, subset)
                for subset in itertools.combinations(range(1, 15), 7)]
     failed = [ok for err, ok in results if err > 1e-10]
-    assert (len(failed), sum(failed)) == (32, 7)
+    assert (len(failed), sum(failed)) == (25, 6)
     assert rc == 2 and got["pass"] == "false"
     assert got["failures"] == str(len(failed))
     assert got["unflagged_failures"] == str(sum(failed))
@@ -513,8 +513,8 @@ def test_decode_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
-    # one gather and one solve per chunk, no per-subset decode, and condition
-    # numbers only for the failing stacks of the chunks that have them
+    # one gather and one solve per chunk, no subset solved on its own, and
+    # condition numbers only for the failing subsets of the chunks that have them
     job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
                                 ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
     subsets = list(itertools.combinations(range(1, 15), 7))
@@ -532,15 +532,24 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "solve",
                         counting("solved", np.linalg.solve, lambda a, b: len(a)))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, len))
-    monkeypatch.setattr(coding, "decode", None)
     rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
                "--r", "14", "--m", "5", "--seed", "12"])
     monkeypatch.undo()
-    assert rc == 2 and "failures=32\n" in capsys.readouterr().out
+    assert rc == 2 and "failures=25\n" in capsys.readouterr().out
     assert calls["gathered"] == calls["solved"] and sum(calls["solved"]) == len(subsets)
     chunk_of = np.searchsorted(np.cumsum(calls["solved"]), failing, side="right")
     assert len(calls["solved"]) > 1 and len(set(chunk_of)) < len(calls["solved"])
     assert calls["cond"] == list(np.bincount(chunk_of)[sorted(set(chunk_of))])
+
+
+def test_decode_check_at_the_ladder_n(capsys):
+    # the speedup ladder's n = 800, k = 0.7 n, r = lcm(n, k): each subset is a
+    # 560 x 560 solve, where an r x r system would take 250 MB
+    rc = main(["decode-check", "--scheme", "random", "--n", "800", "--k", "560",
+               "--r", "5600", "--m", "5", "--trials", "5"])
+    got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
+    assert rc == 0 and got["pass"] == "true"
+    assert (got["subsets_checked"], got["exhaustive"], got["failures"]) == ("5", "false", "0")
 
 
 def test_decode_check_refuses_a_systematic_code_that_overflows(capsys):

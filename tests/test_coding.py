@@ -1,7 +1,8 @@
 import itertools
 import math
 import re
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from codedmatvec import (
     CodedJob,
     RngStream,
     check_any_k,
-    decode,
     decode_from_workers,
     encode_random_linear,
     encode_systematic_mds,
@@ -34,6 +34,7 @@ def random_job(n, k, r, m, seed=0, scheme="random"):
 def test_random_linear_shapes():
     job = random_job(n=6, k=3, r=12, m=5)
     assert job.n == 6
+    assert job.generator.shape == (6, 3)
     assert job.coding.shape == (6, 4, 12)
     assert job.assignments.shape == (6, 4, 5)
 
@@ -41,22 +42,32 @@ def test_random_linear_shapes():
 @pytest.mark.parametrize("scheme", ["random", "systematic"])
 @pytest.mark.parametrize("n, k, r, m", [(6, 3, 12, 5), (5, 5, 5, 1), (7, 2, 4, 3)])
 def test_code_is_one_generator_array(n, k, r, m, scheme):
+    # the job stores the n x k generator and each worker's block combination;
+    # the (n, r/k, r) expansion G ⊗ I_{r/k} is only built when read
     job = random_job(n=n, k=k, r=r, m=m, seed=4, scheme=scheme)
-    assert isinstance(job.coding, np.ndarray) and job.coding.dtype == np.float64
+    assert [f.name for f in fields(job)] == ["a_matrix", "x", "generator", "assignments"]
+    assert isinstance(job.generator, np.ndarray) and job.generator.dtype == np.float64
+    assert job.generator.shape == (n, k)
+    assert np.array_equal(job.assignments,
+                          (job.generator @ job.a_matrix.reshape(k, -1)).reshape(n, r // k, m))
+    blocks = job.a_matrix.reshape(k, r // k, m)
+    assert np.allclose(job.assignments, np.einsum("ib,bjc->ijc", job.generator, blocks),
+                       rtol=1e-13, atol=1e-13)
     assert job.coding.shape == (n, r // k, r)
-    assert np.array_equal(job.assignments, job.coding @ job.a_matrix)
+    assert np.array_equal(job.coding, np.kron(job.generator, np.eye(r // k)).reshape(n, r // k, r))
+    assert np.allclose(job.assignments, job.coding @ job.a_matrix, rtol=1e-13, atol=1e-13)
 
 
 def test_random_linear_blocks_are_consecutive_draws():
-    # worker i holds the i-th of n (r/k, r) draws that follow A and x in
-    # the stream: the layout the golden digests depend on
+    # worker i's generator row is the i-th of n k-draws that follow A and x
+    # in the stream: the layout the golden digests depend on
     n, k, r, m = 5, 2, 6, 3
     job = random_job(n=n, k=k, r=r, m=m, seed=8)
     rng = RngStream(8, 0)
     rng.standard_normals((r, m))
     rng.standard_normals(m)
-    for block in job.coding:
-        assert np.array_equal(block, rng.standard_normals((r // k, r)))
+    for row in job.generator:
+        assert np.array_equal(row, rng.standard_normals(k))
 
 
 def test_scalar_random_linear():
@@ -94,6 +105,7 @@ def test_example_construction_4_2():
     a = np.eye(2)
     x = np.array([3.0, 4.0])
     job = encode_systematic_mds(a, x, params)
+    assert np.array_equal(job.generator, [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
     assert np.array_equal(job.coding[0], [[1.0, 0.0]])
     assert np.array_equal(job.coding[1], [[0.0, 1.0]])
     assert np.array_equal(job.coding[2], [[1.0, 1.0]])
@@ -187,16 +199,17 @@ def test_decode_input_assembly_and_errors():
     assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 3, 5]).y_hat)
     assert np.array_equal(result.y_hat, decode_from_workers(job, np.array([3, 5, 1])).y_hat)
     assert result.y_hat.shape == (6,)
-    # the gathered system is the hand-stacked one, bit for bit, for every
-    # subset of both schemes
+    # the decode is the hand-stacked k x k system, each row divided by its
+    # largest |entry|, bit for bit, for every subset of both schemes
     for scheme in ("random", "systematic"):
-        job = random_job(n=6, k=3, r=6, m=2, seed=2, scheme=scheme)
+        job = random_job(n=6, k=3, r=12, m=2, seed=2, scheme=scheme)
         for subset in itertools.combinations(range(1, 7), 3):
-            stacked = decode(np.vstack([job.coding[i - 1] for i in subset]),
-                             np.concatenate([worker_compute(job, i) for i in subset]))
+            g = np.vstack([job.generator[i - 1] for i in subset])
+            z = np.vstack([worker_compute(job, i) for i in subset])
+            scale = np.abs(g).max(axis=1, keepdims=True)
             result = decode_from_workers(job, subset[::-1])
-            assert np.array_equal(result.y_hat, stacked.y_hat), (scheme, subset)
-            assert result.well_conditioned == stacked.well_conditioned
+            assert np.array_equal(result.y_hat, np.linalg.solve(g / scale, z / scale).ravel())
+            assert result.well_conditioned == (np.linalg.cond(g) < 1e8)
 
 
 def test_decode_accepts_a_one_shot_iterable():
@@ -208,24 +221,41 @@ def test_decode_accepts_a_one_shot_iterable():
         decode_from_workers(job, (i for i in (1, 2, 2)))
 
 
+def hand_built_job(generator, w=1):
+    generator = np.array(generator)
+    n, k = generator.shape
+    a = np.arange(1.0, 2.0 * k * w + 1).reshape(k * w, 2) ** 0.5 * [1.0, -1.0]
+    x = np.array([0.3, -1.1])
+    return CodedJob(a_matrix=a, x=x, generator=generator,
+                    assignments=(generator @ a.reshape(k, -1)).reshape(n, w, 2))
+
+
 def test_decode_flags_singular_stack():
-    job = random_job(n=4, k=2, r=2, m=2, seed=11)
-    z = np.concatenate([worker_compute(job, 1), worker_compute(job, 2)])
-    result = decode(np.ones((2, 2)), z)
+    job = hand_built_job(np.ones((3, 2)), w=2)
+    result = decode_from_workers(job, (1, 2))
     assert not result.well_conditioned
-    assert result.y_hat.shape == (2,)
+    assert result.y_hat.shape == (4,)
+    assert np.all(np.isfinite(result.y_hat))
 
 
-def test_decode_checks_the_shapes_it_is_given():
-    z = np.ones(2)
-    with pytest.raises(ValueError, match=r"^stacked_s must be square$"):
-        decode(np.ones((2, 3)), z)
-    with pytest.raises(ValueError, match=r"^stacked_s must be square$"):
-        decode(np.ones(4), z)
-    with pytest.raises(ValueError, match=r"^z length must match stacked_s$"):
-        decode(np.eye(2), np.ones(3))
-    with pytest.raises(ValueError, match=r"^z length must match stacked_s$"):
-        decode(np.eye(2), np.ones((2, 1)))
+def test_decode_solves_k_by_k_systems(monkeypatch):
+    # no r x r system is formed: each subset is k x k with r/k right-hand
+    # sides, in decode_from_workers and check_any_k alike
+    job = random_job(n=6, k=3, r=12, m=2, seed=2)
+    shapes = {"solve": set(), "cond": set()}
+
+    def recording(name, fn):
+        def call(a, *args):
+            shapes[name].add((a.shape[-2:], *(b.shape[-2:] for b in args)))
+            return fn(a, *args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
+    decode_from_workers(job, (1, 2, 3))
+    check_any_k(replace(job, assignments=job.assignments + 1.0),
+                itertools.combinations(range(1, 7), 3), "random")
+    assert shapes == {"solve": {((3, 3), (3, 4))}, "cond": {((3, 3),)}}
 
 
 def per_subset_verdict(job, subsets, tol):
@@ -247,18 +277,15 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
     if scheme == "systematic":
-        assert (check.failures, check.unflagged_failures, check.passed) == (1761, 146, False)
+        assert (check.failures, check.unflagged_failures, check.passed) == (1041, 36, False)
     with pytest.raises(ValueError, match="^no subsets to check$"):
         check_any_k(job, [], scheme)
 
 
 def test_check_any_k_keeps_the_least_squares_fallback():
-    # workers 1 and 2 hold the same row, so their stack is exactly singular and
+    # workers 1 and 2 hold the same row, so their system is exactly singular and
     # the chunk's solve fails: every subset of it is decoded on its own
-    coding = np.array([[[1.0, 2.0]], [[1.0, 2.0]], [[0.0, 1.0]], [[3.0, 1.0]]])
-    a = np.array([[1.0, -2.0, 0.5], [4.0, 0.0, 1.0]])
-    x = np.array([0.3, -1.1, 2.0])
-    job = CodedJob(a_matrix=a, x=x, coding=coding, assignments=coding @ a)
+    job = hand_built_job([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0], [3.0, 1.0]])
     subsets = list(itertools.combinations(range(1, 5), 2))
     assert not decode_from_workers(job, (1, 2)).well_conditioned
     assert recovery_error(job, (1, 2))[0] > 0.1  # the least-squares answer, not y
@@ -266,6 +293,24 @@ def test_check_any_k_keeps_the_least_squares_fallback():
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, 1e-8)
     assert (check.failures, check.unflagged_failures) == (1, 0)
+
+
+def test_an_all_zero_generator_row_decodes_by_least_squares():
+    # equilibration divides each row by its largest |entry|; a zero row must
+    # stay zero, not become 0/0 = NaN with a RuntimeWarning
+    job = hand_built_job([[1.0, 2.0], [0.0, 0.0], [0.0, 1.0], [3.0, 1.0]], w=2)
+    subsets = list(itertools.combinations(range(1, 5), 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = decode_from_workers(job, (2, 3))
+        check = check_any_k(job, subsets, "random")
+        verdict = per_subset_verdict(job, subsets, 1e-8)
+    g = job.generator[[1, 2]]
+    z = np.vstack([worker_compute(job, 2), worker_compute(job, 3)])
+    assert not result.well_conditioned
+    assert np.allclose(result.y_hat, np.linalg.lstsq(g, z, rcond=None)[0].ravel(), atol=1e-14)
+    assert (check.failures, check.unflagged_failures, check.max_relative_error) == verdict
+    assert (check.failures, check.unflagged_failures) == (3, 0)
 
 
 def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
@@ -281,12 +326,12 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
 
 
 def test_check_any_k_verdicts_without_the_cli():
-    # the systematic (14, 7) code at seed 12 fails 32 subsets, 7 of them
-    # with a stack decode calls well conditioned
+    # the systematic (14, 7) code at seed 12 fails 25 subsets, 6 of them
+    # with generator rows decode_from_workers calls well conditioned
     job = random_job(n=14, k=7, r=14, m=5, seed=12, scheme="systematic")
     check = check_any_k(job, itertools.combinations(range(1, 15), 7), "systematic")
-    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 32, 7)
-    assert check.recovered_fraction == 3400 / 3432 and not check.passed
+    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 25, 6)
+    assert check.recovered_fraction == 3407 / 3432 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
     check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")
