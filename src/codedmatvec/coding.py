@@ -7,8 +7,8 @@ G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
 schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows take Vandermonde combinations of the row-blocks.
 
-`decode_from_workers` solves one subset's system and flags it by the
-condition number of G_S (that of the r x r stack G_S ⊗ I_{r/k}).
+`decode_from_workers` solves one subset's system plus one refinement step
+and flags it by the condition number of G_S (that of G_S ⊗ I_{r/k}).
 `check_any_k` is the any-k verdict: it solves a chunk of subsets in one
 call, compares each with A x, takes condition numbers only for the
 failing subsets, and judges the scheme by its row of ANY_K_RULES.
@@ -27,8 +27,7 @@ from .timing import ClusterParams
 # solves whose generator rows have condition numbers beyond this are flagged, not trusted
 COND_LIMIT = 1e8
 
-# a batched solve takes CHUNK_ELEMENTS // r**2 subsets (at least one); each
-# gathers k*k + r <= 2 r**2 float64, so a chunk stays within 1 MiB
+# float64 per check_any_k chunk; a subset gathers k*k + k*(r/k)*m (a chunk takes at least one)
 CHUNK_ELEMENTS = 2**16
 
 # per scheme: the tolerance on a subset's relative error, and the least
@@ -158,12 +157,11 @@ def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Each subset's (k, k) generator rows and its decoded y (B rows of r), every
-    row of a system first divided by its largest |entry| (a zero row stays)."""
+    """Each subset's (k, k) generator rows and its decoded y (B rows of r): a
+    solve, then one step of iterative refinement on its residual."""
     g, z = _gather(job, subsets)
-    scale = np.abs(g).max(axis=2, keepdims=True)
-    scale[scale == 0] = 1.0
-    return g, _solve(g / scale, z / scale).reshape(len(g), -1)
+    y = _solve(g, z)
+    return g, (y + _solve(g, z - g @ y)).reshape(len(g), -1)
 
 
 def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -191,12 +189,13 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
     ANY_K_RULES[scheme].  Each relative error ||y_hat - A x|| / ||A x||,
     and each failing subset's flag, is bit for bit `recovery_error`'s.
     The subsets are read lazily, a chunk at a time; each chunk is checked
-    and solved once as `decode_from_workers` solves one subset, and only
+    and decoded once as `decode_from_workers` decodes one subset, and only
     its failing subsets pay for condition numbers."""
     tol, least_recovered = ANY_K_RULES[scheme]
     y = job.a_matrix @ job.x
     y_norm = np.linalg.norm(y) or 1.0  # a zero A x leaves the errors absolute
-    chunk_size = max(1, CHUNK_ELEMENTS // job.a_matrix.shape[0] ** 2)
+    k = job.generator.shape[1]
+    chunk_size = max(1, CHUNK_ELEMENTS // (k * (k + job.assignments[0].size)))
     subsets = iter(subsets)
     checked = failures = unflagged = 0
     max_error = 0.0

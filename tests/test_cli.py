@@ -492,7 +492,7 @@ def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
     results = [recovery_error(job, subset)
                for subset in itertools.combinations(range(1, 15), 7)]
     failed = [ok for err, ok in results if err > 1e-10]
-    assert (len(failed), sum(failed)) == (25, 6)
+    assert (len(failed), sum(failed)) == (22, 3)
     assert rc == 2 and got["pass"] == "false"
     assert got["failures"] == str(len(failed))
     assert got["unflagged_failures"] == str(sum(failed))
@@ -513,8 +513,9 @@ def test_decode_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
-    # one gather and one solve per chunk, no subset solved on its own, and
-    # condition numbers only for the failing subsets of the chunks that have them
+    # one gather and two solves (the solve and its refinement step) per chunk,
+    # no subset solved on its own, and condition numbers only for the failing
+    # subsets of the chunks that have them
     job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
                                 ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
     subsets = list(itertools.combinations(range(1, 15), 7))
@@ -535,10 +536,11 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
     rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
                "--r", "14", "--m", "5", "--seed", "12"])
     monkeypatch.undo()
-    assert rc == 2 and "failures=25\n" in capsys.readouterr().out
-    assert calls["gathered"] == calls["solved"] and sum(calls["solved"]) == len(subsets)
-    chunk_of = np.searchsorted(np.cumsum(calls["solved"]), failing, side="right")
-    assert len(calls["solved"]) > 1 and len(set(chunk_of)) < len(calls["solved"])
+    assert rc == 2 and "failures=22\n" in capsys.readouterr().out
+    assert calls["solved"] == [size for size in calls["gathered"] for _ in range(2)]
+    assert sum(calls["gathered"]) == len(subsets)
+    chunk_of = np.searchsorted(np.cumsum(calls["gathered"]), failing, side="right")
+    assert len(calls["gathered"]) > 1 and len(set(chunk_of)) < len(calls["gathered"])
     assert calls["cond"] == list(np.bincount(chunk_of)[sorted(set(chunk_of))])
 
 

@@ -199,16 +199,16 @@ def test_decode_input_assembly_and_errors():
     assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 3, 5]).y_hat)
     assert np.array_equal(result.y_hat, decode_from_workers(job, np.array([3, 5, 1])).y_hat)
     assert result.y_hat.shape == (6,)
-    # the decode is the hand-stacked k x k system, each row divided by its
-    # largest |entry|, bit for bit, for every subset of both schemes
+    # the decode is a solve of the hand-stacked k x k system plus one step of
+    # iterative refinement, bit for bit, for every subset of both schemes
     for scheme in ("random", "systematic"):
         job = random_job(n=6, k=3, r=12, m=2, seed=2, scheme=scheme)
         for subset in itertools.combinations(range(1, 7), 3):
             g = np.vstack([job.generator[i - 1] for i in subset])
             z = np.vstack([worker_compute(job, i) for i in subset])
-            scale = np.abs(g).max(axis=1, keepdims=True)
+            y = np.linalg.solve(g, z)
             result = decode_from_workers(job, subset[::-1])
-            assert np.array_equal(result.y_hat, np.linalg.solve(g / scale, z / scale).ravel())
+            assert np.array_equal(result.y_hat, (y + np.linalg.solve(g, z - g @ y)).ravel())
             assert result.well_conditioned == (np.linalg.cond(g) < 1e8)
 
 
@@ -277,9 +277,26 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
     if scheme == "systematic":
-        assert (check.failures, check.unflagged_failures, check.passed) == (1041, 36, False)
+        assert (check.failures, check.unflagged_failures, check.passed) == (841, 23, False)
     with pytest.raises(ValueError, match="^no subsets to check$"):
         check_any_k(job, [], scheme)
+
+
+@pytest.mark.parametrize("seed, equilibrated", [(12, 1041), (101000303, 977)])
+def test_refinement_fails_fewer_subsets_than_row_equilibration(seed, equilibrated):
+    # the benchmark's systematic shape, at seed 12 and at its first round's
+    # seed: dividing each row by its largest |entry| before one solve fails
+    # more subsets than check_any_k's solve plus one refinement step
+    job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
+    rows = np.array(list(itertools.combinations(range(16), 8)))
+    g, z = job.generator[rows], job.assignments[rows] @ job.x
+    scale = np.abs(g).max(axis=2, keepdims=True)
+    y = job.a_matrix @ job.x
+    y_hat = np.linalg.solve(g / scale, z / scale).reshape(len(rows), -1)
+    errors = np.linalg.norm(y_hat - y, axis=1) / np.linalg.norm(y)
+    assert int((errors > 1e-10).sum()) == equilibrated
+    check = check_any_k(job, itertools.combinations(range(1, 17), 8), "systematic")
+    assert check.failures < equilibrated
 
 
 def test_check_any_k_keeps_the_least_squares_fallback():
@@ -296,8 +313,8 @@ def test_check_any_k_keeps_the_least_squares_fallback():
 
 
 def test_an_all_zero_generator_row_decodes_by_least_squares():
-    # equilibration divides each row by its largest |entry|; a zero row must
-    # stay zero, not become 0/0 = NaN with a RuntimeWarning
+    # a zero generator row makes the system singular: both the solve and the
+    # refinement step fall back to least squares, with no NaN and no RuntimeWarning
     job = hand_built_job([[1.0, 2.0], [0.0, 0.0], [0.0, 1.0], [3.0, 1.0]], w=2)
     subsets = list(itertools.combinations(range(1, 5), 2))
     with warnings.catch_warnings():
@@ -315,7 +332,9 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
 
 def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // 36)
+    # a subset gathers k x k generator entries and k (r/k, m) assignment blocks
+    k, (w, m) = job.generator.shape[1], job.assignments.shape[1:]
+    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // (k * (k + w * m)))
     for ids in ((1.5, 2, 3), (1, 2, 3.0), (True, 2, 3), (1, np.True_, 3), (1, 2, 2),
                 (1, 2, 9), (0, 2, 3), (1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError) as single:
@@ -326,12 +345,12 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
 
 
 def test_check_any_k_verdicts_without_the_cli():
-    # the systematic (14, 7) code at seed 12 fails 25 subsets, 6 of them
+    # the systematic (14, 7) code at seed 12 fails 22 subsets, 3 of them
     # with generator rows decode_from_workers calls well conditioned
     job = random_job(n=14, k=7, r=14, m=5, seed=12, scheme="systematic")
     check = check_any_k(job, itertools.combinations(range(1, 15), 7), "systematic")
-    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 25, 6)
-    assert check.recovered_fraction == 3407 / 3432 and not check.passed
+    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 22, 3)
+    assert check.recovered_fraction == 3410 / 3432 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
     check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")
