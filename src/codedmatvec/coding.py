@@ -5,9 +5,9 @@ row-blocks A_b of r/k rows, and worker i holds sum_b G[i-1, b] * A_b.
 The results of any k workers gather, with one index, into a k x k system
 G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
 schemes: a Gaussian random generator, and a systematic MDS generator
-whose parity rows take Vandermonde combinations of the row-blocks.
+whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
-`decode_from_workers` solves one subset's system plus one refinement step
+`decode_from_workers` solves one subset's system with one plain solve
 and flags it by the condition number of G_S (that of G_S ⊗ I_{r/k}).
 `check_any_k` is the any-k verdict: it solves a chunk of subsets in one
 call, compares each with A x, takes condition numbers only for the
@@ -108,14 +108,15 @@ def encode_random_linear(a_matrix, x, params: ClusterParams, rng: RngStream) -> 
 def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     """Systematic MDS code over the k row-blocks of A.
 
-    Workers 1..k hold the blocks verbatim.  Parity worker j takes the
-    combination sum_b theta_j^(b-1) * block_b with node theta_j = j, so
-    any k generator rows form an invertible mix of identity rows and
-    rows of a Vandermonde matrix with distinct positive nodes.
+    Workers 1..k hold the blocks verbatim; parity worker k + j holds
+    sum_b theta_j^(b-1) * block_b at node theta_j = 2j/(n-k).  Increasing
+    positive nodes make every square minor of the parity rows positive
+    (total positivity), so any k rows are invertible.  No entry exceeds
+    2^(k-1), and n - k = 2 gives Example 1's parity rows [1, 1], [1, 2].
     """
     a, x = _check_encode_args(a_matrix, x, params)
     n, k = params.n, params.k
-    theta = np.arange(1, n - k + 1, dtype=np.float64)[:, None]
+    theta = 2 * np.arange(1, n - k + 1, dtype=np.float64)[:, None] / (n - k)
     with np.errstate(over="ignore"):  # refused below, naming the code
         generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
     if not np.isfinite(generator).all():
@@ -157,11 +158,9 @@ def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Each subset's (k, k) generator rows and its decoded y (B rows of r): a
-    solve, then one step of iterative refinement on its residual."""
+    """Each subset's (k, k) generator rows G_S and y solved from G_S Y = Z."""
     g, z = _gather(job, subsets)
-    y = _solve(g, z)
-    return g, (y + _solve(g, z - g @ y)).reshape(len(g), -1)
+    return g, _solve(g, z).reshape(len(g), -1)
 
 
 def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -476,23 +476,27 @@ def test_decode_check_still_requires_k_dividing_r(capsys):
     assert "encoding requires k | r" in capsys.readouterr().err
 
 
-def _decode_check_inputs(r, m, seed):
-    rng = RngStream(seed, 0)
-    return rng.standard_normals((r, m)), rng.standard_normals(m)
+def _sampled_decode_check(n, k, trials):
+    """decode-check's systematic job at --r k --m 5 --seed 12, and the subsets
+    it samples: the rest of the same stream, drawn after A and x."""
+    rng = RngStream(12, 0)
+    job = encode_systematic_mds(rng.standard_normals((k, 5)), rng.standard_normals(5),
+                                ClusterParams(n=n, k=k, r=k, a=0.0, mu=1.0))
+    subsets = [sorted(np.argsort(rng.uniforms(n))[:k] + 1) for _ in range(trials)]
+    argv = ["decode-check", "--scheme", "systematic", "--n", str(n), "--k", str(k),
+            "--r", str(k), "--m", "5", "--seed", "12", "--trials", str(trials)]
+    return job, subsets, argv
 
 
 def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
     # the printed counts are those of recovery_error subset by subset,
     # condition-number flag included
-    rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
-               "--r", "14", "--m", "5", "--seed", "12"])
+    job, subsets, argv = _sampled_decode_check(24, 12, 3000)
+    rc = main(argv)
     got = dict(line.split("=") for line in capsys.readouterr().out.strip().splitlines())
-    job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
-                                ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
-    results = [recovery_error(job, subset)
-               for subset in itertools.combinations(range(1, 15), 7)]
+    results = [recovery_error(job, subset) for subset in subsets]
     failed = [ok for err, ok in results if err > 1e-10]
-    assert (len(failed), sum(failed)) == (22, 3)
+    assert (len(failed), sum(failed)) == (234, 165)
     assert rc == 2 and got["pass"] == "false"
     assert got["failures"] == str(len(failed))
     assert got["unflagged_failures"] == str(sum(failed))
@@ -513,12 +517,9 @@ def test_decode_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
-    # one gather and two solves (the solve and its refinement step) per chunk,
-    # no subset solved on its own, and condition numbers only for the failing
-    # subsets of the chunks that have them
-    job = encode_systematic_mds(*_decode_check_inputs(14, 5, 12),
-                                ClusterParams(n=14, k=7, r=14, a=0.0, mu=1.0))
-    subsets = list(itertools.combinations(range(1, 15), 7))
+    # one gather and one solve per chunk, no subset solved on its own, and
+    # condition numbers only for the failing subsets of the chunks that have them
+    job, subsets, argv = _sampled_decode_check(20, 10, 3000)
     failing = [i for i, subset in enumerate(subsets) if recovery_error(job, subset)[0] > 1e-10]
     calls = {"gathered": [], "solved": [], "cond": []}
 
@@ -533,11 +534,10 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "solve",
                         counting("solved", np.linalg.solve, lambda a, b: len(a)))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, len))
-    rc = main(["decode-check", "--scheme", "systematic", "--n", "14", "--k", "7",
-               "--r", "14", "--m", "5", "--seed", "12"])
+    rc = main(argv)
     monkeypatch.undo()
-    assert rc == 2 and "failures=22\n" in capsys.readouterr().out
-    assert calls["solved"] == [size for size in calls["gathered"] for _ in range(2)]
+    assert rc == 2 and "failures=3\n" in capsys.readouterr().out
+    assert calls["solved"] == calls["gathered"]
     assert sum(calls["gathered"]) == len(subsets)
     chunk_of = np.searchsorted(np.cumsum(calls["gathered"]), failing, side="right")
     assert len(calls["gathered"]) > 1 and len(set(chunk_of)) < len(calls["gathered"])
@@ -555,12 +555,12 @@ def test_decode_check_at_the_ladder_n(capsys):
 
 
 def test_decode_check_refuses_a_systematic_code_that_overflows(capsys):
-    # the parity node 150 ** 149 overflows; every decode used to be NaN and pass
-    rc = main(["decode-check", "--scheme", "systematic", "--n", "300", "--k", "150",
-               "--r", "150", "--m", "2", "--trials", "20"])
+    # the parity entry 2 ** 1049 overflows; every decode used to be NaN and pass
+    rc = main(["decode-check", "--scheme", "systematic", "--n", "1100", "--k", "1050",
+               "--r", "1050", "--m", "2", "--trials", "20"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
-    assert captured.err.startswith("error: systematic code overflows float64 at n=300, k=150")
+    assert captured.err.startswith("error: systematic code overflows float64 at n=1100, k=1050")
 
 
 def test_verify_clean_run(capsys):

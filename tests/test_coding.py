@@ -93,10 +93,10 @@ def test_encode_divisibility_and_shape_errors():
             encode_systematic_mds(a_matrix, np.ones(2), good)
         with pytest.raises(ValueError, match=r"^a_matrix must be a non-empty 2-d array$"):
             encode_random_linear(a_matrix, np.ones(2), good, RngStream(0, 0))
-    # the parity node 150 ** 149 overflows float64, with no numpy warning
-    overflowing = ClusterParams(n=300, k=150, r=150, a=0.0, mu=1.0)
-    with pytest.raises(ValueError, match=r"^systematic code overflows float64 at n=300, k=150$"):
-        encode_systematic_mds(np.ones((150, 2)), np.ones(2), overflowing)
+    # the parity entry 2 ** 1049 overflows float64, with no numpy warning
+    overflowing = ClusterParams(n=1100, k=1050, r=1050, a=0.0, mu=1.0)
+    with pytest.raises(ValueError, match=r"^systematic code overflows float64 at n=1100, k=1050$"):
+        encode_systematic_mds(np.ones((1050, 2)), np.ones(2), overflowing)
 
 
 def test_example_construction_4_2():
@@ -199,16 +199,15 @@ def test_decode_input_assembly_and_errors():
     assert np.array_equal(result.y_hat, decode_from_workers(job, [1, 3, 5]).y_hat)
     assert np.array_equal(result.y_hat, decode_from_workers(job, np.array([3, 5, 1])).y_hat)
     assert result.y_hat.shape == (6,)
-    # the decode is a solve of the hand-stacked k x k system plus one step of
-    # iterative refinement, bit for bit, for every subset of both schemes
+    # the decode is one plain solve of the hand-stacked k x k system, bit for
+    # bit, for every subset of both schemes
     for scheme in ("random", "systematic"):
         job = random_job(n=6, k=3, r=12, m=2, seed=2, scheme=scheme)
         for subset in itertools.combinations(range(1, 7), 3):
             g = np.vstack([job.generator[i - 1] for i in subset])
             z = np.vstack([worker_compute(job, i) for i in subset])
-            y = np.linalg.solve(g, z)
             result = decode_from_workers(job, subset[::-1])
-            assert np.array_equal(result.y_hat, (y + np.linalg.solve(g, z - g @ y)).ravel())
+            assert np.array_equal(result.y_hat, np.linalg.solve(g, z).ravel())
             assert result.well_conditioned == (np.linalg.cond(g) < 1e8)
 
 
@@ -267,8 +266,7 @@ def per_subset_verdict(job, subsets, tol):
 
 @pytest.mark.parametrize("scheme", ["systematic", "random"])
 def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
-    # the benchmark's shape, every subset: the systematic code fails many of
-    # them, so errors far from 0 and both flags are compared too
+    # the benchmark's shape, every subset, errors and flags alike
     tol = {"systematic": 1e-10, "random": 1e-8}[scheme]
     job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme=scheme)
     subsets = list(itertools.combinations(range(1, 17), 8))
@@ -277,26 +275,40 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
     if scheme == "systematic":
-        assert (check.failures, check.unflagged_failures, check.passed) == (841, 23, False)
+        assert (check.failures, check.unflagged_failures, check.passed) == (0, 0, True)
     with pytest.raises(ValueError, match="^no subsets to check$"):
         check_any_k(job, [], scheme)
 
 
-@pytest.mark.parametrize("seed, equilibrated", [(12, 1041), (101000303, 977)])
-def test_refinement_fails_fewer_subsets_than_row_equilibration(seed, equilibrated):
+@pytest.mark.parametrize("seed, integer_failures", [(12, 2003), (101000303, 1991)])
+def test_the_nodes_decide_the_failures_not_the_solve(seed, integer_failures):
     # the benchmark's systematic shape, at seed 12 and at its first round's
-    # seed: dividing each row by its largest |entry| before one solve fails
-    # more subsets than check_any_k's solve plus one refinement step
+    # seed: the code fails no subset, while the integer nodes theta_j = j,
+    # decoded by the same plain solve, fail thousands
     job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
-    rows = np.array(list(itertools.combinations(range(16), 8)))
-    g, z = job.generator[rows], job.assignments[rows] @ job.x
-    scale = np.abs(g).max(axis=2, keepdims=True)
-    y = job.a_matrix @ job.x
-    y_hat = np.linalg.solve(g / scale, z / scale).reshape(len(rows), -1)
-    errors = np.linalg.norm(y_hat - y, axis=1) / np.linalg.norm(y)
-    assert int((errors > 1e-10).sum()) == equilibrated
-    check = check_any_k(job, itertools.combinations(range(1, 17), 8), "systematic")
-    assert check.failures < equilibrated
+    subsets = list(itertools.combinations(range(1, 17), 8))
+    assert check_any_k(job, subsets, "systematic").failures == 0
+    generator = np.vstack([np.eye(8), np.arange(1.0, 9.0)[:, None] ** np.arange(8.0)])
+    integer = replace(job, generator=generator,
+                      assignments=(generator @ job.a_matrix.reshape(8, -1)).reshape(16, 8, 5))
+    assert check_any_k(integer, subsets, "systematic").failures == integer_failures
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_two_parity_rows_are_example_1s_family(k):
+    # at n - k = 2 the nodes are exactly 1 and 2: parity rows 1 and 2 ** b
+    job = random_job(n=k + 2, k=k, r=k, m=2, scheme="systematic")
+    assert np.array_equal(job.generator[:k], np.eye(k))
+    assert np.array_equal(job.generator[k], [1.0] * k)
+    assert np.array_equal(job.generator[k + 1], [2.0 ** b for b in range(k)])
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+@pytest.mark.parametrize("n, k", [(12, 6), (14, 7), (16, 8)])
+def test_systematic_code_recovers_every_subset(n, k, seed):
+    job = random_job(n=n, k=k, r=4 * k, m=5, seed=seed, scheme="systematic")
+    check = check_any_k(job, itertools.combinations(range(1, n + 1), k), "systematic")
+    assert (check.failures, check.recovered_fraction, check.passed) == (0, 1.0, True)
 
 
 def test_check_any_k_keeps_the_least_squares_fallback():
@@ -313,8 +325,8 @@ def test_check_any_k_keeps_the_least_squares_fallback():
 
 
 def test_an_all_zero_generator_row_decodes_by_least_squares():
-    # a zero generator row makes the system singular: both the solve and the
-    # refinement step fall back to least squares, with no NaN and no RuntimeWarning
+    # a zero generator row makes the system singular: the solve falls back
+    # to least squares, with no NaN and no RuntimeWarning
     job = hand_built_job([[1.0, 2.0], [0.0, 0.0], [0.0, 1.0], [3.0, 1.0]], w=2)
     subsets = list(itertools.combinations(range(1, 5), 2))
     with warnings.catch_warnings():
@@ -345,12 +357,16 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
 
 
 def test_check_any_k_verdicts_without_the_cli():
-    # the systematic (14, 7) code at seed 12 fails 22 subsets, 3 of them
-    # with generator rows decode_from_workers calls well conditioned
-    job = random_job(n=14, k=7, r=14, m=5, seed=12, scheme="systematic")
-    check = check_any_k(job, itertools.combinations(range(1, 15), 7), "systematic")
-    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3432, 22, 3)
-    assert check.recovered_fraction == 3410 / 3432 and not check.passed
+    # the systematic (22, 11) code at seed 12, on decode-check's 3000 sampled
+    # subsets, fails 83, 60 of them with generator rows decode_from_workers
+    # calls well conditioned
+    rng = RngStream(12, 0)
+    job = encode_systematic_mds(rng.standard_normals((11, 5)), rng.standard_normals(5),
+                                ClusterParams(n=22, k=11, r=11, a=0.0, mu=1.0))
+    subsets = [sorted(np.argsort(rng.uniforms(22))[:11] + 1) for _ in range(3000)]
+    check = check_any_k(job, subsets, "systematic")
+    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3000, 83, 60)
+    assert check.recovered_fraction == 2917 / 3000 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
     check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")

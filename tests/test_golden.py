@@ -56,7 +56,7 @@ GOLDEN = {
     "decode.txt": (
         ["decode-check", "--scheme", "systematic", "--n", "4", "--k", "2", "--r", "2",
          "--m", "2", "--seed", "12"],
-        "ba268b64ab777d16578454e1230977aaaf40116774ffd7b3c8dc7a147bf3dfcd",
+        "006e57a3750d5fc38f22690a3900ac47bc4e93af7984438dd56282d0b3a76199",
     ),
     "verify.txt": (
         ["verify", "--n", "50", "--k", "35", "--r", "35", "--a", "1", "--mu", "2",
@@ -152,24 +152,24 @@ GOLDEN = {
     "decode_random_exhaustive.txt": (
         ["decode-check", "--scheme", "random", "--n", "8", "--k", "4", "--r", "12",
          "--m", "5", "--seed", "12"],
-        "fdaee08a4f0a23b3a344515809223cf0acdffc0f126b904dff6d27659d5002c3",
+        "9ec27f7ef4dcc7f96bac533e1c9d13ca1021646f315437d48bea936806beba5a",
     ),
-    # the benchmark's decode shape: the systematic code fails 841 subsets, 23
-    # of them unflagged, and exits 2, so this pins the conditioning flag
+    # the benchmark's decode shape: the systematic code recovers all 12870
+    # subsets and exits 0
     "decode_systematic_16_8.txt": (
         ["decode-check", "--scheme", "systematic", "--n", "16", "--k", "8", "--r", "64",
          "--m", "5", "--seed", "12"],
-        "f9b992e05cd3a7200b70d46edc34e2affd63f0011c035079dbb986612e85f730",
+        "1c1b4f196f860ad9d61467c59c36b3f8784ed3a57887c6eda13ceb39218eaf65",
     ),
     "decode_random_16_8.txt": (
         ["decode-check", "--scheme", "random", "--n", "16", "--k", "8", "--r", "64",
          "--m", "5", "--seed", "12"],
-        "e759b8263b163d6a0ae51e1995260b1dc1bcfc4264764e8e471766d5529c7fef",
+        "67c0570b3ac4774ed8d912abba3ee03fd53e9921d1220fd4a0ca20fb49725367",
     ),
     "decode_random_sampled.txt": (
         ["decode-check", "--scheme", "random", "--n", "30", "--k", "15", "--r", "15",
          "--m", "3", "--trials", "200", "--seed", "12"],
-        "0ce53167d9d8aba18e05f3fa0d6da76e6c68bc3c0538c37cb589355caa0e18db",
+        "a1a4e81b8b383cad45a2efcfa47c47f1e392736c5046fd4516772212b797793a",
     ),
     # uncoded at a = 0.3, where a*(r/n) and a*r/n round apart; the printed digits
     # hide that one-ulp shift, which test_timing pins
