@@ -109,14 +109,14 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     """Systematic MDS code over the k row-blocks of A.
 
     Workers 1..k hold the blocks verbatim; parity worker k + j holds
-    sum_b theta_j^(b-1) * block_b at node theta_j = 2j/(n-k).  Increasing
-    positive nodes make every square minor of the parity rows positive
-    (total positivity), so any k rows are invertible.  No entry exceeds
-    2^(k-1), and n - k = 2 gives Example 1's parity rows [1, 1], [1, 2].
+    sum_b theta_j^(b-1) * block_b at node theta_j = 2j/max(n-k, 2).  Increasing
+    positive nodes make every square minor of the parity rows positive (total
+    positivity), so any k rows are invertible.  No entry exceeds 2^(k-1); one
+    parity row is all ones, and two are Example 1's [1, 1], [1, 2].
     """
     a, x = _check_encode_args(a_matrix, x, params)
     n, k = params.n, params.k
-    theta = 2 * np.arange(1, n - k + 1, dtype=np.float64)[:, None] / (n - k)
+    theta = 2 * np.arange(1, n - k + 1, dtype=np.float64)[:, None] / max(n - k, 2)
     with np.errstate(over="ignore"):  # refused below, naming the code
         generator = np.vstack([np.eye(k), theta ** np.arange(k, dtype=np.float64)])
     if not np.isfinite(generator).all():

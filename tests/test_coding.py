@@ -97,6 +97,10 @@ def test_encode_divisibility_and_shape_errors():
     overflowing = ClusterParams(n=1100, k=1050, r=1050, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match=r"^systematic code overflows float64 at n=1100, k=1050$"):
         encode_systematic_mds(np.ones((1050, 2)), np.ones(2), overflowing)
+    # one parity row is all ones at any k
+    single = ClusterParams(n=1101, k=1100, r=1100, a=0.0, mu=1.0)
+    job = encode_systematic_mds(np.ones((1100, 2)), np.ones(2), single)
+    assert np.array_equal(job.generator[-1], np.ones(1100))
 
 
 def test_example_construction_4_2():
@@ -280,6 +284,15 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
         check_any_k(job, [], scheme)
 
 
+def integer_node_job(seed):
+    """The benchmark's systematic (16, 8, 64, 5) job on the integer nodes
+    theta_j = j: parity rows j ** b, with entries up to 8 ** 7."""
+    job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
+    generator = np.vstack([np.eye(8), np.arange(1.0, 9.0)[:, None] ** np.arange(8.0)])
+    return replace(job, generator=generator,
+                   assignments=(generator @ job.a_matrix.reshape(8, -1)).reshape(16, 8, 5))
+
+
 @pytest.mark.parametrize("seed, integer_failures", [(12, 2003), (101000303, 1991)])
 def test_the_nodes_decide_the_failures_not_the_solve(seed, integer_failures):
     # the benchmark's systematic shape, at seed 12 and at its first round's
@@ -288,23 +301,23 @@ def test_the_nodes_decide_the_failures_not_the_solve(seed, integer_failures):
     job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
     subsets = list(itertools.combinations(range(1, 17), 8))
     assert check_any_k(job, subsets, "systematic").failures == 0
-    generator = np.vstack([np.eye(8), np.arange(1.0, 9.0)[:, None] ** np.arange(8.0)])
-    integer = replace(job, generator=generator,
-                      assignments=(generator @ job.a_matrix.reshape(8, -1)).reshape(16, 8, 5))
-    assert check_any_k(integer, subsets, "systematic").failures == integer_failures
+    assert check_any_k(integer_node_job(seed), subsets, "systematic").failures == integer_failures
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_two_parity_rows_are_example_1s_family(k):
-    # at n - k = 2 the nodes are exactly 1 and 2: parity rows 1 and 2 ** b
+    # at n - k = 2 the nodes are exactly 1 and 2: parity rows 1 and 2 ** b;
+    # a single parity row takes node 1, all ones
     job = random_job(n=k + 2, k=k, r=k, m=2, scheme="systematic")
     assert np.array_equal(job.generator[:k], np.eye(k))
     assert np.array_equal(job.generator[k], [1.0] * k)
     assert np.array_equal(job.generator[k + 1], [2.0 ** b for b in range(k)])
+    single = random_job(n=k + 1, k=k, r=k, m=2, scheme="systematic")
+    assert np.array_equal(single.generator, np.vstack([np.eye(k), np.ones(k)]))
 
 
 @pytest.mark.parametrize("seed", [3, 5])
-@pytest.mark.parametrize("n, k", [(12, 6), (14, 7), (16, 8)])
+@pytest.mark.parametrize("n, k", [(12, 6), (14, 7), (16, 8), (31, 30)])
 def test_systematic_code_recovers_every_subset(n, k, seed):
     job = random_job(n=n, k=k, r=4 * k, m=5, seed=seed, scheme="systematic")
     check = check_any_k(job, itertools.combinations(range(1, n + 1), k), "systematic")
@@ -357,16 +370,13 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
 
 
 def test_check_any_k_verdicts_without_the_cli():
-    # the systematic (22, 11) code at seed 12, on decode-check's 3000 sampled
-    # subsets, fails 83, 60 of them with generator rows decode_from_workers
-    # calls well conditioned
-    rng = RngStream(12, 0)
-    job = encode_systematic_mds(rng.standard_normals((11, 5)), rng.standard_normals(5),
-                                ClusterParams(n=22, k=11, r=11, a=0.0, mu=1.0))
-    subsets = [sorted(np.argsort(rng.uniforms(22))[:11] + 1) for _ in range(3000)]
-    check = check_any_k(job, subsets, "systematic")
-    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (3000, 83, 60)
-    assert check.recovered_fraction == 2917 / 3000 and not check.passed
+    # the integer-node (16, 8) code at seed 12 fails 2003 of its 12870
+    # subsets, 200 of them with generator rows decode_from_workers calls
+    # well conditioned
+    check = check_any_k(integer_node_job(12), itertools.combinations(range(1, 17), 8),
+                        "systematic")
+    assert (check.subsets_checked, check.failures, check.unflagged_failures) == (12870, 2003, 200)
+    assert check.recovered_fraction == 10867 / 12870 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
     check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")
