@@ -162,8 +162,9 @@ def compute_metrics(t: Timeline) -> TimelineMetrics:
 class TrialArrays:
     """Per-trial results of `run_trials`; entry i is trial i, RngStream(seed, i).
 
-    The first six arrays hold the run-time t_total, the needed-th
-    completion time and the TimelineMetrics fields.  Given a pipeline index,
+    The first five arrays hold the run-time t_total, the needed-th
+    completion time and the TimelineMetrics fields but hit_lower_bound,
+    which is q_idle == needed.  Given a pipeline index,
     count1 holds each trial's first `transmission_counts`; the second is
     completed_by_comp_k - count1.
     """
@@ -173,7 +174,6 @@ class TrialArrays:
     completed_by_comp_k: np.ndarray
     q_idle: np.ndarray
     busy_fraction: np.ndarray
-    hit_lower_bound: np.ndarray
     count1: np.ndarray | None = None
 
 
@@ -223,7 +223,6 @@ def run_trials(
             completed_by_comp_k=np.empty(trials, dtype=np.intp),
             q_idle=np.empty(trials, dtype=np.intp),
             busy_fraction=np.zeros(trials),
-            hit_lower_bound=np.empty(trials, dtype=bool),
             count1=None if p is None else np.empty(trials, dtype=np.intp),
         )
         plans.append((params.rate, params.t0, needed, t_cmm,
@@ -277,7 +276,6 @@ def run_trials(
             out.kth_finish[done] = kth
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
-            out.hit_lower_bound[done] = out.q_idle[done] == needed
     return [plan[-1] for plan in plans]
 
 

@@ -243,7 +243,7 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
     if exhaustive:
         subsets = itertools.combinations(range(1, config.n + 1), config.k)
     else:  # drawn lazily, after the random code's draws
-        subsets = (sorted(np.argsort(rng.uniforms(config.n))[: config.k] + 1)
+        subsets = (np.argsort(rng.uniforms(config.n))[: config.k] + 1
                    for _ in range(min(config.trials, 20_000)))
     check = check_any_k(job, subsets, config.scheme)
     _write([[

@@ -7,11 +7,12 @@ G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
 schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
-`decode_from_workers` solves one subset's system with one plain solve
-and flags it by the condition number of G_S (that of G_S ⊗ I_{r/k}).
-`check_any_k` is the any-k verdict: it solves a chunk of subsets in one
-call, compares each with A x, takes condition numbers only for the
-failing subsets, and judges the scheme by its row of ANY_K_RULES.
+Each worker's result A_i x is computed once, and a subset gathers k of
+them.  `_decode` solves a batch of subsets with one plain solve and judges
+each by its relative error ||y_hat - A x|| / ||A x||; a decode is flagged
+by the condition number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is
+the any-k verdict: it decodes a chunk of subsets per call, takes condition
+numbers only for the failing ones, and applies its row of ANY_K_RULES.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .timing import ClusterParams
 # solves whose generator rows have condition numbers beyond this are flagged, not trusted
 COND_LIMIT = 1e8
 
-# float64 per check_any_k chunk; a subset gathers k*k + k*(r/k)*m (a chunk takes at least one)
+# float64 per check_any_k chunk; a subset gathers k*k + k*(r/k) (a chunk takes at least one)
 CHUNK_ELEMENTS = 2**16
 
 # per scheme: the tolerance on a subset's relative error, and the least
@@ -137,7 +138,7 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
 
 def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
     """Check each subset's worker ids and gather its system in ascending
-    id: the (B, k, k) generator rows and the (B, k, r/k) results."""
+    id: the (B, k, k) generator rows and the (B, k, r/k) worker results."""
     n, k = job.generator.shape
     rows = np.empty((len(subsets), k), dtype=np.intp)
     for row, worker_ids in zip(rows, subsets):
@@ -154,13 +155,16 @@ def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"worker ids must lie in [1, {n}]")
         row[:] = ids
     rows -= 1
-    return job.generator[rows], job.assignments[rows] @ job.x
+    return job.generator[rows], (job.assignments @ job.x)[rows]
 
 
-def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Each subset's (k, k) generator rows G_S and y solved from G_S Y = Z."""
+def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each subset's (k, k) generator rows G_S, y_hat solved from G_S Y = Z,
+    and its relative error ||y_hat - A x|| / ||A x|| (absolute if A x = 0)."""
     g, z = _gather(job, subsets)
-    return g, _solve(g, z).reshape(len(g), -1)
+    y, y_hat = job.a_matrix @ job.x, _solve(g, z).reshape(len(g), -1)
+    diff = y_hat - y
+    return g, y_hat, np.sqrt(np.vecdot(diff, diff)) / (np.linalg.norm(y) or 1.0)
 
 
 def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -179,29 +183,26 @@ def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     ids, any order, any iterable), gathered in ascending id.  A decode whose
     generator rows reach COND_LIMIT is flagged as untrustworthy; it is still
     returned, by least squares if they are singular, so the caller can retry."""
-    g, y_hat = _decode(job, [worker_ids])
+    g, y_hat, _ = _decode(job, [worker_ids])
     return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(np.linalg.cond(g[0]) < COND_LIMIT))
 
 
 def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
     """Decode y from each subset of worker ids and judge the scheme by
-    ANY_K_RULES[scheme].  Each relative error ||y_hat - A x|| / ||A x||,
-    and each failing subset's flag, is bit for bit `recovery_error`'s.
-    The subsets are read lazily, a chunk at a time; each chunk is checked
-    and decoded once as `decode_from_workers` decodes one subset, and only
-    its failing subsets pay for condition numbers."""
+    ANY_K_RULES[scheme] on the errors and flags `recovery_error` returns.
+    The subsets are read lazily, a chunk at a time; each chunk is checked and
+    decoded once, as `decode_from_workers` decodes one subset, and only its
+    failing subsets pay for condition numbers."""
+    if scheme not in ANY_K_RULES:
+        raise ValueError(f"scheme must be one of {', '.join(ANY_K_RULES)}, got {scheme!r}")
     tol, least_recovered = ANY_K_RULES[scheme]
-    y = job.a_matrix @ job.x
-    y_norm = np.linalg.norm(y) or 1.0  # a zero A x leaves the errors absolute
-    k = job.generator.shape[1]
-    chunk_size = max(1, CHUNK_ELEMENTS // (k * (k + job.assignments[0].size)))
+    k, w = job.generator.shape[1], job.assignments.shape[1]
+    chunk_size = max(1, CHUNK_ELEMENTS // (k * (k + w)))
     subsets = iter(subsets)
     checked = failures = unflagged = 0
     max_error = 0.0
     while chunk := list(itertools.islice(subsets, chunk_size)):
-        g, y_hat = _decode(job, chunk)
-        diff = y_hat - y
-        errors = np.sqrt(np.vecdot(diff, diff)) / y_norm  # np.linalg.norm's dot, row by row
+        g, _, errors = _decode(job, chunk)
         failing = ~(errors <= tol)  # so a NaN error fails
         checked += len(chunk)
         failures += int(failing.sum())
@@ -221,7 +222,5 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
 def recovery_error(job: CodedJob, worker_ids):
     """Decode from the given workers and compare against the direct product:
     (relative_error, well_conditioned), the error ||y_hat - A x|| / ||A x||."""
-    result = decode_from_workers(job, worker_ids)
-    y = job.a_matrix @ job.x
-    err = np.linalg.norm(result.y_hat - y) / (np.linalg.norm(y) or 1.0)
-    return float(err), result.well_conditioned
+    g, _, errors = _decode(job, [worker_ids])
+    return float(errors[0]), bool(np.linalg.cond(g[0]) < COND_LIMIT)

@@ -128,7 +128,7 @@ def monte_carlo(
     code = params.uncoded() if scheme == "uncoded" else params
     (batch,) = run_trials([(code, comm)], trials, seed)
     completed = MCStats.from_samples(batch.completed_by_comp_k)
-    frac_hit = float(np.mean(batch.hit_lower_bound))
+    frac_hit = float(np.mean(batch.q_idle == code.k))
     agg = AggregateMetrics(
         frac_lower_bound_hit=frac_hit,
         mean_completed_by_comp_k=completed.mean,

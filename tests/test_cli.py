@@ -539,6 +539,9 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
     assert rc == 2 and "failures=3\n" in capsys.readouterr().out
     assert calls["solved"] == calls["gathered"]
     assert sum(calls["gathered"]) == len(subsets)
+    # a subset gathers k x k generator entries and k results of r/k rows
+    k, w = job.generator.shape[1], job.assignments.shape[1]
+    assert set(calls["gathered"][:-1]) == {coding.CHUNK_ELEMENTS // (k * (k + w))} == {595}
     chunk_of = np.searchsorted(np.cumsum(calls["gathered"]), failing, side="right")
     assert len(calls["gathered"]) > 1 and len(set(chunk_of)) < len(calls["gathered"])
     assert calls["cond"] == list(np.bincount(chunk_of)[sorted(set(chunk_of))])

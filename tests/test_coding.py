@@ -278,6 +278,12 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
     assert (check.subsets_checked, check.tolerance) == (len(subsets), tol)
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
+    # both read one error expression; check it against np.linalg.norm
+    y = job.a_matrix @ job.x
+    for subset in subsets[::97]:
+        result = decode_from_workers(job, subset)
+        assert recovery_error(job, subset) == (
+            np.linalg.norm(result.y_hat - y) / np.linalg.norm(y), result.well_conditioned)
     if scheme == "systematic":
         assert (check.failures, check.unflagged_failures, check.passed) == (0, 0, True)
     with pytest.raises(ValueError, match="^no subsets to check$"):
@@ -357,9 +363,9 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
 
 def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    # a subset gathers k x k generator entries and k (r/k, m) assignment blocks
-    k, (w, m) = job.generator.shape[1], job.assignments.shape[1:]
-    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // (k * (k + w * m)))
+    # a subset gathers k x k generator entries and k results of r/k rows
+    k, w = job.generator.shape[1], job.assignments.shape[1]
+    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // (k * (k + w)))
     for ids in ((1.5, 2, 3), (1, 2, 3.0), (True, 2, 3), (1, np.True_, 3), (1, 2, 2),
                 (1, 2, 9), (0, 2, 3), (1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError) as single:
@@ -367,6 +373,12 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
         # the same message when the bad subset follows a full chunk of good ones
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
             check_any_k(job, full_chunk + [ids], "random")
+
+
+def test_check_any_k_refuses_an_unknown_scheme():
+    job = random_job(n=4, k=2, r=2, m=2)
+    with pytest.raises(ValueError, match=r"^scheme must be one of systematic, random, got 'coded'$"):
+        check_any_k(job, [(1, 2)], "coded")
 
 
 def test_check_any_k_verdicts_without_the_cli():

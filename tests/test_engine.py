@@ -38,7 +38,7 @@ from codedmatvec import channel
 from codedmatvec.rng import uniform_rows
 from oracles import maxplus_total_exact
 
-EXACT_FIELDS = ("kth_finish", "completed_by_comp_k", "q_idle", "hit_lower_bound")
+EXACT_FIELDS = ("kth_finish", "completed_by_comp_k", "q_idle")
 
 
 def _ulps(x, exact):
@@ -59,7 +59,6 @@ def _loop(params, comm, trials, seed, scheme, p=None):
         rows["kth_finish"].append(kth)
         rows["completed_by_comp_k"].append(metrics.completed_by_comp_k)
         rows["q_idle"].append(metrics.q_idle)
-        rows["hit_lower_bound"].append(metrics.hit_lower_bound)
         if p is not None:
             count1, count2 = transmission_counts(timeline, p)
             rows["count1"].append(count1)
