@@ -8,11 +8,14 @@ schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
 Each worker's result A_i x is computed once, and a subset gathers k of
-them.  `_decode` solves a batch of subsets with one plain solve and judges
-each by its relative error ||y_hat - A x|| / ||A x||; a decode is flagged
-by the condition number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is
-the any-k verdict: it decodes a chunk of subsets per call, takes condition
-numbers only for the failing ones, and applies its row of ANY_K_RULES.
+them.  The worker ids are checked per chunk of subsets, with array
+operations; a bad chunk is refused with its first bad subset's message,
+the one `decode_from_workers` gives for that subset.  `_decode` solves a
+batch of subsets with one plain solve and judges each by its relative
+error ||y_hat - A x|| / ||A x||; a decode is flagged by the condition
+number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is the any-k
+verdict: it decodes a chunk of subsets per call, takes condition numbers
+only for the failing ones, and applies its row of ANY_K_RULES.
 """
 
 from __future__ import annotations
@@ -125,8 +128,12 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     return _encode(a, x, generator)
 
 
-def _is_id(worker_id) -> bool:  # a bool is an int to Python; int() truncates a float
-    return isinstance(worker_id, (int, np.integer)) and not isinstance(worker_id, bool)
+def _is_id_type(t) -> bool:  # a bool is an int to Python; int() truncates a float
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
+def _is_id(worker_id) -> bool:
+    return _is_id_type(type(worker_id))
 
 
 def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
@@ -136,24 +143,41 @@ def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
     return job.assignments[worker_id - 1] @ job.x
 
 
+def _refuse(worker_ids, n: int, k: int) -> None:
+    """Raise the refusal of one subset of worker ids, if it has one."""
+    bad = [i for i in worker_ids if not _is_id(i)]
+    if bad:
+        raise ValueError(f"worker ids must be integers, got {bad[0]!r}")
+    ids = sorted(set(worker_ids))
+    if len(ids) != len(worker_ids):
+        raise ValueError("worker ids must be distinct")
+    if len(ids) != k:
+        raise ValueError(f"decoding needs exactly k={k} workers, got {len(ids)}")
+    if ids[0] < 1 or ids[-1] > n:
+        raise ValueError(f"worker ids must lie in [1, {n}]")
+
+
 def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Check each subset's worker ids and gather its system in ascending
-    id: the (B, k, k) generator rows and the (B, k, r/k) worker results."""
+    """Check a chunk of subsets of worker ids and gather each one's system in
+    ascending id: the (B, k, k) generator rows and the (B, k, r/k) worker
+    results.  The chunk is checked as a whole, by its set of id types, its
+    set of lengths and one sorted (B, k) array; a bad chunk is refused as
+    `_refuse` refuses its first bad subset."""
     n, k = job.generator.shape
-    rows = np.empty((len(subsets), k), dtype=np.intp)
-    for row, worker_ids in zip(rows, subsets):
-        given = list(worker_ids)  # read a one-shot iterable once
-        bad = [i for i in given if not _is_id(i)]
-        if bad:
-            raise ValueError(f"worker ids must be integers, got {bad[0]!r}")
-        ids = sorted(set(given))
-        if len(ids) != len(given):
-            raise ValueError("worker ids must be distinct")
-        if len(ids) != k:
-            raise ValueError(f"decoding needs exactly k={k} workers, got {len(ids)}")
-        if ids[0] < 1 or ids[-1] > n:
-            raise ValueError(f"worker ids must lie in [1, {n}]")
-        row[:] = ids
+    given = list(map(tuple, subsets))  # read each one-shot iterable once
+    flat = list(itertools.chain.from_iterable(given))
+    rows = None
+    if set(map(len, given)) == {k} and all(map(_is_id_type, set(map(type, flat)))):
+        try:
+            rows = np.sort(np.array(flat, dtype=np.intp).reshape(-1, k), axis=1)
+        except OverflowError:  # an id beyond intp, out of range
+            pass
+    del flat
+    if rows is None or rows[:, 0].min() < 1 or rows[:, -1].max() > n \
+            or not np.diff(rows, axis=1).all():
+        for worker_ids in given:
+            _refuse(worker_ids, n, k)
+    del given
     rows -= 1
     return job.generator[rows], (job.assignments @ job.x)[rows]
 
@@ -178,13 +202,18 @@ def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.array([_solve(a, b) for a, b in zip(g, z)])
 
 
+def _well_conditioned(g: np.ndarray) -> np.ndarray:
+    """Per (k, k) system of a (..., k, k) stack: is its condition number below COND_LIMIT."""
+    return np.linalg.cond(g) < COND_LIMIT
+
+
 def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     """Decode y from the results of exactly k distinct workers (1-based integer
     ids, any order, any iterable), gathered in ascending id.  A decode whose
     generator rows reach COND_LIMIT is flagged as untrustworthy; it is still
     returned, by least squares if they are singular, so the caller can retry."""
     g, y_hat, _ = _decode(job, [worker_ids])
-    return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(np.linalg.cond(g[0]) < COND_LIMIT))
+    return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(_well_conditioned(g[0])))
 
 
 def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
@@ -208,7 +237,7 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
         failures += int(failing.sum())
         max_error = np.maximum(max_error, errors.max())  # and a NaN is the max
         if failing.any():
-            unflagged += int((np.linalg.cond(g[failing]) < COND_LIMIT).sum())
+            unflagged += int(_well_conditioned(g[failing]).sum())
     if not checked:
         raise ValueError("no subsets to check")
     recovered = (checked - failures) / checked
@@ -223,4 +252,4 @@ def recovery_error(job: CodedJob, worker_ids):
     """Decode from the given workers and compare against the direct product:
     (relative_error, well_conditioned), the error ||y_hat - A x|| / ||A x||."""
     g, _, errors = _decode(job, [worker_ids])
-    return float(errors[0]), bool(np.linalg.cond(g[0]) < COND_LIMIT)
+    return float(errors[0]), bool(_well_conditioned(g[0]))

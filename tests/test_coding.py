@@ -18,6 +18,7 @@ from codedmatvec import (
     recovery_error,
     worker_compute,
 )
+from codedmatvec import coding
 from codedmatvec.coding import CHUNK_ELEMENTS
 
 
@@ -373,6 +374,74 @@ def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
         # the same message when the bad subset follows a full chunk of good ones
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
             check_any_k(job, full_chunk + [ids], "random")
+    # ids beyond intp do not fit the chunk's integer array: still out of range
+    for ids in ((2**70, 2, 3), (1, -2**70, 3), (1, 2, np.uint64(2**64 - 1))):
+        with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
+            decode_from_workers(job, ids)
+        with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
+            check_any_k(job, full_chunk + [ids], "random")
+
+
+def per_id_refusal(worker_ids, n, k):
+    """The refusal message of one subset, checked id by id, or None: the
+    reference the chunk check must agree with."""
+    given = list(worker_ids)
+    bad = [i for i in given if not isinstance(i, (int, np.integer)) or isinstance(i, bool)]
+    if bad:
+        return f"worker ids must be integers, got {bad[0]!r}"
+    ids = sorted(set(given))
+    if len(ids) != len(given):
+        return "worker ids must be distinct"
+    if len(ids) != k:
+        return f"decoding needs exactly k={k} workers, got {len(ids)}"
+    if ids[0] < 1 or ids[-1] > n:
+        return f"worker ids must lie in [1, {n}]"
+    return None
+
+
+def test_the_first_bad_subset_of_a_chunk_names_the_refusal():
+    job = random_job(n=6, k=3, r=6, m=2, seed=2)
+    # a range failure before a type failure: the subset, not the category, decides
+    chunk = [(1, 2, 3)] * 5 + [(1, 2, 9), (4, 5, 6), (1.5, 2, 3)]
+    with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
+        check_any_k(job, chunk, "random")
+    with pytest.raises(ValueError, match=r"^decoding needs exactly k=3 workers, got 2$"):
+        check_any_k(job, [(1, 2), (1, 2, 3, 4)], "random")
+    # random chunks of good and bad subsets against the per-id reference
+    good = [1, 2, 3, 4, 5, 6, np.int64(2), np.uint8(6)]
+    bad = [0, 7, -1, 2**70, np.uint64(2**64 - 1), 1.5, 3.0, True, np.True_]
+    draw = np.random.default_rng(5)
+    for _ in range(400):
+        chunk = []
+        for _ in range(draw.integers(1, 9)):
+            ids = [good[i] for i in draw.permutation(8)[:draw.choice([3] * 18 + [2, 4])]]
+            if draw.random() < 0.15:
+                ids[draw.integers(len(ids))] = bad[draw.integers(len(bad))]
+            chunk.append(tuple(ids))
+        expected = next(filter(None, (per_id_refusal(ids, 6, 3) for ids in chunk)), None)
+        if expected is None:
+            check_any_k(job, chunk, "random")
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                check_any_k(job, chunk, "random")
+
+
+def test_a_valid_chunk_makes_no_per_id_call(monkeypatch):
+    # the benchmark's systematic job: all C(16, 8) subsets are checked as
+    # arrays, while worker_compute still checks its one id
+    job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme="systematic")
+    calls = []
+
+    def counting(worker_id):
+        calls.append(worker_id)
+        return is_id(worker_id)
+
+    is_id = coding._is_id
+    monkeypatch.setattr(coding, "_is_id", counting)
+    check = check_any_k(job, itertools.combinations(range(1, 17), 8), "systematic")
+    assert (check.subsets_checked, calls) == (12870, [])
+    worker_compute(job, 3)
+    assert calls == [3]
 
 
 def test_check_any_k_refuses_an_unknown_scheme():
