@@ -210,23 +210,16 @@ def run_trials(
         raise ValueError(f"codes must share one n, got n = {[params.n for params, _ in codes]}")
     if p is not None and not (isinstance(p, int) and 1 <= p <= n):
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
-    plans = []
     for params, comm in codes:
         _check_work(params, comm, trials)
-        needed, t_cmm = params.k, comm.t_cmm
-        # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
-        # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
-        lead = t_cmm * np.arange(needed, dtype=np.float64)
-        out = TrialArrays(
-            t_total=np.empty(trials),
-            kth_finish=np.empty(trials),
-            completed_by_comp_k=np.empty(trials, dtype=np.intp),
-            q_idle=np.empty(trials, dtype=np.intp),
-            busy_fraction=np.zeros(trials),
-            count1=None if p is None else np.empty(trials, dtype=np.intp),
-        )
-        plans.append((params.rate, params.t0, needed, t_cmm,
-                      t_cmm * np.arange(needed, 0, -1.0), lead, lead + t_cmm, out))
+    outs = [TrialArrays(
+        t_total=np.empty(trials),
+        kth_finish=np.empty(trials),
+        completed_by_comp_k=np.empty(trials, dtype=np.intp),
+        q_idle=np.empty(trials, dtype=np.intp),
+        busy_fraction=np.zeros(trials),
+        count1=None if p is None else np.empty(trials, dtype=np.intp),
+    ) for _ in codes]
     width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // n))
     # one buffer for the draws and both work matrices, shared by every
@@ -234,33 +227,34 @@ def run_trials(
     # past glibc's trim threshold, and every call then faults their pages
     # back in
     buffer = np.empty(rows * (n + 2 * width))
-    draws = buffer[: rows * n].reshape(rows, n)
-    work = buffer[rows * n : rows * (n + width)]
-    scratch = buffer[rows * (n + width) :]
+    draws, work, scratch = np.split(buffer, [rows * n, rows * (n + width)])
     flags = np.empty(rows * width, dtype=bool)
 
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
-        times = draws[:m]
+        times = draws[: m * n].reshape(m, n)
         uniform_rows(seed, first, times)
         np.negative(times, out=times)
         np.log1p(times, out=times)
         np.negative(times, out=times)
         times.sort(axis=1)
-        for rate, shift, needed, t_cmm, tail, lead, lead_end, out in plans:
+        for (params, comm), out in zip(codes, outs):
+            rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
             ends = scratch[: m * needed].reshape(m, needed)
             flag = flags[: m * needed].reshape(m, needed)
             np.add(cf, shift, out=cf)
             kth = cf[:, needed - 1]
             total = out.t_total[done]
-
-            np.add(cf, tail, out=ends)
+            # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
+            # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
+            lead = t_cmm * np.arange(needed, dtype=np.float64)
+            np.add(cf, t_cmm * np.arange(needed, 0, -1.0), out=ends)
             np.max(ends, axis=1, out=total)
             np.subtract(cf, lead, out=ends)
             np.maximum.accumulate(ends, axis=1, out=ends)
-            np.add(ends, lead_end, out=ends)
+            np.add(ends, lead + t_cmm, out=ends)
             out.completed_by_comp_k[done] = np.count_nonzero(
                 np.less_equal(ends, kth[:, None], out=flag), axis=1)
             if p is not None:
@@ -276,7 +270,7 @@ def run_trials(
             out.kth_finish[done] = kth
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
-    return [plan[-1] for plan in plans]
+    return outs
 
 
 def run_coded_trial(

@@ -25,7 +25,7 @@ from .analysis import (
     pipeline_index,
 )
 from .channel import CommModel, run_coded_trial
-from .coding import check_any_k, encode_random_linear, encode_systematic_mds
+from .coding import CHUNK_ELEMENTS, check_any_k, encode_random_linear, encode_systematic_mds
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
@@ -242,9 +242,14 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
     exhaustive = math.comb(config.n, config.k) <= 20_000
     if exhaustive:
         subsets = itertools.combinations(range(1, config.n + 1), config.k)
-    else:  # drawn lazily, after the random code's draws
-        subsets = (np.argsort(rng.uniforms(config.n))[: config.k] + 1
-                   for _ in range(min(config.trials, 20_000)))
+    else:  # drawn lazily after the random code's draws, B * n <= CHUNK_ELEMENTS
+        # uniforms per block: row j of a (B, n) block is the j-th uniforms(n) draw,
+        # so each subset is the one-by-one draw's; nothing draws from rng after them
+        count, block = min(config.trials, 20_000), max(1, CHUNK_ELEMENTS // config.n)
+        blocks = (rng.uniforms((min(block, count - first), config.n))
+                  for first in range(0, count, block))
+        subsets = itertools.chain.from_iterable(
+            (np.argsort(u, axis=1)[:, : config.k] + 1).tolist() for u in blocks)
     check = check_any_k(job, subsets, config.scheme)
     _write([[
         ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),

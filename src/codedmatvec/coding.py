@@ -7,8 +7,8 @@ G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
 schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
-Each worker's result A_i x is computed once, and a subset gathers k of
-them.  The worker ids are checked per chunk of subsets, with array
+Each chunk of subsets computes the n worker results A_i x in one product,
+and a subset gathers k of them.  The worker ids are checked per chunk of subsets, with array
 operations; a bad chunk is refused with its first bad subset's message,
 the one `decode_from_workers` gives for that subset.  `_decode` solves a
 batch of subsets with one plain solve and judges each by its relative

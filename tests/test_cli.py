@@ -547,6 +547,34 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
     assert calls["cond"] == list(np.bincount(chunk_of)[sorted(set(chunk_of))])
 
 
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, k, trials", [(24, 12, 20000), (800, 560, 200)])
+def test_decode_check_draws_its_sampled_subsets_as_one_by_one(monkeypatch, n, k, trials):
+    # a block of rows per draw gives the one-by-one draws bit for bit, from the
+    # stream left after A, x and the random generator; both runs span blocks
+    # of CHUNK_ELEMENTS // n rows, the last one cut short
+    assert trials > coding.CHUNK_ELEMENTS // n and trials % (coding.CHUNK_ELEMENTS // n)
+    drawn = []
+
+    def capture(job, subsets, scheme):
+        drawn.extend(subsets)
+        raise _Drawn
+
+    monkeypatch.setattr(cli, "check_any_k", capture)
+    with pytest.raises(_Drawn):
+        main(["decode-check", "--scheme", "random", "--n", str(n), "--k", str(k),
+              "--r", str(k), "--m", "5", "--seed", "12", "--trials", str(trials)])
+    rng = RngStream(12, 0)
+    for size in [(k, 5), 5, (n, k)]:  # A, x and the generator
+        rng.standard_normals(size)
+    expected = [(np.argsort(rng.uniforms(n))[:k] + 1).tolist() for _ in range(trials)]
+    assert drawn == expected
+    assert {type(i) for subset in drawn for i in subset} == {int}
+
+
 def test_decode_check_at_the_ladder_n(capsys):
     # the speedup ladder's n = 800, k = 0.7 n, r = lcm(n, k): each subset is a
     # 560 x 560 solve, where an r x r system would take 250 MB
