@@ -166,14 +166,15 @@ class TrialArrays:
     completion time and the TimelineMetrics fields but hit_lower_bound,
     which is q_idle == needed.  Given a pipeline index,
     count1 holds each trial's first `transmission_counts`; the second is
-    completed_by_comp_k - count1.
+    completed_by_comp_k - count1.  A run with occupancy=False leaves the
+    three occupancy fields and count1 None.
     """
 
     t_total: np.ndarray
     kth_finish: np.ndarray
-    completed_by_comp_k: np.ndarray
-    q_idle: np.ndarray
-    busy_fraction: np.ndarray
+    completed_by_comp_k: np.ndarray | None
+    q_idle: np.ndarray | None
+    busy_fraction: np.ndarray | None
     count1: np.ndarray | None = None
 
 
@@ -182,6 +183,7 @@ def run_trials(
     trials: int,
     seed: int,
     p: int | None = None,
+    occupancy: bool = True,
 ) -> list[TrialArrays]:
     """Run trials 0..trials-1 of every (params, comm) pair in `codes`,
     trial i of each on RngStream(seed, i), and return one TrialArrays per
@@ -199,6 +201,13 @@ def run_trials(
     and inside [kth + t_cmm, kth + needed * t_cmm] in floats (its last
     term is the lower end, and rounding is monotone); the ends, one
     running max, feed only the integer metrics.
+
+    With occupancy=False each pair stops at t_total and kth_finish, which
+    are bit for bit the default run's: the ends, completed_by_comp_k,
+    q_idle and busy_fraction are neither computed nor allocated, and
+    those fields are None.  speedup_curve, which reads only t_total,
+    passes it; a pipeline index p needs the ends, so p with
+    occupancy=False is refused.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
@@ -210,14 +219,16 @@ def run_trials(
         raise ValueError(f"codes must share one n, got n = {[params.n for params, _ in codes]}")
     if p is not None and not (isinstance(p, int) and 1 <= p <= n):
         raise ValueError(f"p must lie in [1, {n}], got {p!r}")
+    if p is not None and not occupancy:
+        raise ValueError("p needs occupancy=True: count1 is read from the transmission ends")
     for params, comm in codes:
         _check_work(params, comm, trials)
     outs = [TrialArrays(
         t_total=np.empty(trials),
         kth_finish=np.empty(trials),
-        completed_by_comp_k=np.empty(trials, dtype=np.intp),
-        q_idle=np.empty(trials, dtype=np.intp),
-        busy_fraction=np.zeros(trials),
+        completed_by_comp_k=np.empty(trials, dtype=np.intp) if occupancy else None,
+        q_idle=np.empty(trials, dtype=np.intp) if occupancy else None,
+        busy_fraction=np.zeros(trials) if occupancy else None,
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
     width = max(params.k for params, _ in codes)
@@ -243,15 +254,18 @@ def run_trials(
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
             ends = scratch[: m * needed].reshape(m, needed)
-            flag = flags[: m * needed].reshape(m, needed)
             np.add(cf, shift, out=cf)
             kth = cf[:, needed - 1]
+            out.kth_finish[done] = kth
             total = out.t_total[done]
             # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
             # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
-            lead = t_cmm * np.arange(needed, dtype=np.float64)
             np.add(cf, t_cmm * np.arange(needed, 0, -1.0), out=ends)
             np.max(ends, axis=1, out=total)
+            if not occupancy:
+                continue
+            flag = flags[: m * needed].reshape(m, needed)
+            lead = t_cmm * np.arange(needed, dtype=np.float64)
             np.subtract(cf, lead, out=ends)
             np.maximum.accumulate(ends, axis=1, out=ends)
             np.add(ends, lead + t_cmm, out=ends)
@@ -267,7 +281,6 @@ def run_trials(
             np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, 1:])
             out.q_idle[done] = needed - np.argmax(flag[:, ::-1], axis=1)
 
-            out.kth_finish[done] = kth
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
     return outs

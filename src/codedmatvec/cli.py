@@ -7,6 +7,7 @@ failure (verify and decode-check only).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -56,7 +57,10 @@ class _Command(NamedTuple):
         return (*self.required, *self.optional, "out", "format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: nothing changes
+    it after it is built, and parse_args keeps no state between calls."""
     parser = _Parser(prog="codedmatvec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():

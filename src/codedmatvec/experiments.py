@@ -191,7 +191,9 @@ def speedup_curve(
     uncoded trials share streams (common random numbers): one run_trials
     call draws and sorts each trial once for the (n, k) code and the
     uncoded (n, n) code, which also makes a degenerate k = n comparison
-    come out at ratio exactly 1.
+    come out at ratio exactly 1.  Only the run-times are read, so the
+    call passes occupancy=False and no channel-occupancy metric is
+    computed.
     """
     points = []
     for n in ns:
@@ -207,7 +209,7 @@ def speedup_curve(
             coded, uncoded = run_trials(
                 [(params, CommModel.coded(params, t_one)),
                  (params.uncoded(), CommModel.uncoded(params, t_one))],
-                trials, seed)
+                trials, seed, occupancy=False)
         except ValueError as exc:
             raise ValueError(f"n={n}: {exc}") from exc
         coded_mean, uncoded_mean = float(np.mean(coded.t_total)), float(np.mean(uncoded.t_total))

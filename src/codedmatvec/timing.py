@@ -120,24 +120,28 @@ def harmonic(n: int) -> float:
 
 
 def harmonic_table(n: int) -> list[float]:
-    """[H_0, H_1, ..., H_n], each bit-identical to harmonic(m).
+    """[H_0, H_1, ..., H_n], each bit-identical to harmonic(m), for n < 2**27.
 
-    The prefix sums of the float terms 1.0/i are accumulated exactly as
-    integers in binary fixed point and each is rounded once to the
-    nearest float, which is what the correctly rounded fsum returns; O(n)
-    instead of O(n^2) for the whole table.
+    Each float term 1.0/i, scaled by 2**scale, is an exact integer v, split
+    exactly into 32-bit limbs hi*2**32 + lo.  One int64 cumsum per limb and
+    a carry give every prefix sum exactly; each is then rounded once, by
+    the addition hi*2**32 + lo of two exact floats, which is the correctly
+    rounded sum fsum returns.  The summed hi must stay below 2**53 to be an
+    exact float: it is about 2**(bit_length(n) + 21) * H_n, which holds
+    while n < 2**27 (H_n < 19.3 there), and larger n is refused.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"harmonic is defined for n >= 0, got {n!r}")
+    if n >= 2**27:
+        raise ValueError(f"harmonic_table is exact only for n < 2**27, got {n}")
     # 1.0/i for i <= n has its last bit at or above 2**-(bit_length(n) + 52)
     scale = n.bit_length() + 53
-    one = 1 << scale
-    table = [0.0]
-    total = 0
-    for i in range(1, n + 1):
-        total += int(math.ldexp(1.0 / i, scale))
-        table.append(total / one)
-    return table
+    terms = np.ldexp(1.0 / np.arange(1, n + 1), scale)
+    hi = np.floor(np.ldexp(terms, -32))
+    lo = np.cumsum((terms - np.ldexp(hi, 32)).astype(np.int64))
+    hi = np.cumsum(hi.astype(np.int64)) + (lo >> 32)
+    lo &= 2**32 - 1
+    return [0.0, *np.ldexp(np.ldexp(hi.astype(np.float64), 32) + lo, -scale).tolist()]
 
 
 def expected_order_stat(params: ClusterParams, j: int) -> float:

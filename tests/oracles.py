@@ -116,6 +116,20 @@ def leading_term_scan(n, r, a, mu, comm_at_k, require_divisor=False):
     return best
 
 
+def harmonic_table_loop(n):
+    """The big-integer loop `harmonic_table` replaced, kept as its
+    bit-for-bit reference: each term 1.0/i, scaled by 2**scale, is added
+    to a Python int, and each prefix sum is rounded once by int division."""
+    scale = n.bit_length() + 53
+    one = 1 << scale
+    table = [0.0]
+    total = 0
+    for i in range(1, n + 1):
+        total += int(math.ldexp(1.0 / i, scale))
+        table.append(total / one)
+    return table
+
+
 def sample_spacings(params, rng):
     """Renyi representation of the sorted sample: the n gaps between
     consecutive order statistics, drawn directly as D_i ~ Exp((n-i+1)/alpha).

@@ -726,6 +726,29 @@ COMMAND_FLAGS = {
 }
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # a usage error, two commands and the usage error again, in one process:
+    # the parser built once prints what a freshly built one prints
+    usage_error = ["montecarlo", "--n", "10", "--bogus", "1"]
+    argvs = [usage_error, RECORD_COMMANDS["montecarlo"], RECORD_COMMANDS["optimize-k"],
+             usage_error]
+
+    def run_all():
+        results = []
+        for argv in argvs:
+            rc = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    reused = run_all()
+    assert cli.build_parser() is cli.build_parser()
+    assert [rc for rc, _, _ in reused] == [1, 0, 0, 1]
+    assert "--bogus" in reused[0][2] and reused[3] == reused[0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == reused
+
+
 def test_each_command_has_only_its_flags():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

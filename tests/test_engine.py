@@ -27,7 +27,10 @@ from codedmatvec import (
     CommModel,
     RegimeFamily,
     RngStream,
+    default_r_rule,
     monte_carlo,
+    optimize_k,
+    round_k,
     run_coded_trial,
     run_trials,
     run_uncoded_trial,
@@ -244,6 +247,33 @@ def test_run_trials_rejects_bad_arguments():
     other = ClusterParams(n=20, k=14, r=140, a=1.0, mu=1.0)
     with pytest.raises(ValueError, match="one n"):
         run_trials([(params, comm), (other, CommModel.coded(other, 0.001))], 5, 0)
+
+
+OCCUPANCY_FIELDS = ("completed_by_comp_k", "q_idle", "busy_fraction", "count1")
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800, 1600, 3200])
+def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
+    # the speedup ladder's shapes: its optimized k against the uncoded (n, n)
+    # code, over more trials than one chunk holds at n = 3200
+    r, t_one = default_r_rule(n, round_k(0.7, n)), RegimeFamily(c=0.1, beta=1.0).t_one_cmm(n)
+    k, _ = optimize_k(n, r, 1.0, 1.0, comm_at_k=lambda kk: (r / kk) * t_one,
+                      require_divisor=True)
+    params = ClusterParams(n=n, k=k, r=r, a=1.0, mu=1.0)
+    codes = [(params, CommModel.coded(params, t_one)),
+             (params.uncoded(), CommModel.uncoded(params, t_one))]
+    trials = 2 * (channel.CHUNK_ELEMENTS // n) + 3
+    for full, alone in zip(run_trials(codes, trials, 11),
+                           run_trials(codes, trials, 11, occupancy=False)):
+        assert np.array_equal(alone.t_total, full.t_total)
+        assert np.array_equal(alone.kth_finish, full.kth_finish)
+        assert all(getattr(alone, name) is None for name in OCCUPANCY_FIELDS)
+
+
+def test_run_trials_refuses_p_without_occupancy():
+    params = ClusterParams(n=10, k=7, r=70, a=1.0, mu=1.0)
+    with pytest.raises(ValueError, match="occupancy"):
+        run_trials([(params, CommModel.coded(params, 0.001))], 5, 0, p=3, occupancy=False)
 
 
 def test_verify_rejects_zero_trials():

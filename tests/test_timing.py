@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from codedmatvec import (
     variance_order_stat,
 )
 from codedmatvec.timing import harmonic_table
-from oracles import ks_two_sample_threshold, sample_spacings
+from oracles import harmonic_table_loop, ks_two_sample_threshold, sample_spacings
 
 
 def test_harmonic_values():
@@ -32,6 +33,28 @@ def test_harmonic_table_equals_fsum():
     assert harmonic_table(0) == [0.0]
     with pytest.raises(ValueError):
         harmonic_table(-1)
+
+
+def test_harmonic_table_equals_integer_loop():
+    # whole tables, bit for bit, across the bit-length steps of n that
+    # move the fixed-point scale
+    for n in (*range(65), 4095, 4096, 5000):
+        table = harmonic_table(n)
+        assert table == harmonic_table_loop(n), n
+        assert all(type(value) is float for value in table), n
+
+
+def test_harmonic_table_refuses_n_past_its_exactness_bound():
+    # the bound is checked before any table is built: a table at 2**27
+    # would take minutes and several GB
+    class Built(Exception):
+        pass
+
+    with mock.patch.object(np, "arange", side_effect=Built):
+        with pytest.raises(ValueError, match=r"n < 2\*\*27, got 134217728"):
+            harmonic_table(2**27)
+        with pytest.raises(Built):  # the largest n accepted goes on to build
+            harmonic_table(2**27 - 1)
 
 
 def test_cluster_params_validation():
