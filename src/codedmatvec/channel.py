@@ -29,17 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .rng import RngStream, uniform_rows
-from .timing import ClusterParams, CompTimes, sample_comp_times
+from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_times,
+                     unit_order_statistics)
 
 # float64 elements per draw matrix of `run_trials` (512 KiB); each of its
 # two work matrices over the first `needed` ranks is no larger, and every
 # code of a call reuses them, so memory stays bounded whatever the trial
 # count.
 CHUNK_ELEMENTS = 2**16
-
-# Generator.random returns multiples of 2**-53 below 1, so no unit-rate
-# draw -log1p(-u) exceeds this (36.7368...)
-LARGEST_UNIT_DRAW = -math.log1p(-(1 - 2**-53))
 
 
 @dataclass(frozen=True)
@@ -190,16 +187,15 @@ def run_trials(
     pair, in order.  The pairs must share one n; the uncoded scheme is the
     pair (params.uncoded(), CommModel.uncoded(params, t_one_cmm)).
 
-    Each chunk re-keys one Philox stream per row, applies the inverse-CDF
-    ufuncs of RngStream.exponentials and sorts the unit-rate draws once
-    for all pairs.  Each pair then divides the first `needed` columns by
-    its rate and adds its shift: correctly rounded division by a positive
-    scalar is monotone, so sort(x) / rate == sort(x / rate) bit for bit,
-    and the completion times cf are the single-trial path's.  The channel
-    follows from the module's max-plus forms, with no step per rank:
-    t_total is the row max of cf + tail, within 2 ulp of the exact value
-    and inside [kth + t_cmm, kth + needed * t_cmm] in floats (its last
-    term is the lower end, and rounding is monotone); the ends, one
+    Each chunk re-keys one Philox stream per row and turns the rows into
+    sorted unit-rate draws once for all pairs, by unit_order_statistics.
+    Each pair then divides the first `needed` columns by its rate and
+    adds its shift, as sample_comp_times and run_coded_trial do, so the
+    completion times cf are the single-trial path's bit for bit.  The
+    channel follows from the module's max-plus forms, with no step per
+    rank: t_total is the row max of cf + tail, within 2 ulp of the exact
+    value and inside [kth + t_cmm, kth + needed * t_cmm] in floats (its
+    last term is the lower end, and rounding is monotone); the ends, one
     running max, feed only the integer metrics.
 
     With occupancy=False each pair stops at t_total and kth_finish, which
@@ -245,11 +241,7 @@ def run_trials(
         m = min(rows, trials - first)
         done = slice(first, first + m)
         times = draws[: m * n].reshape(m, n)
-        uniform_rows(seed, first, times)
-        np.negative(times, out=times)
-        np.log1p(times, out=times)
-        np.negative(times, out=times)
-        times.sort(axis=1)
+        unit_order_statistics(uniform_rows(seed, first, times))
         for (params, comm), out in zip(codes, outs):
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))

@@ -62,7 +62,7 @@ _KEYS = {
     "r": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
     "m": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
     "trials": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "seed": ("integer", lambda v: v >= 0, "must be >= 0, got {}"),
+    "seed": ("integer", lambda v: 0 <= v < 2**64, "must lie in [0, 2^64), got {}"),
     "a": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
     "mu": ("number", lambda v: v > 0, "must be > 0, got {}"),
     "t1cmm": ("number", lambda v: v >= 0, "must be >= 0, got {}"),

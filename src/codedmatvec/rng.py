@@ -31,17 +31,6 @@ class RngStream:
         """Draws from U[0, 1)."""
         return self._gen.random(size)
 
-    def exponentials(self, rate, size=None):
-        """Exponential draws via the inverse CDF of a uniform.
-
-        `rate` may be a scalar or an array broadcastable against `size`.
-        The explicit inverse-CDF transform (rather than a generator-
-        specific ziggurat) keeps the draw sequence a pure function of the
-        uniform stream.
-        """
-        u = self._gen.random(size)
-        return -np.log1p(-u) / rate
-
     def standard_normals(self, size=None):
         return self._gen.standard_normal(size)
 

@@ -92,18 +92,35 @@ class CompTimes:
         return self.sorted.size
 
 
+# Generator.random returns multiples of 2**-53 below 1, so no unit-rate
+# draw -log1p(-u) exceeds this (36.7368...)
+LARGEST_UNIT_DRAW = -math.log1p(-(1 - 2**-53))
+
+
+def unit_order_statistics(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms `u` in [0, 1) into sorted unit-rate exponentials
+    -log1p(-u), in place along the last axis, and return `u`.  Callers
+    divide by their rate after the sort: correctly rounded division by a
+    positive scalar is monotone, so sort(x) / rate == sort(x / rate)."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u.sort(axis=-1)
+    return u
+
+
 def sample_comp_times(params: ClusterParams, work_per_worker: float, rng: RngStream) -> CompTimes:
     """Sample the variable parts for n workers doing `work_per_worker`
-    inner products each: i.i.d. Exponential(mu / w), then sort.
+    inner products each: the sorted unit-rate draws of `rng`'s first n
+    uniforms, divided by the rate mu / w.
 
     The shift a*w is not included; the caller adds it when building
     absolute completion times.
     """
     if not math.isfinite(work_per_worker) or work_per_worker <= 0:
         raise ValueError(f"work_per_worker must be finite and > 0, got {work_per_worker!r}")
-    times = rng.exponentials(params.mu / work_per_worker, params.n)
-    times.sort()
-    return CompTimes(sorted=times)
+    times = unit_order_statistics(rng.uniforms(params.n))
+    return CompTimes(sorted=times / (params.mu / work_per_worker))
 
 
 def inject_comp_times(sorted_values) -> CompTimes:

@@ -138,7 +138,7 @@ def sample_spacings(params, rng):
     Exponential(1/alpha) sample that the library draws and sorts.
     """
     rates = (params.n - np.arange(params.n)) / params.alpha
-    return rng.exponentials(rates, params.n)
+    return -np.log1p(-rng.uniforms(params.n)) / rates
 
 
 def ks_two_sample_threshold(m, n, significance=0.01):

@@ -62,3 +62,15 @@ def test_the_decode_workload_checks_pass(workloads, capsys):
             assert workloads._check_decode(argv, rc, capsys.readouterr().out)["failed"] == 0, argv
             schemes.append(argv[argv.index("--scheme") + 1])
         assert schemes == ["systematic", "random"]
+
+
+@pytest.mark.parametrize("round_name, check_name", [
+    ("_mc_round", "_check_montecarlo"), ("_ladder_round", "_check_speedup")],
+    ids=["mc-n100", "speedup-ladder"])
+def test_the_monte_carlo_workload_checks_pass(workloads, capsys, round_name, check_name):
+    # each Monte Carlo workload's round-0 call at seed 101 (call_seed(101, 0)),
+    # through that workload's own output check, so that a library change the
+    # benchmark would judge outputs_incorrect fails here first
+    for argv in getattr(workloads, round_name)(101000303):
+        rc = main(argv)
+        assert getattr(workloads, check_name)(argv, rc, capsys.readouterr().out) == {"failed": 0}

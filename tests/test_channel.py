@@ -160,7 +160,7 @@ def test_single_worker_trial():
     params = ClusterParams(n=1, k=1, r=1, a=0.0, mu=1.0)
     comm = CommModel.coded(params, 0.3)
     timeline, _ = run_coded_trial(params, comm, RngStream(0, 0))
-    t1 = RngStream(0, 0).exponentials(1.0, 1)[0]
+    t1 = -np.log1p(-RngStream(0, 0).uniforms(1))[0] / 1.0
     assert timeline.t_total == pytest.approx(t1 + 0.3, rel=1e-15)
 
 
@@ -169,7 +169,7 @@ def test_coded_trial_samples_a_fractional_load():
     params = example_params()
     comm = CommModel.coded(params, 0.12)
     timeline, metrics = run_coded_trial(params, comm, RngStream(0, 0))
-    draws = np.sort(RngStream(0, 0).exponentials(params.mu / (5 / 3), 5))
+    draws = np.sort(-np.log1p(-RngStream(0, 0).uniforms(5)) / (params.mu / (5 / 3)))
     assert np.array_equal(timeline.comp_finish, params.t0 + draws)
     injected = run_coded_trial(params, comm, times=inject_comp_times(draws))
     assert injected[0].t_total == timeline.t_total and injected[1] == metrics

@@ -94,7 +94,8 @@ INVALID_VALUES = [
     ("m = 0", "m: must be >= 1, got 0"),
     ("trials = 0", "trials: must be >= 1, got 0"),
     ("trials = 1.5", "trials: expected an integer, got '1.5'"),
-    ("seed = -1", "seed: must be >= 0, got -1"),
+    ("seed = -1", "seed: must lie in [0, 2^64), got -1"),
+    ("seed = 18446744073709551616", "seed: must lie in [0, 2^64), got 18446744073709551616"),
     ("a = -1", "a: must be >= 0, got -1.0"),
     ("a = nan", "a: must be >= 0, got nan"),
     ("a = inf", "a: must be finite, got inf"),
@@ -356,6 +357,17 @@ def test_optimize_k_refuses_an_infinite_rate(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: mu: must be finite, got inf\n"
     assert captured.out == ""
+
+
+def test_the_seed_bound_is_checked_with_the_other_keys(capsys):
+    # a seed past 2^64 used to pass config and fail in the stream keying, unnamed
+    argv = ["montecarlo", *TINY_MU_CLUSTER, "--mu", "1", "--trials", "20", "--seed"]
+    assert main([*argv, str(2**64)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed: must lie in [0, 2^64), got 18446744073709551616\n"
+    assert captured.out == ""
+    assert main([*argv, str(2**64 - 1)]) == 0
+    assert "mean" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, point", [

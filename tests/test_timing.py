@@ -14,7 +14,8 @@ from codedmatvec import (
     sample_comp_times,
     variance_order_stat,
 )
-from codedmatvec.timing import harmonic_table
+from codedmatvec.rng import uniform_rows
+from codedmatvec.timing import LARGEST_UNIT_DRAW, harmonic_table, unit_order_statistics
 from oracles import harmonic_table_loop, ks_two_sample_threshold, sample_spacings
 
 
@@ -91,7 +92,7 @@ def test_sample_comp_times_positive_and_sorted():
     assert np.all(ct.sorted > 0)
     assert np.all(np.diff(ct.sorted) >= 0)
     # the order statistics of the same stream's i.i.d. Exponential(mu / w) draws
-    assert np.array_equal(ct.sorted, np.sort(RngStream(7, 0).exponentials(0.5, 4)))
+    assert np.array_equal(ct.sorted, np.sort(-np.log1p(-RngStream(7, 0).uniforms(4)) / 0.5))
 
 
 def test_sample_comp_times_law_of_large_numbers():
@@ -109,7 +110,31 @@ def test_sample_comp_times_rejects_bad_work():
             sample_comp_times(params, work, RngStream(1, 0))
     # any positive finite load: the order statistics of the draws at rate mu / w
     ct = sample_comp_times(params, 2.5, RngStream(1, 0))
-    assert np.array_equal(ct.sorted, np.sort(RngStream(1, 0).exponentials(1.0 / 2.5, 4)))
+    assert np.array_equal(ct.sorted, np.sort(-np.log1p(-RngStream(1, 0).uniforms(4)) / (1.0 / 2.5)))
+
+
+@pytest.mark.parametrize("values", [[0.5, 0.0, 0.25], [[0.5, 0.0, 0.25], [0.75, 0.1, 0.2]]],
+                         ids=["1-d", "2-d"])
+def test_unit_order_statistics_sorts_in_place_along_the_last_axis(values):
+    u = np.array(values)
+    assert unit_order_statistics(u) is u
+    assert np.array_equal(u, np.sort(-np.log1p(-np.array(values)), axis=-1))
+
+
+def test_unit_order_statistics_ends():
+    # u = 0 gives +0.0, not -0.0, and the largest uniform Generator.random
+    # returns gives exactly the largest draw the run-time bounds assume
+    low = unit_order_statistics(np.zeros(2))
+    assert low.tolist() == [0.0, 0.0] and not np.signbit(low).any()
+    assert unit_order_statistics(np.array([1 - 2**-53]))[0] == LARGEST_UNIT_DRAW
+
+
+@pytest.mark.parametrize("seed, first, rows, n", [(0, 0, 3, 5), (2**64 - 1, 2**64 - 4, 4, 70)])
+def test_unit_order_statistics_of_uniform_rows_are_each_streams(seed, first, rows, n):
+    block = unit_order_statistics(uniform_rows(seed, first, np.empty((rows, n))))
+    for j in range(rows):
+        direct = np.sort(-np.log1p(-RngStream(seed, first + j).uniforms(n)))
+        assert np.array_equal(block[j], direct)
 
 
 def test_inject_comp_times_golden_and_errors():
@@ -141,7 +166,7 @@ def test_determinism_same_stream_bit_identical():
 def test_spacings_single_worker_is_plain_exponential():
     params = ClusterParams(n=1, k=1, r=1, a=0.0, mu=1.0)
     sp = sample_spacings(params, RngStream(3, 0))
-    direct = RngStream(3, 0).exponentials(1.0, 1)
+    direct = -np.log1p(-RngStream(3, 0).uniforms(1)) / 1.0
     assert sp.shape == (1,)
     assert sp[0] == direct[0]
 
