@@ -1,7 +1,8 @@
 """Command-line front end for the simulator, analysis, and experiment sweeps.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 verification
-failure (verify and decode-check only).
+Each command returns its records and `main` alone writes them.  Exit codes:
+0 success, 1 usage, configuration or file error, 2 exactly when the last
+record holds `pass=false` (verify and decode-check).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class _Command(NamedTuple):
     optional: tuple = ()  # the other keys the command reads
     schemes: tuple = ()  # the accepted values of `scheme`, when it is read
     default_format: str = "text"
+    switches: tuple = ()  # (flag, help) of each on/off flag, read from args
 
     @property
     def keys(self) -> tuple:
@@ -69,12 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         for key in command.keys:
             p.add_argument("--" + key.replace("_", "-"))
-    sub.choices["speedup"].add_argument(
-        "--fix-k", action="store_true",
-        help="use k = round(k_fraction * n) instead of the leading-term optimum")
-    sub.choices["optimize-k"].add_argument(
-        "--require-divisor", action="store_true",
-        help="restrict the scan to k dividing r, the codes decode-check can encode")
+        for flag, text in command.switches:
+            p.add_argument("--" + flag, action="store_true", help=text)
     return parser
 
 
@@ -87,10 +85,12 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         config = _load_config(args, command)
-        return command.handler(config, args)
+        records = command.handler(config, args)
+        _write(records, config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if ("pass", False) in records[-1] else 0
 
 
 def _load_config(args, command) -> RunConfig:
@@ -141,29 +141,24 @@ def _code(config: RunConfig) -> tuple[ClusterParams, ClusterParams, CommModel]:
     return params, code, CommModel.coded(code, config.t1cmm)
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
+def _cmd_simulate(config: RunConfig, args) -> list:
     _, code, comm = _code(config)
-    if config.inject is not None:
-        t, metrics = run_coded_trial(code, comm, times=inject_comp_times(config.inject))
-    else:
-        t, metrics = run_coded_trial(code, comm, RngStream(config.seed, 0))
+    times = None if config.inject is None else inject_comp_times(config.inject)
+    t, metrics = run_coded_trial(code, comm, RngStream(config.seed, 0), times)
     if config.format == "csv":
-        records = [
+        return [
             [("rank", i + 1), ("comp_finish", f"{t.comp_finish[i]:.9f}"),
              ("comm_start", f"{t.comm_start[i]:.9f}"), ("comm_end", f"{t.comm_end[i]:.9f}")]
             for i in range(t.needed)
         ]
-    else:
-        records = [[("needed", t.needed), ("t_cmm", t.t_cmm), ("t_total", t.t_total),
-                    *vars(metrics).items()]]
-    _write(records, config)
-    return 0
+    return [[("needed", t.needed), ("t_cmm", t.t_cmm), ("t_total", t.t_total),
+             *vars(metrics).items()]]
 
 
-def _cmd_montecarlo(config: RunConfig, args) -> int:
+def _cmd_montecarlo(config: RunConfig, args) -> list:
     params, code, comm = _code(config)
     mc, agg = monte_carlo(code, comm, config.trials, config.seed)
-    _write([[
+    return [[
         ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
         ("trials", mc.trials), ("mean", mc.mean), ("variance", mc.variance),
         ("stderr", mc.stderr), ("ci95_halfwidth", mc.ci95_halfwidth),
@@ -171,48 +166,44 @@ def _cmd_montecarlo(config: RunConfig, args) -> int:
         ("mean_completed_by_comp_k", agg.mean_completed_by_comp_k),
         ("mean_q_idle", agg.mean_q_idle),
         ("mean_busy_fraction", agg.mean_busy_fraction),
-    ]], config)
-    return 0
+    ]]
 
 
-def _cmd_sweep(config: RunConfig, args) -> int:
+def _cmd_sweep(config: RunConfig, args) -> list:
     rows = sweep_regime(
         RegimeFamily(c=config.c, beta=config.beta), config.ns, config.k_fraction,
         a=config.a, mu=config.mu, trials=config.trials, seed=config.seed,
     )
-    _write([
+    return [
         [("n", row.n), ("k", row.k), ("r", row.r), ("beta", row.beta), ("c", row.c),
          ("t_cmm", row.t_cmm), ("mean", row.mc.mean), ("stderr", row.mc.stderr),
          ("trials", row.mc.trials), ("frac_lower_bound_hit", row.frac_lower_bound_hit),
          ("mean_completed_by_comp_k", row.mean_completed_by_comp_k),
          ("closed_form", row.closed_form_leading), ("gap", row.gap)]
         for row in rows
-    ], config)
-    return 0
+    ]
 
 
-def _cmd_speedup(config: RunConfig, args) -> int:
+def _cmd_speedup(config: RunConfig, args) -> list:
     points = speedup_curve(
         config.ns, config.k_fraction,
         a=config.a, mu=config.mu, family=RegimeFamily(c=config.c, beta=config.beta),
         trials=config.trials, seed=config.seed,
         optimize=not args.fix_k,
     )
-    _write([vars(point).items() for point in points], config)
-    return 0
+    return [vars(point).items() for point in points]
 
 
-def _cmd_optimize_k(config: RunConfig, args) -> int:
+def _cmd_optimize_k(config: RunConfig, args) -> list:
     k_star, value = optimize_k(
         config.n, config.r, config.a, config.mu,
         comm_at_k=lambda k: (config.r / k) * config.t1cmm,
         require_divisor=args.require_divisor,
     )
-    _write([[("k_star", k_star), ("expected_runtime", value)]], config)
-    return 0
+    return [[("k_star", k_star), ("expected_runtime", value)]]
 
 
-def _cmd_expect(config: RunConfig, args) -> int:
+def _cmd_expect(config: RunConfig, args) -> list:
     # the record keeps the k given
     params, code, comm = _code(config)
     bracket = expectation_bracket_coded(code, comm)
@@ -232,11 +223,10 @@ def _cmd_expect(config: RunConfig, args) -> int:
         ]
     if config.beta is not None:
         record.append(("regime", classify_regime(config.beta)))
-    _write([record], config)
-    return 0
+    return [record]
 
 
-def _cmd_decode_check(config: RunConfig, args) -> int:
+def _cmd_decode_check(config: RunConfig, args) -> list:
     params = ClusterParams(n=config.n, k=config.k, r=config.r, a=0.0, mu=1.0)
     rng = RngStream(config.seed, 0)
     a_matrix = rng.standard_normals((config.r, config.m))
@@ -255,29 +245,27 @@ def _cmd_decode_check(config: RunConfig, args) -> int:
         subsets = itertools.chain.from_iterable(
             (np.argsort(u, axis=1)[:, : config.k] + 1).tolist() for u in blocks)
     check = check_any_k(job, subsets, config.scheme)
-    _write([[
+    return [[
         ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
         ("m", config.m), ("subsets_checked", check.subsets_checked), ("exhaustive", exhaustive),
         ("tolerance", check.tolerance), ("max_relative_error", check.max_relative_error),
         ("failures", check.failures), ("unflagged_failures", check.unflagged_failures),
         ("recovered_fraction", check.recovered_fraction), ("pass", check.passed),
-    ]], config)
-    return 0 if check.passed else 2
+    ]]
 
 
-def _cmd_verify(config: RunConfig, args) -> int:
+def _cmd_verify(config: RunConfig, args) -> list:
     _, code, comm = _code(config)
     report = verify_transmission_lemmas(code, comm, config.trials, config.seed)
-    passed = report.sandwich_violations == 0
-    _write([[*vars(report).items(), ("pass", passed)]], config)
-    return 0 if passed else 2
+    return [[*vars(report).items(), ("pass", report.sandwich_violations == 0)]]
 
 
 _CLUSTER = ("n", "k", "r", "a", "mu", "t1cmm")
 _LADDER = ("ns", "a", "mu", "beta", "c")
 
 # Each command gets a flag, and reads a config key, only for the keys listed
-# here (plus --config, --out and --format); a config file may hold any key.
+# here (plus --config, --out and --format) and its switches; a config file
+# may hold any key.
 COMMANDS = {
     "simulate": _Command(_cmd_simulate, "run one trial and emit its timeline", _CLUSTER,
                          ("scheme", "inject", "seed"), ("coded", "uncoded"), "csv"),
@@ -286,9 +274,13 @@ COMMANDS = {
     "sweep": _Command(_cmd_sweep, "regime sweep over a ladder of n", _LADDER,
                       ("k_fraction", "trials", "seed"), default_format="csv"),
     "speedup": _Command(_cmd_speedup, "coded vs uncoded mean run-time ratio per n", _LADDER,
-                        ("k_fraction", "trials", "seed"), default_format="csv"),
+                        ("k_fraction", "trials", "seed"), default_format="csv",
+                        switches=(("fix-k", "use k = round(k_fraction * n) instead of the "
+                                            "leading-term optimum"),)),
     "optimize-k": _Command(_cmd_optimize_k, "scan for the leading-term-optimal k",
-                           ("n", "r", "a", "mu", "t1cmm")),
+                           ("n", "r", "a", "mu", "t1cmm"),
+                           switches=(("require-divisor", "restrict the scan to k dividing r, "
+                                                         "the codes decode-check can encode"),)),
     "expect": _Command(_cmd_expect, "closed-form expectations for one configuration", _CLUSTER,
                        ("scheme", "beta"), ("coded", "uncoded")),
     "decode-check": _Command(_cmd_decode_check, "verify any-k recovery of the coding scheme",

@@ -6,6 +6,7 @@ no nesting -- so experiment configs stay diffable and parseable anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -79,6 +80,13 @@ _KEYS = {
 }
 
 
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer past float range
+        return False
+
+
 def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunConfig:
     """Parse `key = value` text, then apply flag overrides on top.
 
@@ -113,9 +121,11 @@ def parse_config(file_contents: str, flag_overrides: dict | None = None) -> RunC
         value = values.get(key)
         if value is not None and not bound(value):
             raise ConfigError(f"{key}: {wording.format(value)}")
-        # every number's bound refuses nan and -inf, which leaves +inf
-        if float("inf") in (value if isinstance(value, tuple) else (value,)):
-            raise ConfigError(f"{key}: must be finite, got inf")
+        # every number's bound refuses nan and -inf, which leaves +inf and
+        # the integers float() cannot convert (2**1024 - 2**970 and up)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, (int, float)) and not _is_finite(x):
+                raise ConfigError(f"{key}: must be finite, got {x}")
     n, k = values.get("n"), values.get("k")
     if n is not None and k is not None and k > n:
         raise ConfigError(f"k: must satisfy k <= n, got k={k}, n={n}")

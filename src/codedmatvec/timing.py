@@ -42,6 +42,12 @@ class ClusterParams:
             raise ValueError(f"k: must satisfy 1 <= k <= n, got {self.k!r}")
         if not isinstance(self.r, int) or self.r < 1:
             raise ValueError(f"r: must be a positive integer, got {self.r!r}")
+        for name in ("n", "r"):  # k <= n
+            value = getattr(self, name)
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name}: must convert to a finite float, got {value}") from None
         if not math.isfinite(self.a) or self.a < 0:
             raise ValueError(f"a: must be >= 0, got {self.a!r}")
         if not math.isfinite(self.mu) or self.mu <= 0:

@@ -84,6 +84,9 @@ def test_parse_comments_lists_and_dashed_keys():
     assert cfg.scheme == "uncoded"
 
 
+# the least integer that float() cannot convert
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
 # one invalid value per key and its exact message; `out` takes any text
 INVALID_VALUES = [
     ("n = 0", "n: must be >= 1, got 0"),
@@ -120,6 +123,8 @@ INVALID_VALUES = [
     ("ns = 0,5", "ns: every entry must be >= 1"),
     ("ns = 1,x", "ns: expected an integer, got 'x'"),
     ("ns =", "ns: expected a comma-separated list of integers"),
+    (f"r = {FLOAT_OVERFLOW}", f"r: must be finite, got {FLOAT_OVERFLOW}"),
+    (f"ns = 5,{FLOAT_OVERFLOW}", f"ns: must be finite, got {FLOAT_OVERFLOW}"),
 ]
 
 
@@ -129,6 +134,11 @@ def test_parse_invalid_value_exact_message(text, message):
     with pytest.raises(ConfigError) as info:
         parse_config(text, {})
     assert str(info.value) == message
+
+
+def test_parse_accepts_the_largest_integer_float_converts():
+    cfg = parse_config(f"r = {FLOAT_OVERFLOW - 1}\nns = {FLOAT_OVERFLOW - 1}", {})
+    assert cfg.r == FLOAT_OVERFLOW - 1 and cfg.ns == (FLOAT_OVERFLOW - 1,)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -348,6 +358,32 @@ def test_a_tiny_mu_whose_largest_run_time_overflows_is_exit_one(argv, names, mu,
     assert captured.err.startswith(names)
     assert "Warning" not in captured.err
     assert captured.out == ""
+
+
+HUGE = str(10**400)
+LADDER_FLAGS = ["--a", "1", "--mu", "1", "--beta", "1", "--c", "1"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["expect", "--n", "5", "--k", "3", "--r", HUGE, "--a", "1", "--mu", "1",
+      "--t1cmm", "0.12"], "r: "),
+    (["optimize-k", "--n", "5", "--r", HUGE, "--a", "1", "--mu", "1", "--t1cmm", "0.12"],
+     "r: "),
+    (["montecarlo", *EXAMPLE_FLAGS, "--trials", HUGE], "trials: "),
+    (["verify", *EXAMPLE_FLAGS, "--trials", HUGE], "trials: "),
+    (["sweep", "--ns", HUGE, *LADDER_FLAGS], "ns: "),
+    # config takes n = 2**1000, but the ladder's r = lcm(n, k) is past float range
+    (["sweep", "--ns", str(2**1000), *LADDER_FLAGS], f"n={2**1000}: r: "),
+    (["speedup", "--fix-k", "--ns", str(2**1000), *LADDER_FLAGS], f"n={2**1000}: r: "),
+], ids=["expect", "optimize-k", "montecarlo", "verify", "sweep", "sweep-lcm", "speedup-lcm"])
+def test_an_integer_past_float_range_is_exit_one(argv, names, capsys):
+    # float() overflows on each value; the refusal names the key, or the ladder
+    # point and its key, instead of an OverflowError traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + names)
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_optimize_k_refuses_an_infinite_rate(capsys):
@@ -619,7 +655,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import codedmatvec.cli as cli
     from codedmatvec.experiments import LemmaReport
 
-    def fake_verify(params, comm, trials, seed, sampling="sort"):
+    def fake_verify(params, comm, trials, seed):
         return LemmaReport(n=params.n, k=params.k, p=1, trials=trials,
                            mean_count1=0, mean_count2=0,
                            mean_deficit_p=0, stderr_deficit_p=0,
@@ -825,6 +861,22 @@ def test_commands_read_exactly_their_declared_keys(monkeypatch, capsys):
     for name, command in cli.COMMANDS.items():
         assert reads[name] == set(command.keys), name
         assert ("scheme" in command.keys) == bool(command.schemes), name
+
+
+@pytest.mark.parametrize("last, rc", [
+    ([("pass", False)], 2), ([("pass", True)], 0), ([("k_star", 3)], 0),
+], ids=["pass-false", "pass-true", "no-pass"])
+def test_the_exit_code_is_the_last_record_verdict(last, rc, monkeypatch, capsys):
+    # main writes what the handler returns, once, and exits 2 exactly when the
+    # last record holds pass=false; an earlier record's verdict does not count
+    records = [[("pass", False)], [("n", 1), *last]]
+    written = []
+    monkeypatch.setattr(cli, "_write", lambda recs, config: written.append(recs))
+    command = cli.COMMANDS["optimize-k"]
+    monkeypatch.setitem(cli.COMMANDS, "optimize-k", command._replace(handler=lambda *_: records))
+    assert main(RECORD_COMMANDS["optimize-k"]) == rc
+    assert written == [records]
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("argv", [

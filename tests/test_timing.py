@@ -63,6 +63,11 @@ def test_cluster_params_validation():
         ClusterParams(n=0, k=1, r=4, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match=r"^r: must be a positive integer, got 0$"):
         ClusterParams(n=4, k=2, r=0, a=0.0, mu=1.0)
+    # an integer float() cannot convert, refused before t0 = a*r/k overflows
+    with pytest.raises(ValueError, match=r"^r: must convert to a finite float, got 1797"):
+        ClusterParams(n=4, k=2, r=2**1024 - 2**970, a=0.0, mu=1.0)
+    with pytest.raises(ValueError, match=r"^n: must convert to a finite float"):
+        ClusterParams(n=2**1024, k=2, r=4, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match="k"):
         ClusterParams(n=4, k=0, r=4, a=0.0, mu=1.0)
     with pytest.raises(ValueError, match="k"):
