@@ -14,10 +14,12 @@ engine `run_trials` uses its closed forms instead (ranks from 1):
     t_total     = max_j (comp_finish[j] + (needed - j + 1) * t_cmm)
     comm_end[i] = i * t_cmm + max_{j<=i} (comp_finish[j] - (j - 1) * t_cmm)
 
-One `run_trials` call serves several codes of one n (the coded scheme
-and its uncoded (n, n) baseline, say) on common random numbers: the
-unit-rate exponentials are drawn and sorted once, and each code scales
-them by its own rate.
+One `run_trials` call serves several codes (the coded scheme and its
+uncoded (n, n) baseline, say, or a whole ladder of n) on common random
+numbers: trial i of every code reads stream i, whose first n uniforms
+are the first n of any longer draw.  The unit-rate exponentials are drawn
+once at the largest n, each distinct n sorts its prefix once, and each
+code scales its n's order statistics by its own rate.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ import numpy as np
 
 from .rng import RngStream, uniform_rows
 from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_times,
-                     unit_order_statistics)
+                     unit_exponentials)
 
-# float64 elements per draw matrix of `run_trials` (512 KiB); each of its
-# two work matrices over the first `needed` ranks is no larger, and every
-# code of a call reuses them, so memory stays bounded whatever the trial
-# count.
+# float64 elements per draw matrix of `run_trials` (512 KiB) at the call's
+# largest n; the sorted prefix for a smaller n and the two work matrices
+# over the first `needed` ranks are each no larger, and every code of a
+# call reuses them, so memory stays within four such matrices whatever
+# the trial count.
 CHUNK_ELEMENTS = 2**16
 
 
@@ -184,37 +187,38 @@ def run_trials(
 ) -> list[TrialArrays]:
     """Run trials 0..trials-1 of every (params, comm) pair in `codes`,
     trial i of each on RngStream(seed, i), and return one TrialArrays per
-    pair, in order.  The pairs must share one n; the uncoded scheme is the
+    pair, in order.  The pairs may differ in n; the uncoded scheme is the
     pair (params.uncoded(), CommModel.uncoded(params, t_one_cmm)).
 
-    Each chunk re-keys one Philox stream per row and turns the rows into
-    sorted unit-rate draws once for all pairs, by unit_order_statistics.
-    Each pair then divides the first `needed` columns by its rate and
-    adds its shift, as sample_comp_times and run_coded_trial do, so the
-    completion times cf are the single-trial path's bit for bit.  The
-    channel follows from the module's max-plus forms, with no step per
-    rank: t_total is the row max of cf + tail, within 2 ulp of the exact
-    value and inside [kth + t_cmm, kth + needed * t_cmm] in floats (its
-    last term is the lower end, and rounding is monotone); the ends, one
-    running max, feed only the integer metrics.
+    RngStream(seed, i).uniforms(n) is the first n of uniforms(N): Philox
+    spends one 64-bit word per double.  So each chunk re-keys one stream
+    per row, draws the row once at the call's largest n, N, and turns it
+    into unit-rate draws once (unit_exponentials).  Each smaller distinct
+    n, ascending, sorts a copy of the first n columns, and the N columns
+    are sorted in place last: with one n, unit_order_statistics.  Each
+    pair then divides the first `needed` columns of its own n's sorted
+    draws by its rate and adds its shift, as sample_comp_times and
+    run_coded_trial do, so the completion times cf are the single-trial
+    path's bit for bit.  The channel follows from the module's max-plus
+    forms, with no step per rank: t_total is the row max of cf + tail,
+    within 2 ulp of the exact value and inside
+    [kth + t_cmm, kth + needed * t_cmm] in floats (its last term is the
+    lower end, and rounding is monotone); the ends, one running max, feed
+    only the integer metrics.
 
     With occupancy=False each pair stops at t_total and kth_finish, which
     are bit for bit the default run's: the ends, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
     those fields are None.  speedup_curve, which reads only t_total,
     passes it; a pipeline index p needs the ends, so p with
-    occupancy=False is refused.
+    occupancy=False is refused.  p must lie in [1, smallest n].
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     codes = list(codes)
     if not codes:
         raise ValueError("codes must hold at least one (params, comm) pair")
-    n = codes[0][0].n
-    if any(params.n != n for params, _ in codes):
-        raise ValueError(f"codes must share one n, got n = {[params.n for params, _ in codes]}")
-    if p is not None and not (isinstance(p, int) and 1 <= p <= n):
-        raise ValueError(f"p must lie in [1, {n}], got {p!r}")
+    ns = sorted({params.n for params, _ in codes})
+    if p is not None and not (isinstance(p, int) and 1 <= p <= ns[0]):
+        raise ValueError(f"p must lie in [1, {ns[0]}], got {p!r}")
     if p is not None and not occupancy:
         raise ValueError("p needs occupancy=True: count1 is read from the transmission ends")
     for params, comm in codes:
@@ -227,22 +231,34 @@ def run_trials(
         busy_fraction=np.zeros(trials) if occupancy else None,
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
+    # by n, ascending; a stable sort keeps a call of one n in code order
+    order = sorted(range(len(codes)), key=lambda index: codes[index][0].n)
+    top, prefix = ns[-1], ns[-2] if len(ns) > 1 else 0
     width = max(params.k for params, _ in codes)
-    rows = min(trials, max(1, CHUNK_ELEMENTS // n))
-    # one buffer for the draws and both work matrices, shared by every
-    # pair: buffers of about 512 KiB freed together leave a free heap top
-    # past glibc's trim threshold, and every call then faults their pages
-    # back in
-    buffer = np.empty(rows * (n + 2 * width))
-    draws, work, scratch = np.split(buffer, [rows * n, rows * (n + width)])
+    rows = min(trials, max(1, CHUNK_ELEMENTS // top))
+    # one buffer for the draws, the sorted prefix and both work matrices,
+    # shared by every pair: buffers of about 512 KiB freed together leave
+    # a free heap top past glibc's trim threshold, and every call then
+    # faults their pages back in
+    buffer = np.empty(rows * (top + prefix + 2 * width))
+    draws, sub, work, scratch = np.split(
+        buffer, np.cumsum([rows * top, rows * prefix, rows * width]))
     flags = np.empty(rows * width, dtype=bool)
 
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
-        times = draws[: m * n].reshape(m, n)
-        unit_order_statistics(uniform_rows(seed, first, times))
-        for (params, comm), out in zip(codes, outs):
+        draw = draws[: m * top].reshape(m, top)
+        unit_exponentials(uniform_rows(seed, first, draw))
+        n = 0
+        for index in order:
+            (params, comm), out = codes[index], outs[index]
+            if params.n != n:
+                n, times = params.n, draw
+                if n < top:
+                    times = sub[: m * n].reshape(m, n)
+                    np.copyto(times, draw[:, :n])
+                times.sort(axis=-1)
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
             ends = scratch[: m * needed].reshape(m, needed)
@@ -314,6 +330,8 @@ def run_uncoded_trial(
 
 
 def _check_work(params: ClusterParams, comm: CommModel, trials: int = 1):
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     # the load must be the code's r/k; t0 and t_cmm are finite, t0 + k*t_cmm may not be
     if comm.work_per_worker != params.r / params.k:
         raise ValueError(

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import RegimeFamily, expected_runtime_regime3, optimize_k, pipeline_index
-from .channel import CommModel, Timeline, _check_work, run_trials
+from .channel import CommModel, Timeline, TrialArrays, _check_work, run_trials
 from .timing import ClusterParams
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -127,14 +127,20 @@ def monte_carlo(
         raise ValueError(f"scheme must be 'coded' or 'uncoded', got {scheme!r}")
     code = params.uncoded() if scheme == "uncoded" else params
     (batch,) = run_trials([(code, comm)], trials, seed)
+    return _reduce(batch, code.k)
+
+
+def _reduce(batch: TrialArrays, needed: int) -> tuple[MCStats, AggregateMetrics]:
+    """The run-time statistics and trial-averaged channel metrics of one
+    code's occupancy run, whose threshold is `needed`."""
     completed = MCStats.from_samples(batch.completed_by_comp_k)
-    frac_hit = float(np.mean(batch.q_idle == code.k))
+    frac_hit = float(np.mean(batch.q_idle == needed))
     agg = AggregateMetrics(
         frac_lower_bound_hit=frac_hit,
         mean_completed_by_comp_k=completed.mean,
         mean_q_idle=float(np.mean(batch.q_idle)),
         mean_busy_fraction=float(np.mean(batch.busy_fraction)),
-        stderr_frac_lower_bound_hit=math.sqrt(frac_hit * (1.0 - frac_hit) / trials),
+        stderr_frac_lower_bound_hit=math.sqrt(frac_hit * (1.0 - frac_hit) / batch.t_total.size),
         stderr_completed_by_comp_k=completed.stderr,
     )
     return MCStats.from_samples(batch.t_total), agg
@@ -151,22 +157,29 @@ def sweep_regime(
     seed: int = 0,
 ) -> list[SweepRow]:
     """One coded Monte Carlo configuration per n, with t_one_cmm drawn
-    from the scaling family.  A ladder point that cannot run raises
-    ValueError("n=<n>: <reason>")."""
-    rows = []
+    from the scaling family.  Every ladder point is checked, in ladder
+    order, before any trial runs: one that cannot run raises
+    ValueError("n=<n>: <reason>").  One run_trials call then runs the
+    whole ladder; each row is what monte_carlo returns for its point."""
+    codes = []
     for n in ns:
         k = round_k(k_fraction, n)
         r = r_rule(n, k)
         try:
             params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
             comm = CommModel.coded(params, family.t_one_cmm(n))
-            mc, agg = monte_carlo(params, comm, trials, seed, scheme="coded")
+            _check_work(params, comm, trials)
         except ValueError as exc:
             raise ValueError(f"n={n}: {exc}") from exc
+        codes.append((params, comm))
+    batches = run_trials(codes, trials, seed) if codes else []
+    rows = []
+    for (params, comm), batch in zip(codes, batches):
+        mc, agg = _reduce(batch, params.k)
         closed_form = expected_runtime_regime3(params)
         rows.append(SweepRow(
-            n=n, k=k, r=r, beta=family.beta, c=family.c, t_cmm=comm.t_cmm, mc=mc,
-            frac_lower_bound_hit=agg.frac_lower_bound_hit,
+            n=params.n, k=params.k, r=params.r, beta=family.beta, c=family.c, t_cmm=comm.t_cmm,
+            mc=mc, frac_lower_bound_hit=agg.frac_lower_bound_hit,
             mean_completed_by_comp_k=agg.mean_completed_by_comp_k,
             closed_form_leading=closed_form, gap=mc.mean - closed_form))
     return rows
@@ -183,19 +196,21 @@ def speedup_curve(
     seed: int = 0,
     optimize: bool = False,
 ) -> list[SpeedupPoint]:
-    """Mean uncoded over mean coded run-time per ladder point.  A ladder
-    point that cannot run raises ValueError("n=<n>: <reason>").
+    """Mean uncoded over mean coded run-time per ladder point.  Every
+    ladder point is checked, in ladder order, before any trial runs: one
+    that cannot run raises ValueError("n=<n>: <reason>").
 
     With optimize=True the coded threshold is the leading-term minimizer
     over divisors of r instead of the fixed k_fraction.  Coded and
     uncoded trials share streams (common random numbers): one run_trials
-    call draws and sorts each trial once for the (n, k) code and the
-    uncoded (n, n) code, which also makes a degenerate k = n comparison
+    call over the whole ladder draws each trial once, at the largest n,
+    and sorts it once per distinct n for the (n, k) codes and the
+    uncoded (n, n) codes, which also makes a degenerate k = n comparison
     come out at ratio exactly 1.  Only the run-times are read, so the
     call passes occupancy=False and no channel-occupancy metric is
     computed.
     """
-    points = []
+    codes = []
     for n in ns:
         k = round_k(k_fraction, n)
         r = r_rule(n, k)
@@ -206,14 +221,19 @@ def speedup_curve(
                                   comm_at_k=lambda kk: (r / kk) * t_one,
                                   require_divisor=True)
             params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-            coded, uncoded = run_trials(
-                [(params, CommModel.coded(params, t_one)),
-                 (params.uncoded(), CommModel.uncoded(params, t_one))],
-                trials, seed, occupancy=False)
+            pair = [(params, CommModel.coded(params, t_one)),
+                    (params.uncoded(), CommModel.uncoded(params, t_one))]
+            for code, comm in pair:
+                _check_work(code, comm, trials)
         except ValueError as exc:
             raise ValueError(f"n={n}: {exc}") from exc
+        codes += pair
+    batches = run_trials(codes, trials, seed, occupancy=False) if codes else []
+    points = []
+    for (params, comm), coded, uncoded in zip(codes[::2], batches[::2], batches[1::2]):
         coded_mean, uncoded_mean = float(np.mean(coded.t_total)), float(np.mean(uncoded.t_total))
-        points.append(SpeedupPoint(n=n, k=k, r=r, t_one_cmm=t_one, coded_mean=coded_mean,
+        points.append(SpeedupPoint(n=params.n, k=params.k, r=params.r,
+                                   t_one_cmm=comm.t_one_cmm, coded_mean=coded_mean,
                                    uncoded_mean=uncoded_mean, ratio=uncoded_mean / coded_mean))
     return points
 

@@ -103,15 +103,23 @@ class CompTimes:
 LARGEST_UNIT_DRAW = -math.log1p(-(1 - 2**-53))
 
 
+def unit_exponentials(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms `u` in [0, 1) into unit-rate exponentials -log1p(-u),
+    in place, and return `u`.  The map is elementwise, so the first n
+    entries of a transformed row are the transform of its first n
+    uniforms."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return u
+
+
 def unit_order_statistics(u: np.ndarray) -> np.ndarray:
     """Turn uniforms `u` in [0, 1) into sorted unit-rate exponentials
     -log1p(-u), in place along the last axis, and return `u`.  Callers
     divide by their rate after the sort: correctly rounded division by a
     positive scalar is monotone, so sort(x) / rate == sort(x / rate)."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
-    u.sort(axis=-1)
+    unit_exponentials(u).sort(axis=-1)
     return u
 
 

@@ -7,13 +7,14 @@ Whatever the chunking, kth_finish and the integer metrics must be equal
 max-plus value on the same inputs: within 2 ulp for the engine, within
 `needed` ulp for the recurrence, which rounds once per rank.  The uncoded
 scheme runs the engine on params.uncoded(), the (n, n) code, and neither k
-nor n need divide r.  A call over several codes of one n shares the draws
-and must return exactly what one call per code returns, every field
-included.
+nor n need divide r.  A call over several codes, of one n or of many,
+shares the draws and must return exactly what one call per code returns,
+every field included, in bounded memory.
 """
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -127,10 +128,12 @@ def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chun
 
 
 @st.composite
-def shared_n_codes(draw):
-    n = draw(st.integers(1, 200))
+def mixed_n_codes(draw):
+    # each code its own n, repeats and any order included
+    pool = draw(st.lists(st.integers(1, 200), min_size=1, max_size=3))
     codes = []
     for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.sampled_from(pool))
         k = draw(st.one_of(st.just(n), st.integers(1, n)))  # k = n: the uncoded code
         params = ClusterParams(n=n, k=k, r=draw(st.integers(1, 3 * math.lcm(n, k))),
                                a=draw(st.sampled_from([0.0, 0.3, 1.0])),
@@ -141,14 +144,14 @@ def shared_n_codes(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(codes=shared_n_codes(), seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 12),
+@given(codes=mixed_n_codes(), seed=st.integers(0, 2**64 - 1), trials=st.integers(1, 12),
        rows_per_chunk=st.sampled_from([1, 2, 5, None]), data=st.data())
 def test_run_trials_codes_share_draws_exactly(codes, seed, trials, rows_per_chunk, data):
-    # one call over several codes of one n returns, field for field and bit
-    # for bit, what one call per code returns
-    n = codes[0][0].n
-    p = data.draw(st.none() | st.integers(1, n))
-    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * n
+    # one call over several codes returns, field for field and bit for bit,
+    # what one call per code returns, whichever n each code has
+    ns = [params.n for params, _ in codes]
+    p = data.draw(st.none() | st.integers(1, min(ns)))
+    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * max(ns)
     with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
         batches = run_trials(codes, trials, seed, p=p)
         assert len(batches) == len(codes)
@@ -244,30 +247,61 @@ def test_run_trials_rejects_bad_arguments():
         run_trials([(params.uncoded(), comm)], 5, 0)
     with pytest.raises(ValueError, match="at least one"):
         run_trials([], 5, 0)
+    # codes of different n take a pipeline index up to the smallest n
     other = ClusterParams(n=20, k=14, r=140, a=1.0, mu=1.0)
-    with pytest.raises(ValueError, match="one n"):
-        run_trials([(params, comm), (other, CommModel.coded(other, 0.001))], 5, 0)
+    with pytest.raises(ValueError, match=r"p must lie in \[1, 10\], got 11"):
+        run_trials([(other, CommModel.coded(other, 0.001)), (params, comm)], 5, 0, p=11)
 
 
 OCCUPANCY_FIELDS = ("completed_by_comp_k", "q_idle", "busy_fraction", "count1")
 
 
-@pytest.mark.parametrize("n", [100, 200, 400, 800, 1600, 3200])
-def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
-    # the speedup ladder's shapes: its optimized k against the uncoded (n, n)
-    # code, over more trials than one chunk holds at n = 3200
+LADDER = [100, 200, 400, 800, 1600, 3200]
+
+
+def _ladder_codes(n):
+    # criterion 09's point n: its optimized k against the uncoded (n, n) code
     r, t_one = default_r_rule(n, round_k(0.7, n)), RegimeFamily(c=0.1, beta=1.0).t_one_cmm(n)
     k, _ = optimize_k(n, r, 1.0, 1.0, comm_at_k=lambda kk: (r / kk) * t_one,
                       require_divisor=True)
     params = ClusterParams(n=n, k=k, r=r, a=1.0, mu=1.0)
-    codes = [(params, CommModel.coded(params, t_one)),
-             (params.uncoded(), CommModel.uncoded(params, t_one))]
+    return [(params, CommModel.coded(params, t_one)),
+            (params.uncoded(), CommModel.uncoded(params, t_one))]
+
+
+@pytest.mark.parametrize("n", LADDER)
+def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
+    # the speedup ladder's shapes, over more trials than one chunk holds at
+    # n = 3200
+    codes = _ladder_codes(n)
     trials = 2 * (channel.CHUNK_ELEMENTS // n) + 3
     for full, alone in zip(run_trials(codes, trials, 11),
                            run_trials(codes, trials, 11, occupancy=False)):
         assert np.array_equal(alone.t_total, full.t_total)
         assert np.array_equal(alone.kth_finish, full.kth_finish)
         assert all(getattr(alone, name) is None for name in OCCUPANCY_FIELDS)
+
+
+@pytest.mark.parametrize("occupancy", [False, True])
+def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy):
+    # criterion 09's whole ladder in one call: beyond the arrays it returns,
+    # the engine holds one chunk's draws, sorted prefix and two work
+    # matrices, at most 4 * CHUNK_ELEMENTS float64, at any trial count; the
+    # slack covers the flags and the per-code rank vectors
+    codes = [code for n in LADDER for code in _ladder_codes(n)]
+    p = 50 if occupancy else None
+    run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up
+    bound = 4 * channel.CHUNK_ELEMENTS * 8 + 2**16
+    for trials in (500, 2000):
+        tracemalloc.start()
+        try:
+            outs = run_trials(codes, trials, 5, p=p, occupancy=occupancy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(array.nbytes for out in outs for array in vars(out).values()
+                       if array is not None)
+        assert peak - returned <= bound, (trials, peak - returned, bound)
 
 
 def test_run_trials_refuses_p_without_occupancy():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from codedmatvec import (
     ClusterParams,
     CommModel,
     RegimeFamily,
+    RngStream,
     default_r_rule,
     expectation_bracket_coded,
+    expected_order_stat,
     inject_comp_times,
     loglinear_fit,
     monotone_with_slack,
@@ -16,11 +19,13 @@ from codedmatvec import (
     pipeline_index,
     round_k,
     run_coded_trial,
+    run_uncoded_trial,
     speedup_curve,
     sweep_regime,
     transmission_counts,
     verify_transmission_lemmas,
 )
+from codedmatvec import experiments
 from codedmatvec.experiments import MCStats
 
 EXAMPLE_TIMES = [0.1138, 0.2725, 0.6458, 0.7033, 5.5538]
@@ -34,8 +39,6 @@ def small_config():
 def test_mcstats_single_trial():
     params, comm = small_config()
     mc, _ = monte_carlo(params, comm, trials=1, seed=3)
-    from codedmatvec import RngStream
-
     timeline, _ = run_coded_trial(params, comm, RngStream(3, 0))
     assert mc.mean == timeline.t_total
     assert mc.variance == 0.0
@@ -69,6 +72,19 @@ def test_monte_carlo_mean_in_bracket():
     assert 0.0 <= agg.mean_completed_by_comp_k <= params.k
 
 
+@pytest.mark.parametrize("scheme", ["coded", "uncoded"])
+def test_lower_bound_hit_fraction_is_the_single_trial_mean(scheme):
+    # a channel busy enough that q_idle = k - 1 on some trials and k on others
+    params = ClusterParams(n=20, k=14, r=14, a=1.0, mu=1.0)
+    make, run = ((CommModel.coded, run_coded_trial) if scheme == "coded"
+                 else (CommModel.uncoded, run_uncoded_trial))
+    comm = make(params, 1 / 20)
+    _, agg = monte_carlo(params, comm, trials=300, seed=8, scheme=scheme)
+    hits = [run(params, comm, RngStream(8, i))[1].hit_lower_bound for i in range(300)]
+    assert 0 < sum(hits) < 300
+    assert agg.frac_lower_bound_hit == float(np.mean(hits))
+
+
 def test_monte_carlo_rejects_bad_args():
     params, comm = small_config()
     with pytest.raises(ValueError):
@@ -99,8 +115,43 @@ def test_sweep_rows():
                         a=1.0, mu=1.0, trials=300, seed=4)
     assert [row.n for row in rows] == [10, 20]
     for row in rows:
+        params = ClusterParams(n=row.n, k=row.k, r=row.r, a=1.0, mu=1.0)
+        assert row.closed_form_leading == params.t0 + expected_order_stat(params, row.k)
         assert row.gap == pytest.approx(row.mc.mean - row.closed_form_leading, rel=1e-14)
         assert row.t_cmm == pytest.approx(1.0 / row.n, rel=1e-12)
+
+
+UNSORTED_LADDER = [400, 100, 400, 800]
+
+
+def test_a_ladder_in_one_call_returns_each_points_own_rows():
+    # one run_trials call serves the whole ladder, unsorted and with a
+    # repeated point; 300 trials cross chunk boundaries at n = 800
+    family = RegimeFamily(c=1.0, beta=1.0)
+    sweep = dict(k_fraction=0.7, r_rule=lambda n, k: k, a=1.0, mu=1.0, trials=300, seed=12)
+    assert sweep_regime(family, UNSORTED_LADDER, **sweep) == [
+        sweep_regime(family, [n], **sweep)[0] for n in UNSORTED_LADDER]
+    speedup = dict(k_fraction=0.7, a=1.0, mu=1.0, family=RegimeFamily(c=0.1, beta=1.0),
+                   trials=300, seed=13, optimize=True)
+    assert speedup_curve(UNSORTED_LADDER, **speedup) == [
+        speedup_curve([n], **speedup)[0] for n in UNSORTED_LADDER]
+
+
+def test_a_ladder_whose_last_point_cannot_run_names_it_before_any_trial():
+    # r = 2**1024 does not convert to a float, at the last point only
+    with pytest.raises(ValueError) as refused:
+        ClusterParams(n=800, k=560, r=2**1024, a=1.0, mu=1.0)
+
+    def r_rule(n, k):
+        return 2**1024 if n == 800 else k
+
+    family = RegimeFamily(c=1.0, beta=1.0)
+    with mock.patch.object(experiments, "run_trials", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError) as sweep:
+            sweep_regime(family, UNSORTED_LADDER, 0.7, r_rule=r_rule, trials=10)
+        with pytest.raises(ValueError) as speedup:
+            speedup_curve(UNSORTED_LADDER, 0.7, r_rule=r_rule, family=family, trials=10)
+    assert str(sweep.value) == str(speedup.value) == f"n=800: {refused.value}"
 
 
 def test_sweep_runs_fractional_loads_and_names_a_failing_point():
@@ -145,8 +196,6 @@ def test_speedup_degenerate_equal_config():
 def test_transmission_counts_instant_channel():
     params = ClusterParams(n=12, k=8, r=8, a=0.0, mu=1.0)
     comm = CommModel.coded(params, 0.0)
-    from codedmatvec import RngStream
-
     timeline, _ = run_coded_trial(params, comm, RngStream(14, 0))
     p = pipeline_index(params.n, params.alpha, 0.0)
     assert p == 1
