@@ -76,6 +76,12 @@ GOLDEN = {
         "speedup", "--beta", "1", "--c", "0.1", "--ns", "100,200,400,800,1600,3200",
         "--a", "1", "--mu", "1", "--trials", "100", "--seed", "9",
     ],
+    # a saturated channel (regime II): the coded codes' run-time can sit at
+    # any rank, the uncoded ones' only near rank n
+    "speedup_beta05.csv": [
+        "speedup", "--beta", "0.5", "--c", "0.1", "--ns", "100,400,1600",
+        "--a", "1", "--mu", "1", "--trials", "200", "--seed", "3",
+    ],
     "verify_n1600.txt": [
         "verify", "--n", "1600", "--k", "1440", "--r", "1440", "--a", "1", "--mu", "2",
         "--t1cmm", "0.000625", "--trials", "100", "--seed", "3",
