@@ -14,6 +14,12 @@ engine `run_trials` uses its closed forms instead (ranks from 1):
     t_total     = max_j (comp_finish[j] + (needed - j + 1) * t_cmm)
     comm_end[i] = i * t_cmm + max_{j<=i} (comp_finish[j] - (j - 1) * t_cmm)
 
+The last term of the max, comp_finish[needed] + t_cmm, is a lower bound
+that an idle channel attains, so a run that needs only t_total skips each
+block of BLOCK ranks whose float upper bound cannot exceed it: the max is
+unchanged bit for bit, and near rank `needed` only a block or two is left.
+A saturated channel skips nothing.
+
 One `run_trials` call serves several codes (the coded scheme and its
 uncoded (n, n) baseline, say, or a whole ladder of n) on common random
 numbers: trial i of every code reads stream i, whose first n uniforms
@@ -40,6 +46,9 @@ from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_ti
 # call reuses them, so memory stays within four such matrices whatever
 # the trial count.
 CHUNK_ELEMENTS = 2**16
+# ranks per block that a run-time max with occupancy=False skips or keeps
+# as a whole (see _first_rank)
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -209,8 +218,13 @@ def run_trials(
     With occupancy=False each pair stops at t_total and kth_finish, which
     are bit for bit the default run's: the ends, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
-    those fields are None.  speedup_curve, which reads only t_total,
-    passes it; a pipeline index p needs the ends, so p with
+    those fields are None.  Nor are cf and the row max taken before the
+    first block of BLOCK ranks that can exceed the last term on some row
+    of the chunk (_first_rank): every skipped term is at most that last
+    term, so t_total is still the max over all ranks.  A saturated
+    channel starts at rank 1, at the cost of needed / BLOCK bound columns
+    more.  speedup_curve, which reads only t_total, passes
+    occupancy=False; a pipeline index p needs the ends, so p with
     occupancy=False is refused.  p must lie in [1, smallest n].
     """
     codes = list(codes)
@@ -245,6 +259,9 @@ def run_trials(
         buffer, np.cumsum([rows * top, rows * prefix, rows * width]))
     flags = np.empty(rows * width, dtype=bool)
 
+    # from rank 0, once per call: tail[j] = (needed - j) * t_cmm
+    tails = [comm.t_cmm * np.arange(params.k, 0, -1.0) for params, comm in codes]
+
     for first in range(0, trials, rows):
         m = min(rows, trials - first)
         done = slice(first, first + m)
@@ -252,7 +269,7 @@ def run_trials(
         unit_exponentials(uniform_rows(seed, first, draw))
         n = 0
         for index in order:
-            (params, comm), out = codes[index], outs[index]
+            (params, comm), out, tail = codes[index], outs[index], tails[index]
             if params.n != n:
                 n, times = params.n, draw
                 if n < top:
@@ -260,18 +277,19 @@ def run_trials(
                     np.copyto(times, draw[:, :n])
                 times.sort(axis=-1)
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
-            cf = np.divide(times[:, :needed], rate, out=work[: m * needed].reshape(m, needed))
-            ends = scratch[: m * needed].reshape(m, needed)
+            start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail)
+            size = needed - start
+            cf = np.divide(times[:, start:needed], rate, out=work[: m * size].reshape(m, size))
+            ends = scratch[: m * size].reshape(m, size)
             np.add(cf, shift, out=cf)
-            kth = cf[:, needed - 1]
+            kth = cf[:, -1]
             out.kth_finish[done] = kth
             total = out.t_total[done]
-            # from rank 0: tail[j] = (needed - j) * t_cmm, lead[j] = j * t_cmm,
-            # and ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
-            np.add(cf, t_cmm * np.arange(needed, 0, -1.0), out=ends)
+            np.add(cf, tail[start:], out=ends)
             np.max(ends, axis=1, out=total)
             if not occupancy:
                 continue
+            # lead[j] = j * t_cmm: ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
             flag = flags[: m * needed].reshape(m, needed)
             lead = t_cmm * np.arange(needed, dtype=np.float64)
             np.subtract(cf, lead, out=ends)
@@ -292,6 +310,28 @@ def run_trials(
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
     return outs
+
+
+def _first_rank(x, rate, shift, tail):
+    """First rank of the first block of BLOCK ranks whose cf + tail can
+    exceed the last term cf[-1] + tail[-1] on some row of x, the sorted
+    unit draws over the first `needed` ranks; the last block if none can.
+
+    A full block [s, s + BLOCK) before the last rank is bounded by
+    ub = (x[s + BLOCK - 1] / rate + shift) + tail[s], exactly in floats:
+    cf is nondecreasing, tail decreasing, and correctly rounded / and +
+    are monotone in each operand, so no element of the block rounds above
+    ub.  A skipped block has ub <= the last term <= the row max.
+    """
+    blocks = (x.shape[1] - 1) // BLOCK  # full blocks before the one holding the last rank
+    if not blocks:
+        return 0
+    last = (x[:, -1] / rate + shift) + tail[-1]
+    ub = x[:, BLOCK - 1: blocks * BLOCK: BLOCK] / rate + shift
+    ub += tail[: blocks * BLOCK: BLOCK]
+    over = (ub > last[:, None]).any(axis=0)
+    first = int(over.argmax())
+    return BLOCK * (first if over[first] else blocks)
 
 
 def run_coded_trial(

@@ -35,6 +35,7 @@ from codedmatvec import (
     run_coded_trial,
     run_trials,
     run_uncoded_trial,
+    sample_comp_times,
     transmission_counts,
     verify_transmission_lemmas,
 )
@@ -280,6 +281,33 @@ def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
         assert np.array_equal(alone.t_total, full.t_total)
         assert np.array_equal(alone.kth_finish, full.kth_finish)
         assert all(getattr(alone, name) is None for name in OCCUPANCY_FIELDS)
+
+
+PRUNE_NS = (5, 31, 32, 33, 64, 65, 100, 400)
+PRUNE_KS = (1, 2, 31, 32, 33, 64, 65, 70, 99)
+
+
+@pytest.mark.parametrize("t_one", [0.0, 1e-4, 1e-3, 0.01, 0.1, 1.0])
+def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
+    # occupancy=False takes the row max only from the first block of ranks
+    # that can hold it: it must equal the max over every rank, bit for bit,
+    # with k on either side of the block edges, from an idle channel to a
+    # saturated one, for codes of mixed n in one call across chunks
+    coded = [ClusterParams(n=n, k=k, r=3 * k, a=0.3, mu=1.0)
+             for n in PRUNE_NS for k in PRUNE_KS if k <= n]
+    codes = [(params, CommModel.coded(params, t_one))
+             for code in coded for params in (code, code.uncoded())]
+    trials, seed = 7, 23
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", 3 * max(PRUNE_NS)):
+        outs = run_trials(codes, trials, seed, occupancy=False)
+    for (params, comm), out in zip(codes, outs):
+        k = params.k
+        for i in range(trials):
+            times = sample_comp_times(params, params.r / params.k, RngStream(seed, i))
+            cf = params.t0 + times.sorted
+            assert out.kth_finish[i] == cf[k - 1], (params, i)
+            want = np.max(cf[:k] + comm.t_cmm * np.arange(k, 0, -1.0))
+            assert out.t_total[i] == want, (params, i, out.t_total[i], want)
 
 
 @pytest.mark.parametrize("occupancy", [False, True])
