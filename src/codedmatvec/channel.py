@@ -24,8 +24,9 @@ One `run_trials` call serves several codes (the coded scheme and its
 uncoded (n, n) baseline, say, or a whole ladder of n) on common random
 numbers: trial i of every code reads stream i, whose first n uniforms
 are the first n of any longer draw.  The unit-rate exponentials are drawn
-once at the largest n, each distinct n sorts its prefix once, and each
-code scales its n's order statistics by its own rate.
+once at the largest n, each distinct n, ascending, sorts its first n
+columns in place, and each code scales its n's order statistics by its
+own rate.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_ti
                      unit_exponentials)
 
 # float64 elements per draw matrix of `run_trials` (512 KiB) at the call's
-# largest n; the sorted prefix for a smaller n and the two work matrices
-# over the first `needed` ranks are each no larger, and every code of a
-# call reuses them, so memory stays within four such matrices whatever
-# the trial count.
+# largest n; the two work matrices over the first `needed` ranks are each
+# no larger, and every code of a call reuses them, so memory stays within
+# three such matrices whatever the trial count.
 CHUNK_ELEMENTS = 2**16
 # ranks per block that a run-time max with occupancy=False skips or keeps
 # as a whole (see _first_rank)
@@ -202,11 +202,13 @@ def run_trials(
     RngStream(seed, i).uniforms(n) is the first n of uniforms(N): Philox
     spends one 64-bit word per double.  So each chunk re-keys one stream
     per row, draws the row once at the call's largest n, N, and turns it
-    into unit-rate draws once (unit_exponentials).  Each smaller distinct
-    n, ascending, sorts a copy of the first n columns, and the N columns
-    are sorted in place last: with one n, unit_order_statistics.  Each
-    pair then divides the first `needed` columns of its own n's sorted
-    draws by its rate and adds its shift, as sample_comp_times and
+    into unit-rate draws once (unit_exponentials).  Each distinct n sorts
+    the first n columns in place, and the order must ascend: a sort
+    permutes only the columns it sorts, so the first n' > n columns still
+    hold the unsorted draw's values and sort to the same sequence.  No
+    unit draw is NaN or -0.0, so equal values have equal bits.  Each pair
+    then divides the first `needed` columns of its own n's sorted draws
+    by its rate and adds its shift, as sample_comp_times and
     run_coded_trial do, so the completion times cf are the single-trial
     path's bit for bit.  The channel follows from the module's max-plus
     forms, with no step per rank: t_total is the row max of cf + tail,
@@ -245,18 +247,18 @@ def run_trials(
         busy_fraction=np.zeros(trials) if occupancy else None,
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
-    # by n, ascending; a stable sort keeps a call of one n in code order
+    # by n, ascending, as the in-place sorts need; a stable sort keeps a
+    # call of one n in code order
     order = sorted(range(len(codes)), key=lambda index: codes[index][0].n)
-    top, prefix = ns[-1], ns[-2] if len(ns) > 1 else 0
+    top = ns[-1]
     width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // top))
-    # one buffer for the draws, the sorted prefix and both work matrices,
-    # shared by every pair: buffers of about 512 KiB freed together leave
-    # a free heap top past glibc's trim threshold, and every call then
-    # faults their pages back in
-    buffer = np.empty(rows * (top + prefix + 2 * width))
-    draws, sub, work, scratch = np.split(
-        buffer, np.cumsum([rows * top, rows * prefix, rows * width]))
+    # one buffer for the draws and both work matrices, shared by every
+    # pair: buffers of about 512 KiB freed together leave a free heap top
+    # past glibc's trim threshold, and every call then faults their pages
+    # back in
+    buffer = np.empty(rows * (top + 2 * width))
+    draws, work, scratch = np.split(buffer, [rows * top, rows * (top + width)])
     flags = np.empty(rows * width, dtype=bool)
 
     # from rank 0, once per call: tail[j] = (needed - j) * t_cmm
@@ -271,10 +273,7 @@ def run_trials(
         for index in order:
             (params, comm), out, tail = codes[index], outs[index], tails[index]
             if params.n != n:
-                n, times = params.n, draw
-                if n < top:
-                    times = sub[: m * n].reshape(m, n)
-                    np.copyto(times, draw[:, :n])
+                n, times = params.n, draw[:, :params.n]
                 times.sort(axis=-1)
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail)
@@ -302,10 +301,11 @@ def run_trials(
                 finish_p = times[:, p - 1] / rate + shift
                 out.count1[done] = np.count_nonzero(
                     np.less_equal(ends, finish_p[:, None], out=flag), axis=1)
-            # q_idle: the last rank that finds the channel free; rank 1 always does
-            flag[:, 0] = True
-            np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, 1:])
-            out.q_idle[done] = needed - np.argmax(flag[:, ::-1], axis=1)
+            # q_idle: the last rank that finds the channel free; rank 1 always
+            # does.  The flags run from rank `needed` down, so argmax finds it
+            flag[:, -1] = True
+            np.greater_equal(cf[:, 1:], ends[:, :-1], out=flag[:, -2::-1])
+            out.q_idle[done] = needed - np.argmax(flag, axis=1)
 
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)

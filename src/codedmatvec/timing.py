@@ -114,26 +114,20 @@ def unit_exponentials(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def unit_order_statistics(u: np.ndarray) -> np.ndarray:
-    """Turn uniforms `u` in [0, 1) into sorted unit-rate exponentials
-    -log1p(-u), in place along the last axis, and return `u`.  Callers
-    divide by their rate after the sort: correctly rounded division by a
-    positive scalar is monotone, so sort(x) / rate == sort(x / rate)."""
-    unit_exponentials(u).sort(axis=-1)
-    return u
-
-
 def sample_comp_times(params: ClusterParams, work_per_worker: float, rng: RngStream) -> CompTimes:
     """Sample the variable parts for n workers doing `work_per_worker`
     inner products each: the sorted unit-rate draws of `rng`'s first n
-    uniforms, divided by the rate mu / w.
+    uniforms, divided by the rate mu / w.  The sort comes first:
+    correctly rounded division by a positive scalar is monotone, so
+    sort(x) / rate == sort(x / rate).
 
     The shift a*w is not included; the caller adds it when building
     absolute completion times.
     """
     if not math.isfinite(work_per_worker) or work_per_worker <= 0:
         raise ValueError(f"work_per_worker must be finite and > 0, got {work_per_worker!r}")
-    times = unit_order_statistics(rng.uniforms(params.n))
+    times = unit_exponentials(rng.uniforms(params.n))
+    times.sort()
     return CompTimes(sorted=times / (params.mu / work_per_worker))
 
 

@@ -313,13 +313,14 @@ def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
 @pytest.mark.parametrize("occupancy", [False, True])
 def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy):
     # criterion 09's whole ladder in one call: beyond the arrays it returns,
-    # the engine holds one chunk's draws, sorted prefix and two work
-    # matrices, at most 4 * CHUNK_ELEMENTS float64, at any trial count; the
-    # slack covers the flags and the per-code rank vectors
+    # the engine holds one chunk's draws and two work matrices, at most
+    # 3 * CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
+    # columns of the draws in place; the slack covers the flags, the
+    # per-code tail vectors and the occupancy pass's rank vectors
     codes = [code for n in LADDER for code in _ladder_codes(n)]
     p = 50 if occupancy else None
     run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up
-    bound = 4 * channel.CHUNK_ELEMENTS * 8 + 2**16
+    bound = 3 * channel.CHUNK_ELEMENTS * 8 + 2**18 + 2**16
     for trials in (500, 2000):
         tracemalloc.start()
         try:

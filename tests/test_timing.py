@@ -15,7 +15,7 @@ from codedmatvec import (
     variance_order_stat,
 )
 from codedmatvec.rng import uniform_rows
-from codedmatvec.timing import LARGEST_UNIT_DRAW, harmonic_table, unit_order_statistics
+from codedmatvec.timing import LARGEST_UNIT_DRAW, harmonic_table, unit_exponentials
 from oracles import harmonic_table_loop, ks_two_sample_threshold, sample_spacings
 
 
@@ -120,25 +120,26 @@ def test_sample_comp_times_rejects_bad_work():
 
 @pytest.mark.parametrize("values", [[0.5, 0.0, 0.25], [[0.5, 0.0, 0.25], [0.75, 0.1, 0.2]]],
                          ids=["1-d", "2-d"])
-def test_unit_order_statistics_sorts_in_place_along_the_last_axis(values):
+def test_unit_exponentials_work_in_place(values):
     u = np.array(values)
-    assert unit_order_statistics(u) is u
-    assert np.array_equal(u, np.sort(-np.log1p(-np.array(values)), axis=-1))
+    assert unit_exponentials(u) is u
+    assert np.array_equal(u, -np.log1p(-np.array(values)))
 
 
-def test_unit_order_statistics_ends():
-    # u = 0 gives +0.0, not -0.0, and the largest uniform Generator.random
+def test_unit_exponentials_ends():
+    # u = 0 gives +0.0, not -0.0 (so run_trials' in-place sorts of nested
+    # prefixes agree bit for bit), and the largest uniform Generator.random
     # returns gives exactly the largest draw the run-time bounds assume
-    low = unit_order_statistics(np.zeros(2))
+    low = unit_exponentials(np.zeros(2))
     assert low.tolist() == [0.0, 0.0] and not np.signbit(low).any()
-    assert unit_order_statistics(np.array([1 - 2**-53]))[0] == LARGEST_UNIT_DRAW
+    assert unit_exponentials(np.array([1 - 2**-53]))[0] == LARGEST_UNIT_DRAW
 
 
 @pytest.mark.parametrize("seed, first, rows, n", [(0, 0, 3, 5), (2**64 - 1, 2**64 - 4, 4, 70)])
-def test_unit_order_statistics_of_uniform_rows_are_each_streams(seed, first, rows, n):
-    block = unit_order_statistics(uniform_rows(seed, first, np.empty((rows, n))))
+def test_unit_exponentials_of_uniform_rows_are_each_streams(seed, first, rows, n):
+    block = unit_exponentials(uniform_rows(seed, first, np.empty((rows, n))))
     for j in range(rows):
-        direct = np.sort(-np.log1p(-RngStream(seed, first + j).uniforms(n)))
+        direct = -np.log1p(-RngStream(seed, first + j).uniforms(n))
         assert np.array_equal(block[j], direct)
 
 
