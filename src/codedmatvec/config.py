@@ -7,37 +7,52 @@ no nesting -- so experiment configs stay diffable and parseable anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 
 class ConfigError(ValueError):
     """Raised for unknown keys, type mismatches, or constraint violations."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n: int | None = None
-    k: int | None = None
-    r: int | None = None
-    a: float | None = None
-    mu: float | None = None
-    t1cmm: float | None = None
-    beta: float | None = None
-    c: float | None = None
-    k_fraction: float = 0.7
-    m: int = 5
-    trials: int = 10_000
-    seed: int = 0
-    scheme: str | None = None
-    inject: tuple | None = None
-    ns: tuple | None = None
-    out: str | None = None
-    format: str | None = None
-
-
 _SCHEMES = ("coded", "uncoded", "systematic", "random")
 _FORMATS = ("csv", "text")
 _CASTS = {"integer": int, "number": float, "text": str}
+
+
+def _key(kind, bound, wording, default=None):
+    return field(default=default, metadata={"rule": (kind, bound, wording)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One field per key; its metadata "rule" is (kind, bound, the bound's
+    wording with the value as {}).  parse_config checks the bounds in field
+    order, then finiteness, then k <= n."""
+
+    n: int | None = _key("integer", lambda v: v >= 1, "must be >= 1, got {}")
+    k: int | None = _key("integer", lambda v: v >= 1, "must be >= 1, got {}")
+    r: int | None = _key("integer", lambda v: v >= 1, "must be >= 1, got {}")
+    m: int = _key("integer", lambda v: v >= 1, "must be >= 1, got {}", 5)
+    trials: int = _key("integer", lambda v: v >= 1, "must be >= 1, got {}", 10_000)
+    seed: int = _key("integer", lambda v: 0 <= v < 2**64, "must lie in [0, 2^64), got {}", 0)
+    a: float | None = _key("number", lambda v: v >= 0, "must be >= 0, got {}")
+    mu: float | None = _key("number", lambda v: v > 0, "must be > 0, got {}")
+    t1cmm: float | None = _key("number", lambda v: v >= 0, "must be >= 0, got {}")
+    beta: float | None = _key("number", lambda v: v >= 0, "must be >= 0, got {}")
+    c: float | None = _key("number", lambda v: v > 0, "must be > 0, got {}")
+    k_fraction: float = _key("number", lambda v: 0 < v <= 1, "must lie in (0, 1], got {}", 0.7)
+    scheme: str | None = _key("text", lambda v: v in _SCHEMES,
+                              f"must be one of {'/'.join(_SCHEMES)}, got {{!r}}")
+    format: str | None = _key("text", lambda v: v in _FORMATS,
+                              f"must be one of {'/'.join(_FORMATS)}, got {{!r}}")
+    ns: tuple | None = _key("integers", lambda v: all(x >= 1 for x in v),
+                            "every entry must be >= 1")
+    inject: tuple | None = _key("numbers", lambda v: all(x >= 0 for x in v),
+                                "times must be >= 0")
+    out: str | None = _key("text", lambda v: True, "any path")
+
+
+_KEYS = {f.name: f.metadata["rule"] for f in fields(RunConfig)}
 
 
 def _parse(key, kind, text):
@@ -53,31 +68,6 @@ def _parse(key, kind, text):
     except ValueError:
         article = "an" if kind == "integer" else "a"
         raise ConfigError(f"{key}: expected {article} {kind}, got {text!r}") from None
-
-
-# key -> (kind, bound, the bound's wording with the value as {}), checked in
-# this order, then finiteness, then k <= n; each RunConfig field has one row
-_KEYS = {
-    "n": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "k": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "r": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "m": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "trials": ("integer", lambda v: v >= 1, "must be >= 1, got {}"),
-    "seed": ("integer", lambda v: 0 <= v < 2**64, "must lie in [0, 2^64), got {}"),
-    "a": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
-    "mu": ("number", lambda v: v > 0, "must be > 0, got {}"),
-    "t1cmm": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
-    "beta": ("number", lambda v: v >= 0, "must be >= 0, got {}"),
-    "c": ("number", lambda v: v > 0, "must be > 0, got {}"),
-    "k_fraction": ("number", lambda v: 0 < v <= 1, "must lie in (0, 1], got {}"),
-    "scheme": ("text", lambda v: v in _SCHEMES,
-              f"must be one of {'/'.join(_SCHEMES)}, got {{!r}}"),
-    "format": ("text", lambda v: v in _FORMATS,
-              f"must be one of {'/'.join(_FORMATS)}, got {{!r}}"),
-    "ns": ("integers", lambda v: all(x >= 1 for x in v), "every entry must be >= 1"),
-    "inject": ("numbers", lambda v: all(x >= 0 for x in v), "times must be >= 0"),
-    "out": ("text", lambda v: True, "any path"),
-}
 
 
 def _is_finite(x) -> bool:

@@ -6,10 +6,14 @@ Each mutant is one exact-text replacement in one file under src/, and its
 text must occur there exactly once.  The repo is copied to a temporary
 directory (pyproject.toml's pythonpath = ["src"] would override a
 PYTHONPATH pointing at a mutated copy), the unmutated copy must pass, and
-then each mutant in turn is applied, run through the tier-1 suite without
-the golden files (-x: the first failure kills it) and undone.  The script
-prints one row per mutant, killed or survived and the first failing test,
-and exits 1 if any mutant survives.  Pytest does not collect this file.
+then each mutant in turn is applied, run through the tier-1 suite and
+undone.  The suite runs with -x (the first failure kills the mutant) and
+without the golden checks: tests/test_golden.py and test_cli's script
+test, which compares the output with a golden file.  Nor does it run
+tests/test_mutants_apply.py, which checks that every mutant applies and so
+fails on each.  The script prints one row per mutant, killed or survived
+and the first failing test, and exits 1 if any mutant survives.  Pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -45,9 +49,62 @@ MUTANTS = [
     ("closed form 0.1% of t0 low", "experiments.py",
      "closed_form = expected_runtime_regime3(params)",
      "closed_form = expected_runtime_regime3(params) - 0.001 * params.t0"),
+    ("single-trial path without queueing", "channel.py",
+     "free := (c if c >= free else free) + t_cmm",
+     "free := c + t_cmm"),
+    ("alpha with n in place of k", "timing.py",
+     "return self.r / (self.mu * self.k)",
+     "return self.r / (self.mu * self.n)"),
+    ("optimize_k harmonic off by one", "analysis.py",
+     "(h[n] - h[n - k])",
+     "(h[n] - h[n - k + 1])"),
+    ("optimize_k ignoring the channel", "analysis.py",
+     "+ comm_at_k(k)",
+     "+ 0.0"),
+    ("pipeline_index off by one", "analysis.py",
+     "dip + int(recrossed.argmax()) + 1",
+     "dip + int(recrossed.argmax()) + 2"),
+    ("count2 read as completed_by_comp_k", "experiments.py",
+     "c1, c2 = batch.count1, batch.completed_by_comp_k - batch.count1",
+     "c1, c2 = batch.count1, batch.completed_by_comp_k"),
+    ("ddof=0", "experiments.py",
+     "np.var(samples, ddof=1)",
+     "np.var(samples, ddof=0)"),
+    ("engine busy time at needed - 1", "channel.py",
+     "np.divide(needed * t_cmm, span,",
+     "np.divide((needed - 1) * t_cmm, span,"),
+    ("variance_order_stat shifted by one rank", "timing.py",
+     "for i in range(1, j + 1))",
+     "for i in range(0, j))"),
+    ("bracket upper end at k + 1", "analysis.py",
+     "upper=core + params.k * comm.t_cmm",
+     "upper=core + (params.k + 1) * comm.t_cmm"),
+    ("random scheme tolerance at 1e-6", "coding.py",
+     '"random": (1e-8, 0.99)',
+     '"random": (1e-6, 0.99)'),
+    ("t_one_cmm 1% high", "analysis.py",
+     "return self.c * float(n) ** (-self.beta)",
+     "return 1.01 * self.c * float(n) ** (-self.beta)"),
+    ("engine shift times 1.0001", "channel.py",
+     "np.add(cf, shift, out=cf)",
+     "np.add(cf, shift * 1.0001, out=cf)"),
+    ("speedup ratio over a median", "experiments.py",
+     "float(np.mean(coded.t_total)), float(np.mean(uncoded.t_total))",
+     "float(np.median(coded.t_total)), float(np.median(uncoded.t_total))"),
+    ("always 0 unflagged failures", "coding.py",
+     "unflagged += int(_well_conditioned(g[failing]).sum())",
+     "unflagged += 0"),
+    ("trials bound at >= 0", "config.py",
+     'trials: int = _key("integer", lambda v: v >= 1,',
+     'trials: int = _key("integer", lambda v: v >= 0,'),
+    ("seed bound at 2**63", "config.py",
+     'seed: int = _key("integer", lambda v: 0 <= v < 2**64,',
+     'seed: int = _key("integer", lambda v: 0 <= v < 2**63,'),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "tests", "--ignore=tests/test_golden.py",
+          "--ignore=tests/test_mutants_apply.py",
+          "--deselect=tests/test_cli.py::test_the_module_runs_as_a_script",
           "-x", "-q", "-p", "no:cacheprovider"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
 

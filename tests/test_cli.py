@@ -3,16 +3,19 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import codedmatvec.cli as cli
 import codedmatvec.coding as coding
-import codedmatvec.config as config_module
 from codedmatvec import (
     ClusterParams,
     ConfigError,
@@ -125,6 +128,10 @@ INVALID_VALUES = [
     ("ns =", "ns: expected a comma-separated list of integers"),
     (f"r = {FLOAT_OVERFLOW}", f"r: must be finite, got {FLOAT_OVERFLOW}"),
     (f"ns = 5,{FLOAT_OVERFLOW}", f"ns: must be finite, got {FLOAT_OVERFLOW}"),
+    # two keys out of bound: the first in RunConfig's field order is named
+    ("a = -1\nm = 0", "m: must be >= 1, got 0"),
+    ("ns = 0,1\nformat = xml", "format: must be one of csv/text, got 'xml'"),
+    ("k_fraction = 2\ntrials = 0", "trials: must be >= 1, got 0"),
 ]
 
 
@@ -155,10 +162,6 @@ def test_parse_typed_override_exact_message(overrides, message):
     with pytest.raises(ConfigError) as info:
         parse_config("", overrides)
     assert str(info.value) == message
-
-
-def test_every_config_key_has_one_table_row():
-    assert set(config_module._KEYS) == {field.name for field in fields(RunConfig)}
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,19 @@ def test_optimize_k_star_runs_in_montecarlo(capsys):
 
 def test_usage_error_is_exit_one(capsys):
     assert main(["simulate", "--no-such-flag", "1"]) == 1
+
+
+def test_the_module_runs_as_a_script():
+    # pyproject's pythonpath reaches only this process, so the child gets src/
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    script = [sys.executable, "-m", "codedmatvec.cli"]
+    done = subprocess.run([*script, "expect", *EXAMPLE_FLAGS], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (root / "tests" / "golden" / "expect.txt").read_bytes()
+    done = subprocess.run([*script, "simulate", "--no-such-flag", "1"], env=env,
+                          capture_output=True)
+    assert done.returncode == 1 and done.stdout == b""
 
 
 def test_expect_example_numbers(capsys):

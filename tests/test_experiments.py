@@ -193,6 +193,19 @@ def test_speedup_degenerate_equal_config():
     assert points[0].ratio == 1.0
 
 
+def test_speedup_means_are_the_monte_carlo_means():
+    # each point's means are monte_carlo's over the same streams, bit for bit
+    points = speedup_curve([10, 20], 0.7, a=1.0, mu=1.0, family=RegimeFamily(c=0.1, beta=1.0),
+                           trials=200, seed=4, optimize=True)
+    for point in points:
+        params = ClusterParams(n=point.n, k=point.k, r=point.r, a=1.0, mu=1.0)
+        coded, _ = monte_carlo(params, CommModel.coded(params, point.t_one_cmm), 200, 4)
+        uncoded, _ = monte_carlo(params, CommModel.uncoded(params, point.t_one_cmm), 200, 4,
+                                 scheme="uncoded")
+        assert (point.coded_mean, point.uncoded_mean) == (coded.mean, uncoded.mean)
+        assert point.ratio == uncoded.mean / coded.mean
+
+
 def test_transmission_counts_instant_channel():
     params = ClusterParams(n=12, k=8, r=8, a=0.0, mu=1.0)
     comm = CommModel.coded(params, 0.0)

@@ -169,6 +169,11 @@ def test_determinism_same_stream_bit_identical():
     assert not np.array_equal(a.sorted, c.sorted)
 
 
+def test_stream_repr_names_its_key():
+    # a report that names its stream names its (seed, trial)
+    assert repr(RngStream(7, 3)) == "RngStream(seed=7, stream_id=3)"
+
+
 def test_spacings_single_worker_is_plain_exponential():
     params = ClusterParams(n=1, k=1, r=1, a=0.0, mu=1.0)
     sp = sample_spacings(params, RngStream(3, 0))
