@@ -218,7 +218,7 @@ def run_trials(
     only the integer metrics.
 
     With occupancy=False each pair stops at t_total and kth_finish, which
-    are bit for bit the default run's: the ends, completed_by_comp_k,
+    are bit for bit the default run's: the ends, flags, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
     those fields are None.  Nor are cf and the row max taken before the
     first block of BLOCK ranks that can exceed the last term on some row
@@ -232,9 +232,12 @@ def run_trials(
     codes = list(codes)
     if not codes:
         raise ValueError("codes must hold at least one (params, comm) pair")
-    ns = sorted({params.n for params, _ in codes})
-    if p is not None and not (isinstance(p, int) and 1 <= p <= ns[0]):
-        raise ValueError(f"p must lie in [1, {ns[0]}], got {p!r}")
+    # by n, ascending, as the in-place sorts need; a stable sort keeps a
+    # call of one n in code order
+    order = sorted(range(len(codes)), key=lambda index: codes[index][0].n)
+    smallest, top = codes[order[0]][0].n, codes[order[-1]][0].n
+    if p is not None and not (isinstance(p, int) and 1 <= p <= smallest):
+        raise ValueError(f"p must lie in [1, {smallest}], got {p!r}")
     if p is not None and not occupancy:
         raise ValueError("p needs occupancy=True: count1 is read from the transmission ends")
     for params, comm in codes:
@@ -247,10 +250,6 @@ def run_trials(
         busy_fraction=np.zeros(trials) if occupancy else None,
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
-    # by n, ascending, as the in-place sorts need; a stable sort keeps a
-    # call of one n in code order
-    order = sorted(range(len(codes)), key=lambda index: codes[index][0].n)
-    top = ns[-1]
     width = max(params.k for params, _ in codes)
     rows = min(trials, max(1, CHUNK_ELEMENTS // top))
     # one buffer for the draws and both work matrices, shared by every
@@ -259,7 +258,7 @@ def run_trials(
     # back in
     buffer = np.empty(rows * (top + 2 * width))
     draws, work, scratch = np.split(buffer, [rows * top, rows * (top + width)])
-    flags = np.empty(rows * width, dtype=bool)
+    flags = np.empty(rows * width, dtype=bool) if occupancy else None
 
     # from rank 0, once per call: tail[j] = (needed - j) * t_cmm
     tails = [comm.t_cmm * np.arange(params.k, 0, -1.0) for params, comm in codes]

@@ -146,6 +146,23 @@ def _reduce(batch: TrialArrays, needed: int) -> tuple[MCStats, AggregateMetrics]
     return MCStats.from_samples(batch.t_total), agg
 
 
+def _run_ladder(ns, trials, seed, point, occupancy=True):
+    """The (params, comm) codes that point(n) builds, in ladder order,
+    and their TrialArrays from one run_trials call ([] for an empty
+    ladder).  All are checked before any trial runs: a point that cannot
+    be built or run raises ValueError("n=<n>: <reason>")."""
+    codes = []
+    for n in ns:
+        try:
+            built = point(n)
+            for params, comm in built:
+                _check_work(params, comm, trials)
+        except ValueError as exc:
+            raise ValueError(f"n={n}: {exc}") from exc
+        codes += built
+    return codes, run_trials(codes, trials, seed, occupancy=occupancy) if codes else []
+
+
 def sweep_regime(
     family: RegimeFamily,
     ns: Sequence[int],
@@ -157,24 +174,15 @@ def sweep_regime(
     seed: int = 0,
 ) -> list[SweepRow]:
     """One coded Monte Carlo configuration per n, with t_one_cmm drawn
-    from the scaling family.  Every ladder point is checked, in ladder
-    order, before any trial runs: one that cannot run raises
-    ValueError("n=<n>: <reason>").  One run_trials call then runs the
-    whole ladder; each row is what monte_carlo returns for its point."""
-    codes = []
-    for n in ns:
+    from the scaling family, checked and run by _run_ladder; each row is
+    what monte_carlo returns for its point."""
+    def point(n):
         k = round_k(k_fraction, n)
-        r = r_rule(n, k)
-        try:
-            params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-            comm = CommModel.coded(params, family.t_one_cmm(n))
-            _check_work(params, comm, trials)
-        except ValueError as exc:
-            raise ValueError(f"n={n}: {exc}") from exc
-        codes.append((params, comm))
-    batches = run_trials(codes, trials, seed) if codes else []
+        params = ClusterParams(n=n, k=k, r=r_rule(n, k), a=a, mu=mu)
+        return [(params, CommModel.coded(params, family.t_one_cmm(n)))]
+
     rows = []
-    for (params, comm), batch in zip(codes, batches):
+    for (params, comm), batch in zip(*_run_ladder(ns, trials, seed, point)):
         mc, agg = _reduce(batch, params.k)
         closed_form = expected_runtime_regime3(params)
         rows.append(SweepRow(
@@ -188,7 +196,6 @@ def sweep_regime(
 def speedup_curve(
     ns: Sequence[int],
     k_fraction: float,
-    r_rule: Callable[[int, int], int] = default_r_rule,
     a: float = 1.0,
     mu: float = 1.0,
     family: RegimeFamily = RegimeFamily(c=0.1, beta=1.0),
@@ -196,9 +203,8 @@ def speedup_curve(
     seed: int = 0,
     optimize: bool = False,
 ) -> list[SpeedupPoint]:
-    """Mean uncoded over mean coded run-time per ladder point.  Every
-    ladder point is checked, in ladder order, before any trial runs: one
-    that cannot run raises ValueError("n=<n>: <reason>").
+    """Mean uncoded over mean coded run-time per ladder point, checked
+    and run by _run_ladder, at r = default_r_rule(n, k).
 
     With optimize=True the coded threshold is the leading-term minimizer
     over divisors of r instead of the fixed k_fraction.  Coded and
@@ -210,25 +216,18 @@ def speedup_curve(
     call passes occupancy=False and no channel-occupancy metric is
     computed.
     """
-    codes = []
-    for n in ns:
+    def point(n):
         k = round_k(k_fraction, n)
-        r = r_rule(n, k)
+        r = default_r_rule(n, k)
         t_one = family.t_one_cmm(n)
-        try:
-            if optimize:
-                k, _ = optimize_k(n, r, a, mu,
-                                  comm_at_k=lambda kk: (r / kk) * t_one,
-                                  require_divisor=True)
-            params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
-            pair = [(params, CommModel.coded(params, t_one)),
-                    (params.uncoded(), CommModel.uncoded(params, t_one))]
-            for code, comm in pair:
-                _check_work(code, comm, trials)
-        except ValueError as exc:
-            raise ValueError(f"n={n}: {exc}") from exc
-        codes += pair
-    batches = run_trials(codes, trials, seed, occupancy=False) if codes else []
+        if optimize:
+            k, _ = optimize_k(n, r, a, mu, comm_at_k=lambda kk: (r / kk) * t_one,
+                              require_divisor=True)
+        params = ClusterParams(n=n, k=k, r=r, a=a, mu=mu)
+        return [(params, CommModel.coded(params, t_one)),
+                (params.uncoded(), CommModel.uncoded(params, t_one))]
+
+    codes, batches = _run_ladder(ns, trials, seed, point, occupancy=False)
     points = []
     for (params, comm), coded, uncoded in zip(codes[::2], batches[::2], batches[1::2]):
         coded_mean, uncoded_mean = float(np.mean(coded.t_total)), float(np.mean(uncoded.t_total))

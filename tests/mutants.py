@@ -12,8 +12,9 @@ without the golden checks: tests/test_golden.py and test_cli's script
 test, which compares the output with a golden file.  Nor does it run
 tests/test_mutants_apply.py, which checks that every mutant applies and so
 fails on each.  The script prints one row per mutant, killed or survived
-and the first failing test, and exits 1 if any mutant survives.  Pytest
-does not collect this file.
+and the first failing test, and exits 1 if any mutant survives.  A
+SIGTERM stops it with exit status 143, after killing the running suite
+and removing the copy.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -41,8 +43,8 @@ MUTANTS = [
      "ub += tail[: blocks * BLOCK: BLOCK]",
      "ub += tail[BLOCK - 1: blocks * BLOCK: BLOCK]"),
     ("p bounded by the largest n", "channel.py",
-     "1 <= p <= ns[0])",
-     "1 <= p <= ns[-1])"),
+     "1 <= p <= smallest)",
+     "1 <= p <= top)"),
     ("hit fraction at q_idle >= k - 1", "experiments.py",
      "np.mean(batch.q_idle == needed)",
      "np.mean(batch.q_idle >= needed - 1)"),
@@ -97,6 +99,15 @@ MUTANTS = [
     ("trials bound at >= 0", "config.py",
      'trials: int = _key("integer", lambda v: v >= 1,',
      'trials: int = _key("integer", lambda v: v >= 0,'),
+    ("ladder point not checked", "experiments.py",
+     "for params, comm in built:",
+     "for params, comm in []:"),
+    ("ladder failure not named", "experiments.py",
+     'raise ValueError(f"n={n}: {exc}") from exc',
+     "raise"),
+    ("no empty-ladder guard", "experiments.py",
+     " if codes else []",
+     ""),
     ("seed bound at 2**63", "config.py",
      'seed: int = _key("integer", lambda v: 0 <= v < 2**64,',
      'seed: int = _key("integer", lambda v: 0 <= v < 2**63,'),
@@ -121,6 +132,9 @@ def run_suite(tree: Path) -> str | None:
 
 
 def main() -> int:
+    # a SIGTERM unwinds like any exit: subprocess.run kills the running
+    # suite and TemporaryDirectory removes the copy
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "repo"
         shutil.copytree(ROOT, tree, ignore=IGNORE)

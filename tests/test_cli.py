@@ -351,6 +351,17 @@ def test_sweep_refuses_a_non_finite_transmission_time(capsys):
         assert captured.out == ""
 
 
+def test_speedup_optimizes_k_by_default_and_names_a_point_too_small_for_it(capsys):
+    # optimize_k needs two workers; a fixed k runs the same one-worker ladder
+    argv = ["speedup", "--ns", "1", "--a", "1", "--mu", "1", "--beta", "1", "--c", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n=1: optimize_k needs n >= 2, got 1\n"
+    assert captured.out == ""
+    assert main([*argv, "--fix-k", "--trials", "20"]) == 0
+    assert "ratio" in capsys.readouterr().out
+
+
 TINY_MU_CLUSTER = ["--n", "100", "--k", "70", "--r", "700", "--a", "1", "--t1cmm", "0.001"]
 TINY_MU_LADDER = ["--ns", "100", "--a", "1", "--beta", "1", "--c", "1", "--trials", "50"]
 

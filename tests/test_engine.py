@@ -315,8 +315,8 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy)
     # criterion 09's whole ladder in one call: beyond the arrays it returns,
     # the engine holds one chunk's draws and two work matrices, at most
     # 3 * CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
-    # columns of the draws in place; the slack covers the flags, the
-    # per-code tail vectors and the occupancy pass's rank vectors
+    # columns of the draws in place; the slack covers the per-code tail
+    # vectors and, in an occupancy run only, the flags and the rank vectors
     codes = [code for n in LADDER for code in _ladder_codes(n)]
     p = 50 if occupancy else None
     run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up

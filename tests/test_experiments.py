@@ -149,9 +149,24 @@ def test_a_ladder_whose_last_point_cannot_run_names_it_before_any_trial():
     with mock.patch.object(experiments, "run_trials", side_effect=AssertionError("ran")):
         with pytest.raises(ValueError) as sweep:
             sweep_regime(family, UNSORTED_LADDER, 0.7, r_rule=r_rule, trials=10)
-        with pytest.raises(ValueError) as speedup:
-            speedup_curve(UNSORTED_LADDER, 0.7, r_rule=r_rule, family=family, trials=10)
+        with mock.patch.object(experiments, "default_r_rule", r_rule):
+            with pytest.raises(ValueError) as speedup:
+                speedup_curve(UNSORTED_LADDER, 0.7, family=family, trials=10)
     assert str(sweep.value) == str(speedup.value) == f"n=800: {refused.value}"
+
+
+def test_an_empty_ladder_returns_no_rows():
+    assert sweep_regime(RegimeFamily(c=1.0, beta=1.0), [], 0.7) == []
+    assert speedup_curve([], 0.7) == []
+
+
+def test_a_point_that_cannot_be_built_is_named():
+    # round_k refuses k_fraction = 0 while the first point is built
+    with pytest.raises(ValueError) as sweep:
+        sweep_regime(RegimeFamily(c=1.0, beta=1.0), [10, 20], 0.0, trials=5)
+    with pytest.raises(ValueError) as speedup:
+        speedup_curve([10, 20], 0.0, trials=5)
+    assert str(sweep.value) == str(speedup.value) == "n=10: k_fraction must lie in (0, 1], got 0.0"
 
 
 def test_sweep_runs_fractional_loads_and_names_a_failing_point():
@@ -186,7 +201,7 @@ def test_sweep_determinism():
 
 def test_speedup_degenerate_equal_config():
     # k = n with shared streams: coded and uncoded trials coincide exactly
-    points = speedup_curve([8], 1.0, r_rule=lambda n, k: n, a=1.0, mu=1.0,
+    points = speedup_curve([8], 1.0, a=1.0, mu=1.0,
                            family=RegimeFamily(c=0.1, beta=1.0),
                            trials=500, seed=6, optimize=False)
     assert points[0].k == 8
