@@ -90,6 +90,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
     return 2 if ("pass", False) in records[-1] else 0
 
 
@@ -233,18 +237,23 @@ def _cmd_decode_check(config: RunConfig, args) -> list:
     x = rng.standard_normals(config.m)
     job = (encode_systematic_mds(a_matrix, x, params) if config.scheme == "systematic"
            else encode_random_linear(a_matrix, x, params, rng))
-    exhaustive = math.comb(config.n, config.k) <= 20_000
-    if exhaustive:
+    count = math.comb(config.n, config.k)
+    exhaustive = count <= 20_000
+    count = count if exhaustive else min(config.trials, 20_000)
+    # the subsets go to check_any_k in (B, k) blocks of B = CHUNK_ELEMENTS // n rows
+    block = max(1, CHUNK_ELEMENTS // config.n)
+    sizes = [min(block, count - first) for first in range(0, count, block)]
+    if exhaustive:  # one np.fromiter per block, over its ids in a flat run
         subsets = itertools.combinations(range(1, config.n + 1), config.k)
-    else:  # drawn lazily after the random code's draws, B * n <= CHUNK_ELEMENTS
+        blocks = (np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, size)),
+                              np.intp, size * config.k).reshape(size, config.k)
+                  for size in sizes)
+    else:  # drawn lazily after the random code's draws
         # uniforms per block: row j of a (B, n) block is the j-th uniforms(n) draw,
         # so each subset is the one-by-one draw's; nothing draws from rng after them
-        count, block = min(config.trials, 20_000), max(1, CHUNK_ELEMENTS // config.n)
-        blocks = (rng.uniforms((min(block, count - first), config.n))
-                  for first in range(0, count, block))
-        subsets = itertools.chain.from_iterable(
-            (np.argsort(u, axis=1)[:, : config.k] + 1).tolist() for u in blocks)
-    check = check_any_k(job, subsets, config.scheme)
+        blocks = (np.argsort(rng.uniforms((size, config.n)), axis=1)[:, : config.k] + 1
+                  for size in sizes)
+    check = check_any_k(job, blocks, config.scheme)
     return [[
         ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
         ("m", config.m), ("subsets_checked", check.subsets_checked), ("exhaustive", exhaustive),

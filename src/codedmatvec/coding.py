@@ -7,20 +7,21 @@ G_S Y = Z with r/k right-hand sides, solved for y in k blocks.  Two
 schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
-Each chunk of subsets computes the n worker results A_i x in one product,
-and a subset gathers k of them.  The worker ids are checked per chunk of subsets, with array
-operations; a bad chunk is refused with its first bad subset's message,
-the one `decode_from_workers` gives for that subset.  `_decode` solves a
-batch of subsets with one plain solve and judges each by its relative
-error ||y_hat - A x|| / ||A x||; a decode is flagged by the condition
-number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is the any-k
-verdict: it decodes a chunk of subsets per call, takes condition numbers
-only for the failing ones, and applies its row of ANY_K_RULES.
+Subsets of worker ids travel as (B, k) integer arrays, "blocks", one
+subset per row.  The n worker results A_i x, A x and its norm are computed
+once per check, and a subset gathers k of the results.  A chunk of rows is
+checked with array operations only; a bad chunk is refused with its first
+bad row's message, the one `decode_from_workers` gives for that subset.
+`_decode` solves a chunk with one plain solve and judges each row by its
+relative error ||y_hat - A x|| / ||A x||; a decode is flagged by the
+condition number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is the
+any-k verdict: it cuts each block into chunks, decodes a chunk per solve,
+takes condition numbers only for the failing rows, and applies its row of
+ANY_K_RULES.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,8 @@ def encode_systematic_mds(a_matrix, x, params: ClusterParams) -> CodedJob:
     return _encode(a, x, generator)
 
 
-def _is_id_type(t) -> bool:  # a bool is an int to Python; int() truncates a float
-    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
-
-
-def _is_id(worker_id) -> bool:
-    return _is_id_type(type(worker_id))
+def _is_id(worker_id) -> bool:  # a bool is an int to Python; int() truncates a float
+    return isinstance(worker_id, (int, np.integer)) and not isinstance(worker_id, bool)
 
 
 def worker_compute(job: CodedJob, worker_id: int) -> np.ndarray:
@@ -157,38 +154,44 @@ def _refuse(worker_ids, n: int, k: int) -> None:
         raise ValueError(f"worker ids must lie in [1, {n}]")
 
 
-def _gather(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray]:
-    """Check a chunk of subsets of worker ids and gather each one's system in
-    ascending id: the (B, k, k) generator rows and the (B, k, r/k) worker
-    results.  The chunk is checked as a whole, by its set of id types, its
-    set of lengths and one sorted (B, k) array; a bad chunk is refused as
-    `_refuse` refuses its first bad subset."""
+def _one_block(job: CodedJob, worker_ids) -> np.ndarray:
+    """One subset of worker ids, checked id by id, as a (1, k) block."""
+    ids = list(worker_ids)  # read a one-shot iterable once
+    _refuse(ids, *job.generator.shape)
+    return np.array([ids], dtype=np.intp)
+
+
+def _gather(job: CodedJob, chunk: np.ndarray, results: np.ndarray):
+    """Check a (B, k) chunk of worker ids and gather each row's system in
+    ascending id: the (B, k, k) generator rows and the (B, k, r/k) rows of
+    `results`, the worker results.  The chunk is checked with array
+    operations only, by its dtype, its width and its sorted rows; a bad
+    chunk is refused as `_refuse` refuses its first bad row."""
     n, k = job.generator.shape
-    given = list(map(tuple, subsets))  # read each one-shot iterable once
-    flat = list(itertools.chain.from_iterable(given))
     rows = None
-    if set(map(len, given)) == {k} and all(map(_is_id_type, set(map(type, flat)))):
-        try:
-            rows = np.sort(np.array(flat, dtype=np.intp).reshape(-1, k), axis=1)
-        except OverflowError:  # an id beyond intp, out of range
-            pass
-    del flat
+    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu" and chunk.shape[1:] == (k,):
+        rows = np.sort(chunk, axis=1)
     if rows is None or rows[:, 0].min() < 1 or rows[:, -1].max() > n \
             or not np.diff(rows, axis=1).all():
-        for worker_ids in given:
+        for worker_ids in chunk:
             _refuse(worker_ids, n, k)
-    del given
+        raise ValueError(f"worker ids must come as a (B, {k}) integer array")
     rows -= 1
-    return job.generator[rows], (job.assignments @ job.x)[rows]
+    return np.take(job.generator, rows, axis=0), np.take(results, rows, axis=0)
 
 
-def _decode(job: CodedJob, subsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each subset's (k, k) generator rows G_S, y_hat solved from G_S Y = Z,
-    and its relative error ||y_hat - A x|| / ||A x|| (absolute if A x = 0)."""
-    g, z = _gather(job, subsets)
-    y, y_hat = job.a_matrix @ job.x, _solve(g, z).reshape(len(g), -1)
-    diff = y_hat - y
-    return g, y_hat, np.sqrt(np.vecdot(diff, diff)) / (np.linalg.norm(y) or 1.0)
+def _decode(job: CodedJob, chunks):
+    """Per (B, k) chunk of worker ids: each row's (k, k) generator rows G_S,
+    y_hat solved from G_S Y = Z, and its relative error ||y_hat - A x|| /
+    ||A x|| (absolute if A x = 0).  The worker results, A x and its norm
+    are computed once, for all the chunks."""
+    results, y = job.assignments @ job.x, job.a_matrix @ job.x
+    y_norm = np.linalg.norm(y) or 1.0
+    for chunk in chunks:
+        g, z = _gather(job, chunk, results)
+        y_hat = _solve(g, z).reshape(len(g), -1)
+        diff = y_hat - y
+        yield g, y_hat, np.sqrt(np.vecdot(diff, diff)) / y_norm
 
 
 def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -212,28 +215,29 @@ def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     ids, any order, any iterable), gathered in ascending id.  A decode whose
     generator rows reach COND_LIMIT is flagged as untrustworthy; it is still
     returned, by least squares if they are singular, so the caller can retry."""
-    g, y_hat, _ = _decode(job, [worker_ids])
+    g, y_hat, _ = next(_decode(job, [_one_block(job, worker_ids)]))
     return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(_well_conditioned(g[0])))
 
 
-def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
+def check_any_k(job: CodedJob, blocks, scheme: str) -> AnyKCheck:
     """Decode y from each subset of worker ids and judge the scheme by
     ANY_K_RULES[scheme] on the errors and flags `recovery_error` returns.
-    The subsets are read lazily, a chunk at a time; each chunk is checked and
-    decoded once, as `decode_from_workers` decodes one subset, and only its
-    failing subsets pay for condition numbers."""
+    The subsets come as an iterable of (B, k) integer arrays, one subset per
+    row, read lazily; each block is cut into chunks, each chunk is checked
+    and decoded once, as `decode_from_workers` decodes one subset, and only
+    its failing rows pay for condition numbers."""
     if scheme not in ANY_K_RULES:
         raise ValueError(f"scheme must be one of {', '.join(ANY_K_RULES)}, got {scheme!r}")
     tol, least_recovered = ANY_K_RULES[scheme]
     k, w = job.generator.shape[1], job.assignments.shape[1]
     chunk_size = max(1, CHUNK_ELEMENTS // (k * (k + w)))
-    subsets = iter(subsets)
+    chunks = (block[first:first + chunk_size]
+              for block in blocks for first in range(0, len(block), chunk_size))
     checked = failures = unflagged = 0
     max_error = 0.0
-    while chunk := list(itertools.islice(subsets, chunk_size)):
-        g, _, errors = _decode(job, chunk)
+    for g, _, errors in _decode(job, chunks):
         failing = ~(errors <= tol)  # so a NaN error fails
-        checked += len(chunk)
+        checked += len(errors)
         failures += int(failing.sum())
         max_error = np.maximum(max_error, errors.max())  # and a NaN is the max
         if failing.any():
@@ -251,5 +255,5 @@ def check_any_k(job: CodedJob, subsets, scheme: str) -> AnyKCheck:
 def recovery_error(job: CodedJob, worker_ids):
     """Decode from the given workers and compare against the direct product:
     (relative_error, well_conditioned), the error ||y_hat - A x|| / ||A x||."""
-    g, _, errors = _decode(job, [worker_ids])
+    g, _, errors = next(_decode(job, [_one_block(job, worker_ids)]))
     return float(errors[0]), bool(_well_conditioned(g[0]))

@@ -111,6 +111,21 @@ MUTANTS = [
     ("seed bound at 2**63", "config.py",
      'seed: int = _key("integer", lambda v: 0 <= v < 2**64,',
      'seed: int = _key("integer", lambda v: 0 <= v < 2**63,'),
+    ("block dtype unchecked", "coding.py",
+     'chunk.dtype.kind in "iu" and ',
+     ""),
+    ("block lower range bound dropped", "coding.py",
+     "rows[:, 0].min() < 1 or ",
+     ""),
+    ("block upper range bound dropped", "coding.py",
+     " or rows[:, -1].max() > n",
+     ""),
+    ("block distinctness unchecked", "coding.py",
+     "or not np.diff(rows, axis=1).all()",
+     "or False"),
+    ("decode-check blocks of CHUNK_ELEMENTS // k rows", "cli.py",
+     "block = max(1, CHUNK_ELEMENTS // config.n)",
+     "block = max(1, CHUNK_ELEMENTS // config.k)"),
 ]
 
 PYTEST = [sys.executable, "-m", "pytest", "tests", "--ignore=tests/test_golden.py",
@@ -127,8 +142,15 @@ def run_suite(tree: Path) -> str | None:
     result = subprocess.run(PYTEST, cwd=tree, env=env, capture_output=True, text=True)
     if result.returncode == 0:
         return None
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", result.stdout, re.MULTILINE)
-    return failed.group(1) if failed else f"pytest exit {result.returncode}"
+    return first_failure(result.stdout) or f"pytest exit {result.returncode}"
+
+
+def first_failure(stdout: str) -> str | None:
+    """The id of the first failed or erroring test in pytest's short test
+    summary, read up to its ` - ` message or the end of its line (a
+    parametrized id may hold spaces), or None if the summary names none."""
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", stdout, re.MULTILINE)
+    return failed.group(1) if failed else None
 
 
 def main() -> int:

@@ -605,7 +605,7 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(coding, "_gather", counting("gathered", coding._gather,
-                                                    lambda job, chunk: len(chunk)))
+                                                    lambda job, chunk, results: len(chunk)))
     monkeypatch.setattr(np.linalg, "solve",
                         counting("solved", np.linalg.solve, lambda a, b: len(a)))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, len))
@@ -626,28 +626,48 @@ class _Drawn(Exception):
     pass
 
 
+def _drawn_blocks(monkeypatch, argv):
+    """The blocks of worker ids that decode-check hands check_any_k."""
+    drawn = []
+
+    def capture(job, blocks, scheme):
+        drawn.extend(blocks)
+        raise _Drawn
+
+    monkeypatch.setattr(cli, "check_any_k", capture)
+    with pytest.raises(_Drawn):
+        main(argv)
+    for block in drawn:  # (B, k) integer blocks of at most CHUNK_ELEMENTS ids
+        assert block.dtype.kind == "i" and block.shape[1] == int(argv[argv.index("--k") + 1])
+        assert block.size <= coding.CHUNK_ELEMENTS
+    return drawn
+
+
 @pytest.mark.parametrize("n, k, trials", [(24, 12, 20000), (800, 560, 200)])
 def test_decode_check_draws_its_sampled_subsets_as_one_by_one(monkeypatch, n, k, trials):
     # a block of rows per draw gives the one-by-one draws bit for bit, from the
     # stream left after A, x and the random generator; both runs span blocks
     # of CHUNK_ELEMENTS // n rows, the last one cut short
-    assert trials > coding.CHUNK_ELEMENTS // n and trials % (coding.CHUNK_ELEMENTS // n)
-    drawn = []
-
-    def capture(job, subsets, scheme):
-        drawn.extend(subsets)
-        raise _Drawn
-
-    monkeypatch.setattr(cli, "check_any_k", capture)
-    with pytest.raises(_Drawn):
-        main(["decode-check", "--scheme", "random", "--n", str(n), "--k", str(k),
-              "--r", str(k), "--m", "5", "--seed", "12", "--trials", str(trials)])
+    block = coding.CHUNK_ELEMENTS // n
+    assert trials > block and trials % block
+    drawn = _drawn_blocks(monkeypatch, [
+        "decode-check", "--scheme", "random", "--n", str(n), "--k", str(k),
+        "--r", str(k), "--m", "5", "--seed", "12", "--trials", str(trials)])
     rng = RngStream(12, 0)
     for size in [(k, 5), 5, (n, k)]:  # A, x and the generator
         rng.standard_normals(size)
     expected = [(np.argsort(rng.uniforms(n))[:k] + 1).tolist() for _ in range(trials)]
-    assert drawn == expected
-    assert {type(i) for subset in drawn for i in subset} == {int}
+    assert [len(b) for b in drawn] == [block] * (trials // block) + [trials % block]
+    assert np.vstack(drawn).tolist() == expected
+
+
+def test_decode_check_joins_its_exhaustive_blocks_into_the_combinations(monkeypatch):
+    # the C(16, 8) = 12870 subsets come in blocks of CHUNK_ELEMENTS // 16 =
+    # 4096 rows, 3 full ones and 582 rows, and join up to the combinations
+    drawn = _drawn_blocks(monkeypatch, ["decode-check", "--scheme", "systematic", "--n", "16",
+                                        "--k", "8", "--r", "8", "--m", "2"])
+    assert [len(b) for b in drawn] == [4096, 4096, 4096, 582]
+    assert np.vstack(drawn).tolist() == list(map(list, itertools.combinations(range(1, 17), 8)))
 
 
 def test_decode_check_at_the_ladder_n(capsys):
@@ -904,6 +924,26 @@ def test_the_exit_code_is_the_last_record_verdict(last, rc, monkeypatch, capsys)
     assert main(RECORD_COMMANDS["optimize-k"]) == rc
     assert written == [records]
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 2.98 GiB for an array with shape (400000000,) and "
+                 "data type float64"),
+     "error: out of memory: Unable to allocate 2.98 GiB for an array with shape "
+     "(400000000,) and data type float64"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_an_allocation_failure_is_one_error_line(exc, line, monkeypatch, capsys):
+    # e.g. `montecarlo --n 400000000 --trials 1` under a memory cap; the
+    # handler raises in place of the allocation, so none is made
+    def failing(config, args):
+        raise exc
+
+    command = cli.COMMANDS["montecarlo"]
+    monkeypatch.setitem(cli.COMMANDS, "montecarlo", command._replace(handler=failing))
+    assert main(["montecarlo", "--n", "400000000", "--k", "280000000", "--r", "280000000",
+                 "--a", "1", "--mu", "1", "--t1cmm", "0.001", "--trials", "1"]) == 1
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 @pytest.mark.parametrize("argv", [

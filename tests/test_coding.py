@@ -32,6 +32,12 @@ def random_job(n, k, r, m, seed=0, scheme="random"):
     return encode_systematic_mds(a, x, params)
 
 
+def block(subsets):
+    """Subsets of worker ids as one (B, k) integer block, one subset per row,
+    the form check_any_k reads them in."""
+    return np.array(list(subsets), dtype=np.intp)
+
+
 def test_random_linear_shapes():
     job = random_job(n=6, k=3, r=12, m=5)
     assert job.n == 6
@@ -258,7 +264,7 @@ def test_decode_solves_k_by_k_systems(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
     decode_from_workers(job, (1, 2, 3))
     check_any_k(replace(job, assignments=job.assignments + 1.0),
-                itertools.combinations(range(1, 7), 3), "random")
+                [block(itertools.combinations(range(1, 7), 3))], "random")
     assert shapes == {"solve": {((3, 3), (3, 4))}, "cond": {((3, 3),)}}
 
 
@@ -270,12 +276,28 @@ def per_subset_verdict(job, subsets, tol):
 
 
 @pytest.mark.parametrize("scheme", ["systematic", "random"])
-def test_check_any_k_matches_recovery_error_subset_by_subset(scheme):
-    # the benchmark's shape, every subset, errors and flags alike
+def test_check_any_k_matches_recovery_error_subset_by_subset(scheme, monkeypatch):
+    # the benchmark's shape, every subset, errors and flags alike, in blocks
+    # that span chunk boundaries and blocks shorter than a chunk; each subset
+    # is gathered exactly once
     tol = {"systematic": 1e-10, "random": 1e-8}[scheme]
     job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme=scheme)
     subsets = list(itertools.combinations(range(1, 17), 8))
-    check = check_any_k(job, iter(subsets), scheme)
+    chunk = CHUNK_ELEMENTS // (8 * (8 + 8))
+    cuts = [700, 800, 2000, 2001, 9000]  # blocks of 700, 100, 1200, 1, 6999 and 3870 rows
+    gathered = []
+
+    def gather(job, rows, results):
+        gathered.append(rows.copy())
+        return coding_gather(job, rows, results)
+
+    coding_gather = coding._gather
+    monkeypatch.setattr(coding, "_gather", gather)
+    check = check_any_k(job, iter(np.split(block(subsets), cuts)), scheme)
+    monkeypatch.undo()
+    assert [len(c) for c in gathered] == [512, 188, 100, 512, 512, 176, 1, *[512] * 13,
+                                          343, *[512] * 7, 286]
+    assert chunk == 512 and np.array_equal(np.vstack(gathered), subsets)
     assert (check.subsets_checked, check.tolerance) == (len(subsets), tol)
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
@@ -307,8 +329,9 @@ def test_the_nodes_decide_the_failures_not_the_solve(seed, integer_failures):
     # decoded by the same plain solve, fail thousands
     job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
     subsets = list(itertools.combinations(range(1, 17), 8))
-    assert check_any_k(job, subsets, "systematic").failures == 0
-    assert check_any_k(integer_node_job(seed), subsets, "systematic").failures == integer_failures
+    assert check_any_k(job, [block(subsets)], "systematic").failures == 0
+    assert check_any_k(integer_node_job(seed), [block(subsets)],
+                       "systematic").failures == integer_failures
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -327,7 +350,7 @@ def test_two_parity_rows_are_example_1s_family(k):
 @pytest.mark.parametrize("n, k", [(12, 6), (14, 7), (16, 8), (31, 30)])
 def test_systematic_code_recovers_every_subset(n, k, seed):
     job = random_job(n=n, k=k, r=4 * k, m=5, seed=seed, scheme="systematic")
-    check = check_any_k(job, itertools.combinations(range(1, n + 1), k), "systematic")
+    check = check_any_k(job, [block(itertools.combinations(range(1, n + 1), k))], "systematic")
     assert (check.failures, check.recovered_fraction, check.passed) == (0, 1.0, True)
 
 
@@ -338,7 +361,7 @@ def test_check_any_k_keeps_the_least_squares_fallback():
     subsets = list(itertools.combinations(range(1, 5), 2))
     assert not decode_from_workers(job, (1, 2)).well_conditioned
     assert recovery_error(job, (1, 2))[0] > 0.1  # the least-squares answer, not y
-    check = check_any_k(job, subsets, "random")
+    check = check_any_k(job, [block(subsets)], "random")
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, 1e-8)
     assert (check.failures, check.unflagged_failures) == (1, 0)
@@ -352,7 +375,7 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = decode_from_workers(job, (2, 3))
-        check = check_any_k(job, subsets, "random")
+        check = check_any_k(job, [block(subsets)], "random")
         verdict = per_subset_verdict(job, subsets, 1e-8)
     g = job.generator[[1, 2]]
     z = np.vstack([worker_compute(job, 2), worker_compute(job, 3)])
@@ -362,24 +385,66 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
     assert (check.failures, check.unflagged_failures) == (3, 0)
 
 
-def test_check_any_k_refuses_bad_subsets_as_decode_from_workers_does():
+def first_refusal(job, rows):
+    """The message decode_from_workers gives the first row it refuses, or None."""
+    for worker_ids in rows:
+        try:
+            decode_from_workers(job, worker_ids)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+BAD_BLOCKS = {
+    "float": np.array([[1.5, 2.0, 3.0]]),
+    "integral float": np.array([[1.0, 2.0, 3.0]]),
+    "bool": np.array([[True, False, True]]),
+    "object holding 2**70": np.array([[2**70, 2, 3]], dtype=object),
+    "object holding -2**70": np.array([[1, -2**70, 3]], dtype=object),
+    "uint64 max": np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
+    "beyond n": np.array([[1, 2, 9]]),
+    "below 1": np.array([[0, 2, 3]], dtype=np.uint8),
+    "negative": np.array([[4, -1, 3]], dtype=np.int8),
+    "duplicate": np.array([[1, 2, 2]]),
+    "narrow": np.array([[1, 2]]),
+    "wide": np.array([[1, 2, 3, 4]]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
+def test_check_any_k_refuses_bad_blocks_as_decode_from_workers_does(bad):
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
     # a subset gathers k x k generator entries and k results of r/k rows
     k, w = job.generator.shape[1], job.assignments.shape[1]
-    full_chunk = [(1, 2, 3)] * (CHUNK_ELEMENTS // (k * (k + w)))
-    for ids in ((1.5, 2, 3), (1, 2, 3.0), (True, 2, 3), (1, np.True_, 3), (1, 2, 2),
-                (1, 2, 9), (0, 2, 3), (1, 2), (1, 2, 3, 4)):
-        with pytest.raises(ValueError) as single:
-            decode_from_workers(job, ids)
-        # the same message when the bad subset follows a full chunk of good ones
-        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-            check_any_k(job, full_chunk + [ids], "random")
-    # ids beyond intp do not fit the chunk's integer array: still out of range
-    for ids in ((2**70, 2, 3), (1, -2**70, 3), (1, 2, np.uint64(2**64 - 1))):
-        with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
-            decode_from_workers(job, ids)
-        with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
-            check_any_k(job, full_chunk + [ids], "random")
+    full_chunk = np.tile([1, 2, 3], (CHUNK_ELEMENTS // (k * (k + w)), 1))
+    with pytest.raises(ValueError) as single:
+        decode_from_workers(job, bad[0])
+    message = f"^{re.escape(str(single.value))}$"
+    with pytest.raises(ValueError, match=message):
+        check_any_k(job, [bad], "random")
+    # the same message when the bad block follows a full chunk of good subsets
+    with pytest.raises(ValueError, match=message):
+        check_any_k(job, [full_chunk, bad], "random")
+    if bad.shape[1] == k:
+        # and when the bad row follows a full chunk in the same block: the
+        # first bad row names the refusal (a float or bool block has no good
+        # row), and an object block's first chunk, of valid ids, is no
+        # integer array
+        mixed = np.vstack([full_chunk.astype(bad.dtype), bad])
+        expected = first_refusal(job, mixed) if bad.dtype.kind != "O" else \
+            "worker ids must come as a (B, 3) integer array"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            check_any_k(job, [mixed], "random")
+
+
+def test_a_block_with_no_bad_row_must_still_be_an_integer_array():
+    # an object block of valid ids, or a list of valid subsets, is no block
+    # of integers, though decode_from_workers takes each of its rows
+    job = random_job(n=6, k=3, r=6, m=2, seed=2)
+    for rows in (np.array([[1, 2, 3]], dtype=object), [(1, 2, 3), (4, 5, 6)]):
+        assert first_refusal(job, rows) is None
+        with pytest.raises(ValueError, match=r"^worker ids must come as a \(B, 3\) integer array$"):
+            check_any_k(job, [rows], "random")
 
 
 def per_id_refusal(worker_ids, n, k):
@@ -399,31 +464,33 @@ def per_id_refusal(worker_ids, n, k):
     return None
 
 
-def test_the_first_bad_subset_of_a_chunk_names_the_refusal():
+def test_the_first_bad_row_of_a_block_names_the_refusal():
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    # a range failure before a type failure: the subset, not the category, decides
-    chunk = [(1, 2, 3)] * 5 + [(1, 2, 9), (4, 5, 6), (1.5, 2, 3)]
+    # a range failure before a duplicate: the row, not the category, decides
+    rows = block([(1, 2, 3)] * 5 + [(1, 2, 9), (4, 5, 6), (1, 1, 3)])
     with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
-        check_any_k(job, chunk, "random")
-    with pytest.raises(ValueError, match=r"^decoding needs exactly k=3 workers, got 2$"):
-        check_any_k(job, [(1, 2), (1, 2, 3, 4)], "random")
-    # random chunks of good and bad subsets against the per-id reference
-    good = [1, 2, 3, 4, 5, 6, np.int64(2), np.uint8(6)]
-    bad = [0, 7, -1, 2**70, np.uint64(2**64 - 1), 1.5, 3.0, True, np.True_]
+        check_any_k(job, [rows], "random")
+    with pytest.raises(ValueError, match=r"^worker ids must be distinct$"):
+        check_any_k(job, [rows[[0, 7, 5]]], "random")
+    # random blocks of good and bad rows, in every integer dtype, cut into
+    # random blocks, against the per-id reference
     draw = np.random.default_rng(5)
     for _ in range(400):
-        chunk = []
-        for _ in range(draw.integers(1, 9)):
-            ids = [good[i] for i in draw.permutation(8)[:draw.choice([3] * 18 + [2, 4])]]
-            if draw.random() < 0.15:
-                ids[draw.integers(len(ids))] = bad[draw.integers(len(bad))]
-            chunk.append(tuple(ids))
-        expected = next(filter(None, (per_id_refusal(ids, 6, 3) for ids in chunk)), None)
+        dtype = draw.choice([np.int8, np.uint8, np.int64, np.uint64, np.intp])
+        width = draw.choice([3] * 18 + [2, 4])
+        rows = np.array([draw.permutation(6)[:width] + 1 for _ in range(draw.integers(1, 9))])
+        rows[draw.random(rows.shape) < 0.03] = draw.choice([0, 7, 9])
+        if np.dtype(dtype).kind == "i":
+            rows[draw.random(rows.shape) < 0.02] = -1
+        rows[draw.random(len(rows)) < 0.05, -1] = rows[0, 0]  # a duplicate, or not
+        rows = rows.astype(dtype)
+        cuts = np.sort(draw.integers(0, len(rows) + 1, draw.integers(0, 3)))
+        expected = next(filter(None, (per_id_refusal(ids, 6, 3) for ids in rows)), None)
         if expected is None:
-            check_any_k(job, chunk, "random")
+            assert check_any_k(job, np.split(rows, cuts), "random").subsets_checked == len(rows)
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                check_any_k(job, chunk, "random")
+                check_any_k(job, np.split(rows, cuts), "random")
 
 
 def test_a_valid_chunk_makes_no_per_id_call(monkeypatch):
@@ -438,7 +505,7 @@ def test_a_valid_chunk_makes_no_per_id_call(monkeypatch):
 
     is_id = coding._is_id
     monkeypatch.setattr(coding, "_is_id", counting)
-    check = check_any_k(job, itertools.combinations(range(1, 17), 8), "systematic")
+    check = check_any_k(job, [block(itertools.combinations(range(1, 17), 8))], "systematic")
     assert (check.subsets_checked, calls) == (12870, [])
     worker_compute(job, 3)
     assert calls == [3]
@@ -447,20 +514,20 @@ def test_a_valid_chunk_makes_no_per_id_call(monkeypatch):
 def test_check_any_k_refuses_an_unknown_scheme():
     job = random_job(n=4, k=2, r=2, m=2)
     with pytest.raises(ValueError, match=r"^scheme must be one of systematic, random, got 'coded'$"):
-        check_any_k(job, [(1, 2)], "coded")
+        check_any_k(job, [block([(1, 2)])], "coded")
 
 
 def test_check_any_k_verdicts_without_the_cli():
     # the integer-node (16, 8) code at seed 12 fails 2003 of its 12870
     # subsets, 200 of them with generator rows decode_from_workers calls
     # well conditioned
-    check = check_any_k(integer_node_job(12), itertools.combinations(range(1, 17), 8),
+    check = check_any_k(integer_node_job(12), [block(itertools.combinations(range(1, 17), 8))],
                         "systematic")
     assert (check.subsets_checked, check.failures, check.unflagged_failures) == (12870, 2003, 200)
     assert check.recovered_fraction == 10867 / 12870 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
-    check = check_any_k(example, itertools.combinations(range(1, 5), 2), "systematic")
+    check = check_any_k(example, [block(itertools.combinations(range(1, 5), 2))], "systematic")
     assert (check.subsets_checked, check.failures, check.recovered_fraction, check.passed) == \
         (6, 0, 1.0, True)
 
@@ -471,6 +538,6 @@ def test_a_nan_result_fails_the_check():
     assignments = job.assignments.copy()
     assignments[3, 0, 0] = np.nan
     check = check_any_k(replace(job, assignments=assignments),
-                        itertools.combinations(range(1, 5), 2), "systematic")
+                        [block(itertools.combinations(range(1, 5), 2))], "systematic")
     assert (check.failures, check.unflagged_failures, check.passed) == (3, 3, False)
     assert math.isnan(check.max_relative_error)

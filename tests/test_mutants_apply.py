@@ -1,7 +1,8 @@
 """tests/mutants.py takes minutes to run, so a refactor that rewrites a
 mutated line would otherwise go unnoticed until someone runs it; this
-checks in a moment that every listed mutant still applies, and that a
-SIGTERM stops the script without leaving its suite or its copy behind."""
+checks in a moment that every listed mutant still applies, that the kill
+table names a failing test by its whole id, and that a SIGTERM stops the
+script without leaving its suite or its copy behind."""
 
 import importlib.util
 import json
@@ -21,7 +22,7 @@ PACKAGE = TESTS.parent / "src" / "codedmatvec"
 
 
 def load_mutants():
-    """tests/mutants.py's MUTANTS, loaded without writing a bytecode cache."""
+    """tests/mutants.py, loaded without writing a bytecode cache."""
     write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
@@ -30,10 +31,11 @@ def load_mutants():
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = write
-    return module.MUTANTS
+    return module
 
 
-MUTANTS = load_mutants()
+MODULE = load_mutants()
+MUTANTS = MODULE.MUTANTS
 
 
 @pytest.mark.parametrize("name, file, text, replacement", MUTANTS,
@@ -41,6 +43,26 @@ MUTANTS = load_mutants()
 def test_each_mutant_applies_exactly_once(name, file, text, replacement):
     assert (PACKAGE / file).read_text().count(text) == 1
     assert text != replacement
+
+
+@pytest.mark.parametrize("line, test", [
+    ("FAILED tests/test_cli.py::test_parse_invalid_value_exact_message[trials = 0] - "
+     "AssertionError: Regex pattern did not match.",
+     "tests/test_cli.py::test_parse_invalid_value_exact_message[trials = 0]"),
+    ("ERROR tests/test_coding.py::test_a[uint64 max] - fixture 'job' not found",
+     "tests/test_coding.py::test_a[uint64 max]"),
+    ("FAILED tests/test_coding.py::test_a[object holding 2**70]",
+     "tests/test_coding.py::test_a[object holding 2**70]"),
+], ids=["failed", "error", "no message"])
+def test_the_first_failing_test_is_read_whole(line, test):
+    # pytest -q's short test summary, as run_suite reads it
+    stdout = (".F\n=========================== short test summary info "
+              f"============================\n{line}\n"
+              "FAILED tests/test_cli.py::test_other - assert 1 == 2\n"
+              "!!!!!!!!!!!!!!!!!!!!!!!!!! stopping after 1 failures !!!!!!!!!!!!!!!!!!!!!!!!!!!\n"
+              "1 failed, 1 passed in 0.50s\n")
+    assert MODULE.first_failure(stdout) == test
+    assert MODULE.first_failure("2 passed in 0.50s\n") is None
 
 
 def _alive(pid):
