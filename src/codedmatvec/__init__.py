@@ -62,7 +62,6 @@ from .timing import (
     ClusterParams,
     CompTimes,
     expected_order_stat,
-    harmonic,
     inject_comp_times,
     sample_comp_times,
     variance_order_stat,

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import CommModel, _check_work
-from .timing import ClusterParams, expected_order_stat, harmonic_table
+from .timing import ClusterParams, expected_order_stat, harmonic_suffixes
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,7 @@ def optimize_k(
     require_divisor: bool = False,
 ) -> tuple[int, float]:
     """Scan k in [1, n-1] for the minimizer of the leading-term run-time
-    expected_runtime_regime3 + t_cmm(k), read from one harmonic table
-    instead of two fsums per candidate.
+    expected_runtime_regime3 + t_cmm(k), from one harmonic_suffixes call.
 
     comm_at_k maps a candidate k to its per-worker transmission time.
     With require_divisor, only k | r candidates are considered.  Ties go
@@ -132,13 +131,13 @@ def optimize_k(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"optimize_k needs n >= 2, got {n!r}")
-    h = harmonic_table(n)
+    h = harmonic_suffixes(n, n - 1).tolist()
     best_k = None
     best_val = math.inf
     for k in range(1, n):
         if require_divisor and r % k != 0:
             continue
-        value = a * r / k + (r / (mu * k)) * (h[n] - h[n - k]) + comm_at_k(k)
+        value = a * r / k + (r / (mu * k)) * h[k] + comm_at_k(k)
         if value < best_val:
             best_k, best_val = k, value
     if best_k is None:

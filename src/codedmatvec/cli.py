@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import replace
@@ -243,11 +242,8 @@ def _cmd_decode_check(config: RunConfig, args) -> list:
     # the subsets go to check_any_k in (B, k) blocks of B = CHUNK_ELEMENTS // n rows
     block = max(1, CHUNK_ELEMENTS // config.n)
     sizes = [min(block, count - first) for first in range(0, count, block)]
-    if exhaustive:  # one np.fromiter per block, over its ids in a flat run
-        subsets = itertools.combinations(range(1, config.n + 1), config.k)
-        blocks = (np.fromiter(itertools.chain.from_iterable(itertools.islice(subsets, size)),
-                              np.intp, size * config.k).reshape(size, config.k)
-                  for size in sizes)
+    if exhaustive:
+        blocks = _combination_blocks(config.n, config.k, sizes)
     else:  # drawn lazily after the random code's draws
         # uniforms per block: row j of a (B, n) block is the j-th uniforms(n) draw,
         # so each subset is the one-by-one draw's; nothing draws from rng after them
@@ -261,6 +257,21 @@ def _cmd_decode_check(config: RunConfig, args) -> list:
         ("failures", check.failures), ("unflagged_failures", check.unflagged_failures),
         ("recovered_fraction", check.recovered_fraction), ("pass", check.passed),
     ]]
+
+
+def _combination_blocks(n: int, k: int, sizes):
+    """itertools.combinations(range(1, n + 1), k) as (size, k) intp blocks.
+    The subset a_1 < ... < a_k of lexicographic rank R has C(n, k) - 1 - R =
+    sum_c C(n - a_c, k - c + 1), so each a_c is the least id whose term fits."""
+    # choose[c - 1, t] = C(n - a_c, k - c + 1) at a_c = n - k + c - t
+    choose = np.array([[math.comb(k - c + t, k - c + 1) for t in range(n - k + 1)]
+                       for c in range(1, k + 1)])
+    for rows in np.split(math.comb(n, k) - 1 - np.arange(sum(sizes)), np.cumsum(sizes)[:-1]):
+        t = np.empty((len(rows), k), np.intp)
+        for c, row in enumerate(choose):
+            t[:, c] = np.searchsorted(row, rows, side="right") - 1
+            rows -= row[t[:, c]]
+        yield n - k + 1 + np.arange(k) - t
 
 
 def _cmd_verify(config: RunConfig, args) -> list:

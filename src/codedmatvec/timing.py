@@ -137,42 +137,32 @@ def inject_comp_times(sorted_values) -> CompTimes:
     return CompTimes(sorted=np.array(sorted_values, dtype=np.float64))
 
 
-def harmonic(n: int) -> float:
-    """n-th harmonic number by direct summation; H_0 = 0."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"harmonic is defined for n >= 0, got {n!r}")
-    return math.fsum(1.0 / i for i in range(1, n + 1))
-
-
-def harmonic_table(n: int) -> list[float]:
-    """[H_0, H_1, ..., H_n], each bit-identical to harmonic(m), for n < 2**27.
-
-    Each float term 1.0/i, scaled by 2**scale, is an exact integer v, split
-    exactly into 32-bit limbs hi*2**32 + lo.  One int64 cumsum per limb and
-    a carry give every prefix sum exactly; each is then rounded once, by
-    the addition hi*2**32 + lo of two exact floats, which is the correctly
-    rounded sum fsum returns.  The summed hi must stay below 2**53 to be an
-    exact float: it is about 2**(bit_length(n) + 21) * H_n, which holds
-    while n < 2**27 (H_n < 19.3 there), and larger n is refused.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"harmonic is defined for n >= 0, got {n!r}")
-    if n >= 2**27:
-        raise ValueError(f"harmonic_table is exact only for n < 2**27, got {n}")
+def harmonic_suffixes(n: int, j: int) -> np.ndarray:
+    """[S_0, ..., S_j], S_m = H_n - H_(n-m): the terms 1.0/i, i = n down to
+    n-m+1, summed exactly and rounded once (math.fsum's result), in O(j).
+    Scaled by 2**scale, each term is an exact integer in 32-bit limbs, and
+    a cumsum per limb plus a carry sums them.  The summed hi limb, about
+    2**(bit_length(n) + 21) * S_j, must stay an exact float; inputs where
+    S_j < 1/(n-j+1) + ln(n/(n-j+1)) does not keep it below 2**53 are
+    refused first.  S_j >= j/n then gives j < 2**32: the uint64 lo sum fits."""
+    if 1 / (n - j + 1) + math.log1p((j - 1) / (n - j + 1)) >= 2.0 ** (32 - n.bit_length()):
+        raise ValueError(f"harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
+                         f" * (H_n - H_(n-j)) < 2**53, got n={n}, j={j}")
     # 1.0/i for i <= n has its last bit at or above 2**-(bit_length(n) + 52)
     scale = n.bit_length() + 53
-    terms = np.ldexp(1.0 / np.arange(1, n + 1), scale)
+    # S_0 sums the one term 0.0; from n = 2**63 on, arange holds Python ints
+    terms = np.asarray(np.concatenate(([0.0], 1.0 / np.arange(n, n - j, -1))), np.float64)
+    terms = np.ldexp(terms, scale)
     hi = np.floor(np.ldexp(terms, -32))
-    lo = np.cumsum((terms - np.ldexp(hi, 32)).astype(np.int64))
-    hi = np.cumsum(hi.astype(np.int64)) + (lo >> 32)
-    lo &= 2**32 - 1
-    return [0.0, *np.ldexp(np.ldexp(hi.astype(np.float64), 32) + lo, -scale).tolist()]
+    lo = np.cumsum((terms - np.ldexp(hi, 32)).astype(np.uint64))
+    hi = np.cumsum(hi.astype(np.int64)) + (lo >> 32).astype(np.int64)
+    return np.ldexp(np.ldexp(hi.astype(np.float64), 32) + (lo & 2**32 - 1), -scale)
 
 
 def expected_order_stat(params: ClusterParams, j: int) -> float:
     """E[T_(j)] = alpha * (H_n - H_(n-j)); variable part only."""
     _check_rank(params, j)
-    return params.alpha * (harmonic(params.n) - harmonic(params.n - j))
+    return params.alpha * float(harmonic_suffixes(params.n, j)[j])
 
 
 def variance_order_stat(params: ClusterParams, j: int) -> float:

@@ -7,9 +7,10 @@ text must occur there exactly once.  The repo is copied to a temporary
 directory (pyproject.toml's pythonpath = ["src"] would override a
 PYTHONPATH pointing at a mutated copy), the unmutated copy must pass, and
 then each mutant in turn is applied, run through the tier-1 suite and
-undone.  The suite runs with -x (the first failure kills the mutant) and
-without the golden checks: tests/test_golden.py and test_cli's script
-test, which compares the output with a golden file.  Nor does it run
+undone.  The suite runs with -x (the first failure kills the mutant), its
+unit-test files before tests/test_acceptance.py, and without the golden
+checks: tests/test_golden.py and test_cli's script test, which compares
+the output with a golden file.  Nor does it run
 tests/test_mutants_apply.py, which checks that every mutant applies and so
 fails on each.  The script prints one row per mutant, killed or survived
 and the first failing test, and exits 1 if any mutant survives.  A
@@ -58,8 +59,11 @@ MUTANTS = [
      "return self.r / (self.mu * self.k)",
      "return self.r / (self.mu * self.n)"),
     ("optimize_k harmonic off by one", "analysis.py",
-     "(h[n] - h[n - k])",
-     "(h[n] - h[n - k + 1])"),
+     "(r / (mu * k)) * h[k]",
+     "(r / (mu * k)) * h[k - 1]"),
+    ("harmonic suffixes one term short at the bottom", "timing.py",
+     "np.arange(n, n - j, -1)",
+     "np.arange(n, n - j + 1, -1)"),
     ("optimize_k ignoring the channel", "analysis.py",
      "+ comm_at_k(k)",
      "+ 0.0"),
@@ -128,8 +132,12 @@ MUTANTS = [
      "block = max(1, CHUNK_ELEMENTS // config.k)"),
 ]
 
-PYTEST = [sys.executable, "-m", "pytest", "tests", "--ignore=tests/test_golden.py",
-          "--ignore=tests/test_mutants_apply.py",
+# the unit-test files run first and the acceptance criteria, most of the
+# suite's time, last: most mutants fail a unit test, and -x stops there
+UNIT_TESTS = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py")
+                    if path.name not in ("test_acceptance.py", "test_golden.py",
+                                         "test_mutants_apply.py"))
+PYTEST = [sys.executable, "-m", "pytest", *UNIT_TESTS, "tests/test_acceptance.py",
           "--deselect=tests/test_cli.py::test_the_module_runs_as_a_script",
           "-x", "-q", "-p", "no:cacheprovider"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

@@ -101,33 +101,42 @@ def pipeline_f(n, alpha, t_cmm, j):
     return math.fsum(alpha / (n - i + 1) for i in range(1, j + 1)) - (j - 1) * t_cmm
 
 
+def harmonic(n):
+    """n-th harmonic number by direct summation; H_0 = 0."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"harmonic is defined for n >= 0, got {n!r}")
+    return math.fsum(1.0 / i for i in range(1, n + 1))
+
+
+def harmonic_suffix(n, m):
+    """H_n - H_(n-m) as the fsum of its m terms 1.0/i, i in (n-m, n]."""
+    return math.fsum(1.0 / i for i in range(n - m + 1, n + 1))
+
+
 def leading_term_scan(n, r, a, mu, comm_at_k, require_divisor=False):
     """Brute-force minimizer of the leading-term objective over k."""
-    def harmonic(m):
-        return math.fsum(1.0 / i for i in range(1, m + 1))
-
     best = None
     for k in range(1, n):
         if require_divisor and r % k != 0:
             continue
-        value = a * r / k + r / (mu * k) * (harmonic(n) - harmonic(n - k)) + comm_at_k(k)
+        value = a * r / k + r / (mu * k) * harmonic_suffix(n, k) + comm_at_k(k)
         if best is None or value < best[1]:
             best = (k, value)
     return best
 
 
-def harmonic_table_loop(n):
-    """The big-integer loop `harmonic_table` replaced, kept as its
-    bit-for-bit reference: each term 1.0/i, scaled by 2**scale, is added
-    to a Python int, and each prefix sum is rounded once by int division."""
+def harmonic_suffixes_loop(n, j):
+    """The big-integer reference of `harmonic_suffixes`: each term 1.0/i,
+    from i = n down to n-j+1 and scaled by 2**scale, is added to a Python
+    int, and each partial sum is rounded once by int division."""
     scale = n.bit_length() + 53
     one = 1 << scale
-    table = [0.0]
+    sums = [0.0]
     total = 0
-    for i in range(1, n + 1):
+    for i in range(n, n - j, -1):
         total += int(math.ldexp(1.0 / i, scale))
-        table.append(total / one)
-    return table
+        sums.append(total / one)
+    return sums
 
 
 def sample_spacings(params, rng):

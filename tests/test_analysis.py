@@ -13,12 +13,17 @@ from codedmatvec import (
     expectation_bracket_coded,
     expectation_bracket_uncoded,
     expected_runtime_regime3,
-    harmonic,
     monte_carlo,
     optimize_k,
     pipeline_index,
 )
-from oracles import leading_term_scan, pipeline_f, pipeline_index_loop, pipeline_scan
+from oracles import (
+    harmonic,
+    leading_term_scan,
+    pipeline_f,
+    pipeline_index_loop,
+    pipeline_scan,
+)
 
 
 def test_bracket_coded_degenerate_channel():

@@ -670,6 +670,20 @@ def test_decode_check_joins_its_exhaustive_blocks_into_the_combinations(monkeypa
     assert np.vstack(drawn).tolist() == list(map(list, itertools.combinations(range(1, 17), 8)))
 
 
+def test_combination_blocks_are_the_combinations_in_order():
+    # every (n, k) up to n = 9, cut into blocks of 1, 3 and 7 rows and into one
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            count = math.comb(n, k)
+            for rows in (1, 3, 7, count):
+                sizes = [min(rows, count - first) for first in range(0, count, rows)]
+                blocks = list(cli._combination_blocks(n, k, sizes))
+                assert [block.shape for block in blocks] == [(size, k) for size in sizes]
+                assert all(block.dtype == np.intp for block in blocks)
+                assert np.vstack(blocks).tolist() == list(
+                    map(list, itertools.combinations(range(1, n + 1), k))), (n, k, rows)
+
+
 def test_decode_check_at_the_ladder_n(capsys):
     # the speedup ladder's n = 800, k = 0.7 n, r = lcm(n, k): each subset is a
     # 560 x 560 solve, where an r x r system would take 250 MB

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,14 +10,19 @@ from codedmatvec import (
     ClusterParams,
     RngStream,
     expected_order_stat,
-    harmonic,
     inject_comp_times,
     sample_comp_times,
     variance_order_stat,
 )
 from codedmatvec.rng import uniform_rows
-from codedmatvec.timing import LARGEST_UNIT_DRAW, harmonic_table, unit_exponentials
-from oracles import harmonic_table_loop, ks_two_sample_threshold, sample_spacings
+from codedmatvec.timing import LARGEST_UNIT_DRAW, harmonic_suffixes, unit_exponentials
+from oracles import (
+    harmonic,
+    harmonic_suffix,
+    harmonic_suffixes_loop,
+    ks_two_sample_threshold,
+    sample_spacings,
+)
 
 
 def test_harmonic_values():
@@ -27,35 +33,49 @@ def test_harmonic_values():
         harmonic(-1)
 
 
-def test_harmonic_table_equals_fsum():
-    table = harmonic_table(5000)
-    assert len(table) == 5001
-    assert all(table[m] == harmonic(m) for m in range(5001))
-    assert harmonic_table(0) == [0.0]
-    with pytest.raises(ValueError):
-        harmonic_table(-1)
+def test_harmonic_suffixes_equal_fsum():
+    # every j at small n, the whole list optimize_k reads at two ladder n,
+    # and a short list at n far past the O(n) routines' reach, also at the
+    # bit-length steps next to the bound
+    for n in range(1, 41):
+        for j in range(n + 1):
+            suffixes = harmonic_suffixes(n, j)
+            assert suffixes.tolist() == [harmonic_suffix(n, m) for m in range(j + 1)]
+    for n in (100, 3200):
+        terms = [1.0 / i for i in range(n, 0, -1)]
+        assert harmonic_suffixes(n, n - 1).tolist() == [math.fsum(terms[:m]) for m in range(n)]
+    for n in (2**27 - 1, 2**27, 2**53 + 1, 10**12, 2**63, 2**1023):
+        suffixes = harmonic_suffixes(n, 70)
+        assert suffixes.dtype == np.float64, n
+        assert suffixes.tolist() == [harmonic_suffix(n, m) for m in range(71)], n
+    assert harmonic_suffixes(1, 0).tolist() == [0.0]
+    assert harmonic_suffixes(4096, 4096)[-1] == harmonic(4096)
 
 
-def test_harmonic_table_equals_integer_loop():
-    # whole tables, bit for bit, across the bit-length steps of n that
-    # move the fixed-point scale
-    for n in (*range(65), 4095, 4096, 5000):
-        table = harmonic_table(n)
-        assert table == harmonic_table_loop(n), n
-        assert all(type(value) is float for value in table), n
+def test_harmonic_suffixes_equal_integer_loop():
+    # whole lists, bit for bit, across the bit-length steps of n that move
+    # the fixed-point scale
+    for n in (*range(1, 65), 4095, 4096, 5000):
+        for j in {0, 1, n // 2, n - 1, n}:
+            assert harmonic_suffixes(n, j).tolist() == harmonic_suffixes_loop(n, j), (n, j)
 
 
-def test_harmonic_table_refuses_n_past_its_exactness_bound():
-    # the bound is checked before any table is built: a table at 2**27
-    # would take minutes and several GB
+def test_harmonic_suffixes_refuse_past_their_exactness_bound():
+    # the bound is checked before any term is built: the whole list at
+    # n = 2**27 would take minutes and several GB
     class Built(Exception):
         pass
 
+    message = ("harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
+               " * (H_n - H_(n-j)) < 2**53, got n={}, j={}")
     with mock.patch.object(np, "arange", side_effect=Built):
-        with pytest.raises(ValueError, match=r"n < 2\*\*27, got 134217728"):
-            harmonic_table(2**27)
-        with pytest.raises(Built):  # the largest n accepted goes on to build
-            harmonic_table(2**27 - 1)
+        for n, j in ((2**27, 2**27 - 1), (2**27, 2**27 - 15), (2**28, 2**28 - 100)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message.format(n, j))}$"):
+                harmonic_suffixes(n, j)
+        # the largest inputs accepted next to the bound go on to build
+        for n, j in ((2**27 - 1, 2**27 - 1), (2**27, 2**27 - 16)):
+            with pytest.raises(Built):
+                harmonic_suffixes(n, j)
 
 
 def test_cluster_params_validation():
