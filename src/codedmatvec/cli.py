@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .analysis import (
     RegimeFamily,
@@ -26,7 +23,7 @@ from .analysis import (
     pipeline_index,
 )
 from .channel import CommModel, run_coded_trial
-from .coding import CHUNK_ELEMENTS, check_any_k, encode_random_linear, encode_systematic_mds
+from .coding import check_any_k, encode_random_linear, encode_systematic_mds
 from .config import ConfigError, RunConfig, parse_config
 from .experiments import monte_carlo, speedup_curve, sweep_regime, verify_transmission_lemmas
 from .rng import RngStream
@@ -86,7 +83,7 @@ def main(argv=None) -> int:
         config = _load_config(args, command)
         records = command.handler(config, args)
         _write(records, config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the allocation that failed
@@ -236,42 +233,16 @@ def _cmd_decode_check(config: RunConfig, args) -> list:
     x = rng.standard_normals(config.m)
     job = (encode_systematic_mds(a_matrix, x, params) if config.scheme == "systematic"
            else encode_random_linear(a_matrix, x, params, rng))
-    count = math.comb(config.n, config.k)
-    exhaustive = count <= 20_000
-    count = count if exhaustive else min(config.trials, 20_000)
-    # the subsets go to check_any_k in (B, k) blocks of B = CHUNK_ELEMENTS // n rows
-    block = max(1, CHUNK_ELEMENTS // config.n)
-    sizes = [min(block, count - first) for first in range(0, count, block)]
-    if exhaustive:
-        blocks = _combination_blocks(config.n, config.k, sizes)
-    else:  # drawn lazily after the random code's draws
-        # uniforms per block: row j of a (B, n) block is the j-th uniforms(n) draw,
-        # so each subset is the one-by-one draw's; nothing draws from rng after them
-        blocks = (np.argsort(rng.uniforms((size, config.n)), axis=1)[:, : config.k] + 1
-                  for size in sizes)
-    check = check_any_k(job, blocks, config.scheme)
+    # sampled subsets are drawn from rng after the random code's draws
+    check = check_any_k(job, config.scheme, config.trials, rng)
     return [[
         ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
-        ("m", config.m), ("subsets_checked", check.subsets_checked), ("exhaustive", exhaustive),
+        ("m", config.m), ("subsets_checked", check.subsets_checked),
+        ("exhaustive", check.exhaustive),
         ("tolerance", check.tolerance), ("max_relative_error", check.max_relative_error),
         ("failures", check.failures), ("unflagged_failures", check.unflagged_failures),
         ("recovered_fraction", check.recovered_fraction), ("pass", check.passed),
     ]]
-
-
-def _combination_blocks(n: int, k: int, sizes):
-    """itertools.combinations(range(1, n + 1), k) as (size, k) intp blocks.
-    The subset a_1 < ... < a_k of lexicographic rank R has C(n, k) - 1 - R =
-    sum_c C(n - a_c, k - c + 1), so each a_c is the least id whose term fits."""
-    # choose[c - 1, t] = C(n - a_c, k - c + 1) at a_c = n - k + c - t
-    choose = np.array([[math.comb(k - c + t, k - c + 1) for t in range(n - k + 1)]
-                       for c in range(1, k + 1)])
-    for rows in np.split(math.comb(n, k) - 1 - np.arange(sum(sizes)), np.cumsum(sizes)[:-1]):
-        t = np.empty((len(rows), k), np.intp)
-        for c, row in enumerate(choose):
-            t[:, c] = np.searchsorted(row, rows, side="right") - 1
-            rows -= row[t[:, c]]
-        yield n - k + 1 + np.arange(k) - t
 
 
 def _cmd_verify(config: RunConfig, args) -> list:

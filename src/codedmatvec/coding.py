@@ -8,20 +8,20 @@ schemes: a Gaussian random generator, and a systematic MDS generator
 whose parity rows are Vandermonde rows at nodes spread over (0, 2].
 
 Subsets of worker ids travel as (B, k) integer arrays, "blocks", one
-subset per row.  The n worker results A_i x, A x and its norm are computed
-once per check, and a subset gathers k of the results.  A chunk of rows is
-checked with array operations only; a bad chunk is refused with its first
-bad row's message, the one `decode_from_workers` gives for that subset.
-`_decode` solves a chunk with one plain solve and judges each row by its
-relative error ||y_hat - A x|| / ||A x||; a decode is flagged by the
-condition number of G_S (that of G_S ⊗ I_{r/k}).  `check_any_k` is the
-any-k verdict: it cuts each block into chunks, decodes a chunk per solve,
-takes condition numbers only for the failing rows, and applies its row of
-ANY_K_RULES.
+subset per row.  Worker ids from outside come one subset at a time and
+`_refuse` checks them; `check_any_k` makes its own blocks.  The n worker
+results A_i x, A x and its norm are computed once per check, and a subset
+gathers k of the results.  `_decode` solves a block with one plain solve
+and judges each row by its relative error ||y_hat - A x|| / ||A x||; a
+decode is flagged by the condition number of G_S (that of G_S ⊗ I_{r/k}).
+`check_any_k` is the any-k verdict: it chooses the subsets, decodes a
+block per solve, takes condition numbers only for the failing rows, and
+applies its row of ANY_K_RULES.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,11 @@ from .timing import ClusterParams
 # solves whose generator rows have condition numbers beyond this are flagged, not trusted
 COND_LIMIT = 1e8
 
-# float64 per check_any_k chunk; a subset gathers k*k + k*(r/k) (a chunk takes at least one)
+# elements per check_any_k block of subsets: each takes n ids, then k*k + k*(r/k) float64
 CHUNK_ELEMENTS = 2**16
+
+# check_any_k checks all C(n, k) subsets up to this many, else min(trials, this) sampled
+MAX_SUBSETS = 20_000
 
 # per scheme: the tolerance on a subset's relative error, and the least
 # recovered fraction that passes (an unflagged failure never passes)
@@ -74,6 +77,7 @@ class AnyKCheck:
     `tolerance`, unflagged when its generator rows are well conditioned."""
 
     subsets_checked: int
+    exhaustive: bool
     tolerance: float
     max_relative_error: float
     failures: int
@@ -161,34 +165,23 @@ def _one_block(job: CodedJob, worker_ids) -> np.ndarray:
     return np.array([ids], dtype=np.intp)
 
 
-def _gather(job: CodedJob, chunk: np.ndarray, results: np.ndarray):
-    """Check a (B, k) chunk of worker ids and gather each row's system in
+def _gather(job: CodedJob, block: np.ndarray, results: np.ndarray):
+    """Gather each row's system of a (B, k) block of valid worker ids, in
     ascending id: the (B, k, k) generator rows and the (B, k, r/k) rows of
-    `results`, the worker results.  The chunk is checked with array
-    operations only, by its dtype, its width and its sorted rows; a bad
-    chunk is refused as `_refuse` refuses its first bad row."""
-    n, k = job.generator.shape
-    rows = None
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind in "iu" and chunk.shape[1:] == (k,):
-        rows = np.sort(chunk, axis=1)
-    if rows is None or rows[:, 0].min() < 1 or rows[:, -1].max() > n \
-            or not np.diff(rows, axis=1).all():
-        for worker_ids in chunk:
-            _refuse(worker_ids, n, k)
-        raise ValueError(f"worker ids must come as a (B, {k}) integer array")
-    rows -= 1
+    `results`, the worker results."""
+    rows = np.sort(block, axis=1) - 1
     return np.take(job.generator, rows, axis=0), np.take(results, rows, axis=0)
 
 
-def _decode(job: CodedJob, chunks):
-    """Per (B, k) chunk of worker ids: each row's (k, k) generator rows G_S,
+def _decode(job: CodedJob, blocks):
+    """Per (B, k) block of worker ids: each row's (k, k) generator rows G_S,
     y_hat solved from G_S Y = Z, and its relative error ||y_hat - A x|| /
     ||A x|| (absolute if A x = 0).  The worker results, A x and its norm
-    are computed once, for all the chunks."""
+    are computed once, for all the blocks."""
     results, y = job.assignments @ job.x, job.a_matrix @ job.x
     y_norm = np.linalg.norm(y) or 1.0
-    for chunk in chunks:
-        g, z = _gather(job, chunk, results)
+    for block in blocks:
+        g, z = _gather(job, block, results)
         y_hat = _solve(g, z).reshape(len(g), -1)
         diff = y_hat - y
         yield g, y_hat, np.sqrt(np.vecdot(diff, diff)) / y_norm
@@ -219,37 +212,69 @@ def decode_from_workers(job: CodedJob, worker_ids) -> DecodeResult:
     return DecodeResult(y_hat=y_hat[0], well_conditioned=bool(_well_conditioned(g[0])))
 
 
-def check_any_k(job: CodedJob, blocks, scheme: str) -> AnyKCheck:
-    """Decode y from each subset of worker ids and judge the scheme by
-    ANY_K_RULES[scheme] on the errors and flags `recovery_error` returns.
-    The subsets come as an iterable of (B, k) integer arrays, one subset per
-    row, read lazily; each block is cut into chunks, each chunk is checked
-    and decoded once, as `decode_from_workers` decodes one subset, and only
-    its failing rows pay for condition numbers."""
+def check_any_k(job: CodedJob, scheme: str, trials: int, rng: RngStream) -> AnyKCheck:
+    """Decode y from k-subsets of the workers, in itertools.combinations order
+    or each the first k of an argsort of rng.uniforms(n), and judge the
+    scheme by ANY_K_RULES[scheme] on the errors and flags `recovery_error`
+    returns.  Each block of subsets is decoded once, as `decode_from_workers`
+    decodes one subset, and only its failing rows pay for condition numbers."""
     if scheme not in ANY_K_RULES:
         raise ValueError(f"scheme must be one of {', '.join(ANY_K_RULES)}, got {scheme!r}")
+    if not (_is_id(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     tol, least_recovered = ANY_K_RULES[scheme]
-    k, w = job.generator.shape[1], job.assignments.shape[1]
-    chunk_size = max(1, CHUNK_ELEMENTS // (k * (k + w)))
-    chunks = (block[first:first + chunk_size]
-              for block in blocks for first in range(0, len(block), chunk_size))
+    (n, k), w = job.generator.shape, job.assignments.shape[1]
+    rows = max(1, CHUNK_ELEMENTS // max(n, k * (k + w)))
+    count = math.comb(n, k)
+    exhaustive = count <= MAX_SUBSETS
+    count = count if exhaustive else min(trials, MAX_SUBSETS)
+    # row j of a (B, n) draw is the j-th uniforms(n) draw, bit for bit
+    blocks = _combination_blocks(n, k, rows) if exhaustive else (
+        np.argsort(rng.uniforms((min(rows, count - first), n)), axis=1)[:, :k] + 1
+        for first in range(0, count, rows))
     checked = failures = unflagged = 0
     max_error = 0.0
-    for g, _, errors in _decode(job, chunks):
+    for g, _, errors in _decode(job, blocks):
         failing = ~(errors <= tol)  # so a NaN error fails
         checked += len(errors)
         failures += int(failing.sum())
         max_error = np.maximum(max_error, errors.max())  # and a NaN is the max
         if failing.any():
             unflagged += int(_well_conditioned(g[failing]).sum())
-    if not checked:
-        raise ValueError("no subsets to check")
     recovered = (checked - failures) / checked
     return AnyKCheck(
-        subsets_checked=checked, tolerance=tol, max_relative_error=float(max_error),
+        subsets_checked=checked, exhaustive=exhaustive, tolerance=tol,
+        max_relative_error=float(max_error),
         failures=failures, unflagged_failures=unflagged, recovered_fraction=recovered,
         passed=recovered >= least_recovered and unflagged == 0,
     )
+
+
+def _combination_blocks(n: int, k: int, rows: int):
+    """itertools.combinations(range(1, n + 1), k) as (B, k) intp blocks of
+    `rows` rows.  The s-subset a_1 < ... < a_s of lexicographic rank R has
+    C(n, s) - 1 - R = sum_c C(n - a_c, s - c + 1), so each a_c is the least
+    id whose term fits.  Complements have the mirrored rank, so for n - k < k
+    the n - k ids left out are unranked instead: s = min(k, n - k)."""
+    s, count = min(k, n - k), math.comb(n, k)
+    # choose[c - 1, t] = C(n - a_c, s - c + 1) at a_c = n - s + c - t
+    choose = np.array([[math.comb(s - c + t, s - c + 1) for t in range(n - s + 1)]
+                       for c in range(1, s + 1)])
+    top = n - s + 1 + np.arange(s)[:, None]  # a_c at t = 0
+    # per rank R, what is left to unrank: R for the complement, else C(n, k) - 1 - R
+    lefts = np.arange(count) if s < k else np.arange(count - 1, -1, -1)
+    for first in range(0, count, rows):
+        left = lefts[first:first + rows].copy()
+        t = np.empty((s, len(left)), np.intp)  # a row per column of the block
+        for row, t_c in zip(choose, t):
+            np.subtract(row.searchsorted(left, side="right"), 1, out=t_c)
+            left -= row[t_c]
+        ids = (top - t).T
+        if s < k:
+            kept = np.ones((len(left), n), bool)
+            np.put_along_axis(kept, ids - 1, False, axis=1)
+            ids = np.nonzero(kept)[1].reshape(-1, k) + 1
+        yield ids
 
 
 def recovery_error(job: CodedJob, worker_ids):

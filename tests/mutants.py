@@ -115,21 +115,21 @@ MUTANTS = [
     ("seed bound at 2**63", "config.py",
      'seed: int = _key("integer", lambda v: 0 <= v < 2**64,',
      'seed: int = _key("integer", lambda v: 0 <= v < 2**63,'),
-    ("block dtype unchecked", "coding.py",
-     'chunk.dtype.kind in "iu" and ',
-     ""),
-    ("block lower range bound dropped", "coding.py",
-     "rows[:, 0].min() < 1 or ",
-     ""),
-    ("block upper range bound dropped", "coding.py",
-     " or rows[:, -1].max() > n",
-     ""),
-    ("block distinctness unchecked", "coding.py",
-     "or not np.diff(rows, axis=1).all()",
-     "or False"),
-    ("decode-check blocks of CHUNK_ELEMENTS // k rows", "cli.py",
-     "block = max(1, CHUNK_ELEMENTS // config.n)",
-     "block = max(1, CHUNK_ELEMENTS // config.k)"),
+    ("block budget without the n ids a subset takes", "coding.py",
+     "rows = max(1, CHUNK_ELEMENTS // max(n, k * (k + w)))",
+     "rows = max(1, CHUNK_ELEMENTS // (k * (k + w)))"),
+    ("exhaustive up to twice MAX_SUBSETS", "coding.py",
+     "exhaustive = count <= MAX_SUBSETS",
+     "exhaustive = count <= 2 * MAX_SUBSETS"),
+    ("sampled subsets not capped", "coding.py",
+     "min(trials, MAX_SUBSETS)",
+     "trials"),
+    ("complement branch never taken", "coding.py",
+     "s, count = min(k, n - k), math.comb(n, k)",
+     "s, count = k, math.comb(n, k)"),
+    ("complement rank not mirrored", "coding.py",
+     "lefts = np.arange(count) if s < k else np.arange(count - 1, -1, -1)",
+     "lefts = np.arange(count - 1, -1, -1)"),
 ]
 
 # the unit-test files run first and the acceptance criteria, most of the

@@ -581,8 +581,8 @@ def test_decode_check_reduces_the_per_subset_recovery_errors(capsys):
 def test_decode_check_failure_exit_code(monkeypatch, capsys):
     # every worker's result is off by one, so no subset decodes A x
     check_any_k = cli.check_any_k
-    monkeypatch.setattr(cli, "check_any_k", lambda job, subsets, scheme: check_any_k(
-        replace(job, assignments=job.assignments + 1.0), subsets, scheme))
+    monkeypatch.setattr(cli, "check_any_k", lambda job, scheme, trials, rng: check_any_k(
+        replace(job, assignments=job.assignments + 1.0), scheme, trials, rng))
     rc = main(["decode-check", "--scheme", "random", "--n", "4", "--k", "2",
                "--r", "4", "--m", "2", "--trials", "10"])
     assert rc == 2
@@ -627,29 +627,31 @@ class _Drawn(Exception):
 
 
 def _drawn_blocks(monkeypatch, argv):
-    """The blocks of worker ids that decode-check hands check_any_k."""
+    """The blocks of worker ids that decode-check's check_any_k decodes, at
+    --r k: each takes n ids, then k * (k + 1) float64 a subset."""
     drawn = []
 
-    def capture(job, blocks, scheme):
+    def capture(job, blocks):
         drawn.extend(blocks)
         raise _Drawn
 
-    monkeypatch.setattr(cli, "check_any_k", capture)
+    monkeypatch.setattr(coding, "_decode", capture)
     with pytest.raises(_Drawn):
         main(argv)
-    for block in drawn:  # (B, k) integer blocks of at most CHUNK_ELEMENTS ids
-        assert block.dtype.kind == "i" and block.shape[1] == int(argv[argv.index("--k") + 1])
-        assert block.size <= coding.CHUNK_ELEMENTS
+    n, k = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--k"))
+    for block in drawn:  # (B, k) integer blocks within the budget, or one subset
+        assert block.dtype.kind == "i" and block.shape[1] == k
+        assert len(block) * max(n, k * (k + 1)) <= coding.CHUNK_ELEMENTS or len(block) == 1
     return drawn
 
 
-@pytest.mark.parametrize("n, k, trials", [(24, 12, 20000), (800, 560, 200)])
+@pytest.mark.parametrize("n, k, trials", [(24, 12, 20000), (800, 2, 200), (800, 560, 200)])
 def test_decode_check_draws_its_sampled_subsets_as_one_by_one(monkeypatch, n, k, trials):
     # a block of rows per draw gives the one-by-one draws bit for bit, from the
-    # stream left after A, x and the random generator; both runs span blocks
-    # of CHUNK_ELEMENTS // n rows, the last one cut short
-    block = coding.CHUNK_ELEMENTS // n
-    assert trials > block and trials % block
+    # stream left after A, x and the random generator; the runs span blocks of
+    # CHUNK_ELEMENTS // max(n, k * (k + 1)) rows: 420, 81 and 1
+    block = max(1, coding.CHUNK_ELEMENTS // max(n, k * (k + 1)))
+    assert trials > block
     drawn = _drawn_blocks(monkeypatch, [
         "decode-check", "--scheme", "random", "--n", str(n), "--k", str(k),
         "--r", str(k), "--m", "5", "--seed", "12", "--trials", str(trials)])
@@ -657,31 +659,18 @@ def test_decode_check_draws_its_sampled_subsets_as_one_by_one(monkeypatch, n, k,
     for size in [(k, 5), 5, (n, k)]:  # A, x and the generator
         rng.standard_normals(size)
     expected = [(np.argsort(rng.uniforms(n))[:k] + 1).tolist() for _ in range(trials)]
-    assert [len(b) for b in drawn] == [block] * (trials // block) + [trials % block]
+    assert [len(b) for b in drawn] == [min(block, trials - first)
+                                       for first in range(0, trials, block)]
     assert np.vstack(drawn).tolist() == expected
 
 
 def test_decode_check_joins_its_exhaustive_blocks_into_the_combinations(monkeypatch):
-    # the C(16, 8) = 12870 subsets come in blocks of CHUNK_ELEMENTS // 16 =
-    # 4096 rows, 3 full ones and 582 rows, and join up to the combinations
+    # the C(16, 8) = 12870 subsets come in blocks of CHUNK_ELEMENTS // (8 * 9)
+    # = 910 rows, 14 full ones and 130 rows, and join up to the combinations
     drawn = _drawn_blocks(monkeypatch, ["decode-check", "--scheme", "systematic", "--n", "16",
                                         "--k", "8", "--r", "8", "--m", "2"])
-    assert [len(b) for b in drawn] == [4096, 4096, 4096, 582]
+    assert [len(b) for b in drawn] == [910] * 14 + [130]
     assert np.vstack(drawn).tolist() == list(map(list, itertools.combinations(range(1, 17), 8)))
-
-
-def test_combination_blocks_are_the_combinations_in_order():
-    # every (n, k) up to n = 9, cut into blocks of 1, 3 and 7 rows and into one
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            count = math.comb(n, k)
-            for rows in (1, 3, 7, count):
-                sizes = [min(rows, count - first) for first in range(0, count, rows)]
-                blocks = list(cli._combination_blocks(n, k, sizes))
-                assert [block.shape for block in blocks] == [(size, k) for size in sizes]
-                assert all(block.dtype == np.intp for block in blocks)
-                assert np.vstack(blocks).tolist() == list(
-                    map(list, itertools.combinations(range(1, n + 1), k))), (n, k, rows)
 
 
 def test_decode_check_at_the_ladder_n(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -19,7 +20,7 @@ from codedmatvec import (
     worker_compute,
 )
 from codedmatvec import coding
-from codedmatvec.coding import CHUNK_ELEMENTS
+from codedmatvec.coding import CHUNK_ELEMENTS, MAX_SUBSETS
 
 
 def random_job(n, k, r, m, seed=0, scheme="random"):
@@ -32,10 +33,11 @@ def random_job(n, k, r, m, seed=0, scheme="random"):
     return encode_systematic_mds(a, x, params)
 
 
-def block(subsets):
-    """Subsets of worker ids as one (B, k) integer block, one subset per row,
-    the form check_any_k reads them in."""
-    return np.array(list(subsets), dtype=np.intp)
+def check_every_subset(job, scheme):
+    """check_any_k on a job with at most MAX_SUBSETS subsets: it checks them all."""
+    check = check_any_k(job, scheme, 1, RngStream(0, 0))
+    assert check.exhaustive and check.subsets_checked == math.comb(*job.generator.shape)
+    return check
 
 
 def test_random_linear_shapes():
@@ -263,8 +265,7 @@ def test_decode_solves_k_by_k_systems(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", recording("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "cond", recording("cond", np.linalg.cond))
     decode_from_workers(job, (1, 2, 3))
-    check_any_k(replace(job, assignments=job.assignments + 1.0),
-                [block(itertools.combinations(range(1, 7), 3))], "random")
+    check_every_subset(replace(job, assignments=job.assignments + 1.0), "random")
     assert shapes == {"solve": {((3, 3), (3, 4))}, "cond": {((3, 3),)}}
 
 
@@ -277,14 +278,11 @@ def per_subset_verdict(job, subsets, tol):
 
 @pytest.mark.parametrize("scheme", ["systematic", "random"])
 def test_check_any_k_matches_recovery_error_subset_by_subset(scheme, monkeypatch):
-    # the benchmark's shape, every subset, errors and flags alike, in blocks
-    # that span chunk boundaries and blocks shorter than a chunk; each subset
-    # is gathered exactly once
+    # the benchmark's shape, every subset, errors and flags alike; each
+    # subset is gathered exactly once, in blocks of CHUNK_ELEMENTS // (8 * (8 + 8))
     tol = {"systematic": 1e-10, "random": 1e-8}[scheme]
     job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme=scheme)
     subsets = list(itertools.combinations(range(1, 17), 8))
-    chunk = CHUNK_ELEMENTS // (8 * (8 + 8))
-    cuts = [700, 800, 2000, 2001, 9000]  # blocks of 700, 100, 1200, 1, 6999 and 3870 rows
     gathered = []
 
     def gather(job, rows, results):
@@ -293,11 +291,10 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme, monkeypatch
 
     coding_gather = coding._gather
     monkeypatch.setattr(coding, "_gather", gather)
-    check = check_any_k(job, iter(np.split(block(subsets), cuts)), scheme)
+    check = check_every_subset(job, scheme)
     monkeypatch.undo()
-    assert [len(c) for c in gathered] == [512, 188, 100, 512, 512, 176, 1, *[512] * 13,
-                                          343, *[512] * 7, 286]
-    assert chunk == 512 and np.array_equal(np.vstack(gathered), subsets)
+    assert [len(c) for c in gathered] == [512] * 25 + [70]
+    assert np.array_equal(np.vstack(gathered), subsets)
     assert (check.subsets_checked, check.tolerance) == (len(subsets), tol)
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, tol)
@@ -309,8 +306,6 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme, monkeypatch
             np.linalg.norm(result.y_hat - y) / np.linalg.norm(y), result.well_conditioned)
     if scheme == "systematic":
         assert (check.failures, check.unflagged_failures, check.passed) == (0, 0, True)
-    with pytest.raises(ValueError, match="^no subsets to check$"):
-        check_any_k(job, [], scheme)
 
 
 def integer_node_job(seed):
@@ -328,10 +323,8 @@ def test_the_nodes_decide_the_failures_not_the_solve(seed, integer_failures):
     # seed: the code fails no subset, while the integer nodes theta_j = j,
     # decoded by the same plain solve, fail thousands
     job = random_job(n=16, k=8, r=64, m=5, seed=seed, scheme="systematic")
-    subsets = list(itertools.combinations(range(1, 17), 8))
-    assert check_any_k(job, [block(subsets)], "systematic").failures == 0
-    assert check_any_k(integer_node_job(seed), [block(subsets)],
-                       "systematic").failures == integer_failures
+    assert check_every_subset(job, "systematic").failures == 0
+    assert check_every_subset(integer_node_job(seed), "systematic").failures == integer_failures
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -350,18 +343,18 @@ def test_two_parity_rows_are_example_1s_family(k):
 @pytest.mark.parametrize("n, k", [(12, 6), (14, 7), (16, 8), (31, 30)])
 def test_systematic_code_recovers_every_subset(n, k, seed):
     job = random_job(n=n, k=k, r=4 * k, m=5, seed=seed, scheme="systematic")
-    check = check_any_k(job, [block(itertools.combinations(range(1, n + 1), k))], "systematic")
+    check = check_every_subset(job, "systematic")
     assert (check.failures, check.recovered_fraction, check.passed) == (0, 1.0, True)
 
 
 def test_check_any_k_keeps_the_least_squares_fallback():
     # workers 1 and 2 hold the same row, so their system is exactly singular and
-    # the chunk's solve fails: every subset of it is decoded on its own
+    # the block's solve fails: every subset of it is decoded on its own
     job = hand_built_job([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0], [3.0, 1.0]])
     subsets = list(itertools.combinations(range(1, 5), 2))
     assert not decode_from_workers(job, (1, 2)).well_conditioned
     assert recovery_error(job, (1, 2))[0] > 0.1  # the least-squares answer, not y
-    check = check_any_k(job, [block(subsets)], "random")
+    check = check_every_subset(job, "random")
     assert (check.failures, check.unflagged_failures, check.max_relative_error) == \
         per_subset_verdict(job, subsets, 1e-8)
     assert (check.failures, check.unflagged_failures) == (1, 0)
@@ -375,7 +368,7 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = decode_from_workers(job, (2, 3))
-        check = check_any_k(job, [block(subsets)], "random")
+        check = check_every_subset(job, "random")
         verdict = per_subset_verdict(job, subsets, 1e-8)
     g = job.generator[[1, 2]]
     z = np.vstack([worker_compute(job, 2), worker_compute(job, 3)])
@@ -385,149 +378,159 @@ def test_an_all_zero_generator_row_decodes_by_least_squares():
     assert (check.failures, check.unflagged_failures) == (3, 0)
 
 
-def first_refusal(job, rows):
-    """The message decode_from_workers gives the first row it refuses, or None."""
-    for worker_ids in rows:
-        try:
-            decode_from_workers(job, worker_ids)
-        except ValueError as exc:
-            return str(exc)
-    return None
-
-
-BAD_BLOCKS = {
-    "float": np.array([[1.5, 2.0, 3.0]]),
-    "integral float": np.array([[1.0, 2.0, 3.0]]),
-    "bool": np.array([[True, False, True]]),
-    "object holding 2**70": np.array([[2**70, 2, 3]], dtype=object),
-    "object holding -2**70": np.array([[1, -2**70, 3]], dtype=object),
-    "uint64 max": np.array([[1, 2, 2**64 - 1]], dtype=np.uint64),
-    "beyond n": np.array([[1, 2, 9]]),
-    "below 1": np.array([[0, 2, 3]], dtype=np.uint8),
-    "negative": np.array([[4, -1, 3]], dtype=np.int8),
-    "duplicate": np.array([[1, 2, 2]]),
-    "narrow": np.array([[1, 2]]),
-    "wide": np.array([[1, 2, 3, 4]]),
+OUT_OF_RANGE = "worker ids must lie in [1, 6]"
+BAD_IDS = {
+    "float": (np.array([1.5, 2.0, 3.0]), "worker ids must be integers, got np.float64(1.5)"),
+    "integral float": (np.array([1.0, 2.0, 3.0]),
+                       "worker ids must be integers, got np.float64(1.0)"),
+    "bool": (np.array([True, False, True]), "worker ids must be integers, got np.True_"),
+    "object holding 2**70": (np.array([2**70, 2, 3], dtype=object), OUT_OF_RANGE),
+    "object holding -2**70": (np.array([1, -2**70, 3], dtype=object), OUT_OF_RANGE),
+    "uint64 max": (np.array([1, 2, 2**64 - 1], dtype=np.uint64), OUT_OF_RANGE),
+    "beyond n": (np.array([1, 2, 9]), OUT_OF_RANGE),
+    "below 1": (np.array([0, 2, 3], dtype=np.uint8), OUT_OF_RANGE),
+    "negative": (np.array([4, -1, 3], dtype=np.int8), OUT_OF_RANGE),
+    "duplicate": (np.array([1, 2, 2]), "worker ids must be distinct"),
+    "narrow": (np.array([1, 2]), "decoding needs exactly k=3 workers, got 2"),
+    "wide": (np.array([1, 2, 3, 4]), "decoding needs exactly k=3 workers, got 4"),
 }
 
 
-@pytest.mark.parametrize("bad", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
-def test_check_any_k_refuses_bad_blocks_as_decode_from_workers_does(bad):
+@pytest.mark.parametrize("ids, message", BAD_IDS.values(), ids=BAD_IDS)
+def test_decode_from_workers_refuses_bad_ids_by_name(ids, message):
+    # worker ids from outside enter only here and in recovery_error, and
+    # _refuse names the first fault; a numpy scalar is named by its repr
     job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    # a subset gathers k x k generator entries and k results of r/k rows
-    k, w = job.generator.shape[1], job.assignments.shape[1]
-    full_chunk = np.tile([1, 2, 3], (CHUNK_ELEMENTS // (k * (k + w)), 1))
-    with pytest.raises(ValueError) as single:
-        decode_from_workers(job, bad[0])
-    message = f"^{re.escape(str(single.value))}$"
-    with pytest.raises(ValueError, match=message):
-        check_any_k(job, [bad], "random")
-    # the same message when the bad block follows a full chunk of good subsets
-    with pytest.raises(ValueError, match=message):
-        check_any_k(job, [full_chunk, bad], "random")
-    if bad.shape[1] == k:
-        # and when the bad row follows a full chunk in the same block: the
-        # first bad row names the refusal (a float or bool block has no good
-        # row), and an object block's first chunk, of valid ids, is no
-        # integer array
-        mixed = np.vstack([full_chunk.astype(bad.dtype), bad])
-        expected = first_refusal(job, mixed) if bad.dtype.kind != "O" else \
-            "worker ids must come as a (B, 3) integer array"
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            check_any_k(job, [mixed], "random")
+    for call in (decode_from_workers, recovery_error):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(job, ids)
 
 
-def test_a_block_with_no_bad_row_must_still_be_an_integer_array():
-    # an object block of valid ids, or a list of valid subsets, is no block
-    # of integers, though decode_from_workers takes each of its rows
-    job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    for rows in (np.array([[1, 2, 3]], dtype=object), [(1, 2, 3), (4, 5, 6)]):
-        assert first_refusal(job, rows) is None
-        with pytest.raises(ValueError, match=r"^worker ids must come as a \(B, 3\) integer array$"):
-            check_any_k(job, [rows], "random")
-
-
-def per_id_refusal(worker_ids, n, k):
-    """The refusal message of one subset, checked id by id, or None: the
-    reference the chunk check must agree with."""
-    given = list(worker_ids)
-    bad = [i for i in given if not isinstance(i, (int, np.integer)) or isinstance(i, bool)]
-    if bad:
-        return f"worker ids must be integers, got {bad[0]!r}"
-    ids = sorted(set(given))
-    if len(ids) != len(given):
-        return "worker ids must be distinct"
-    if len(ids) != k:
-        return f"decoding needs exactly k={k} workers, got {len(ids)}"
-    if ids[0] < 1 or ids[-1] > n:
-        return f"worker ids must lie in [1, {n}]"
-    return None
-
-
-def test_the_first_bad_row_of_a_block_names_the_refusal():
-    job = random_job(n=6, k=3, r=6, m=2, seed=2)
-    # a range failure before a duplicate: the row, not the category, decides
-    rows = block([(1, 2, 3)] * 5 + [(1, 2, 9), (4, 5, 6), (1, 1, 3)])
-    with pytest.raises(ValueError, match=r"^worker ids must lie in \[1, 6\]$"):
-        check_any_k(job, [rows], "random")
-    with pytest.raises(ValueError, match=r"^worker ids must be distinct$"):
-        check_any_k(job, [rows[[0, 7, 5]]], "random")
-    # random blocks of good and bad rows, in every integer dtype, cut into
-    # random blocks, against the per-id reference
-    draw = np.random.default_rng(5)
-    for _ in range(400):
-        dtype = draw.choice([np.int8, np.uint8, np.int64, np.uint64, np.intp])
-        width = draw.choice([3] * 18 + [2, 4])
-        rows = np.array([draw.permutation(6)[:width] + 1 for _ in range(draw.integers(1, 9))])
-        rows[draw.random(rows.shape) < 0.03] = draw.choice([0, 7, 9])
-        if np.dtype(dtype).kind == "i":
-            rows[draw.random(rows.shape) < 0.02] = -1
-        rows[draw.random(len(rows)) < 0.05, -1] = rows[0, 0]  # a duplicate, or not
-        rows = rows.astype(dtype)
-        cuts = np.sort(draw.integers(0, len(rows) + 1, draw.integers(0, 3)))
-        expected = next(filter(None, (per_id_refusal(ids, 6, 3) for ids in rows)), None)
-        if expected is None:
-            assert check_any_k(job, np.split(rows, cuts), "random").subsets_checked == len(rows)
-        else:
-            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-                check_any_k(job, np.split(rows, cuts), "random")
-
-
-def test_a_valid_chunk_makes_no_per_id_call(monkeypatch):
-    # the benchmark's systematic job: all C(16, 8) subsets are checked as
-    # arrays, while worker_compute still checks its one id
+def test_check_any_k_checks_no_worker_id(monkeypatch):
+    # the benchmark's systematic job: check_any_k makes its own subsets and
+    # never calls _refuse, while decode_from_workers checks its one subset
     job = random_job(n=16, k=8, r=64, m=5, seed=12, scheme="systematic")
     calls = []
 
-    def counting(worker_id):
-        calls.append(worker_id)
-        return is_id(worker_id)
+    def counting(worker_ids, n, k):
+        calls.append(list(worker_ids))
+        return refuse(worker_ids, n, k)
 
-    is_id = coding._is_id
-    monkeypatch.setattr(coding, "_is_id", counting)
-    check = check_any_k(job, [block(itertools.combinations(range(1, 17), 8))], "systematic")
-    assert (check.subsets_checked, calls) == (12870, [])
-    worker_compute(job, 3)
-    assert calls == [3]
+    refuse = coding._refuse
+    monkeypatch.setattr(coding, "_refuse", counting)
+    assert (check_every_subset(job, "systematic").subsets_checked, calls) == (12870, [])
+    decode_from_workers(job, range(1, 9))
+    assert calls == [list(range(1, 9))]
+
+
+def searchsorted_calls(blocks):
+    """Each block of the iterable, with the searchsorted calls made to build it."""
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "searchsorted":
+            calls.append(arg)
+
+    while True:
+        sys.setprofile(count)
+        try:
+            block = next(blocks, None)
+        finally:
+            sys.setprofile(None)
+        if block is None:
+            return
+        yield block, len(calls)
+        calls.clear()
+
+
+def test_combination_blocks_are_the_combinations_in_order():
+    # every (n, k) up to n = 11 and (30, 28), in blocks of 1, 3, 7 rows and
+    # one block; each block unranks at most min(k, n - k) ids per subset,
+    # one searchsorted per id
+    cases = [(n, k) for n in range(1, 12) for k in range(1, n + 1)] + [(30, 28)]
+    for n, k in cases:
+        count = math.comb(n, k)
+        for rows in (1, 3, 7, count):
+            blocks = []
+            for block, calls in searchsorted_calls(coding._combination_blocks(n, k, rows)):
+                assert calls <= min(k, n - k), (n, k, rows)
+                blocks.append(block)
+            sizes = [min(rows, count - first) for first in range(0, count, rows)]
+            assert [block.shape for block in blocks] == [(size, k) for size in sizes]
+            assert all(block.dtype == np.intp for block in blocks)
+            assert np.vstack(blocks).tolist() == list(
+                map(list, itertools.combinations(range(1, n + 1), k))), (n, k, rows)
+
+
+def gathered_blocks(monkeypatch, job, scheme, trials, seed=0):
+    """check_any_k's verdict and the blocks of worker ids it gathers, as given."""
+    blocks = []
+    gather = coding._gather
+    monkeypatch.setattr(coding, "_gather",
+                        lambda job, block, results: blocks.append(block.copy()) or
+                        gather(job, block, results))
+    check = check_any_k(job, scheme, trials, RngStream(seed, 0))
+    monkeypatch.undo()
+    return check, blocks
+
+
+@pytest.mark.parametrize("n, k, r, trials, sizes", [
+    (16, 8, 64, 1, [512] * 25 + [70]),  # the benchmark's: 8 * (8 + 8) elements a subset
+    (100, 2, 2, 1, [655] * 7 + [365]),  # n = 100 ids a subset, more than 2 * (2 + 1)
+    (31, 30, 30, 1, [31]),
+    (17, 8, 8, 1500, [910, 590]),  # sampled: 17 uniforms, then 8 * (8 + 1) elements
+    (300, 250, 250, 3, [1, 1, 1]),  # 250 * 251 elements: one subset a block
+])
+def test_check_any_k_blocks_fit_one_budget(monkeypatch, n, k, r, trials, sizes):
+    job = random_job(n=n, k=k, r=r, m=2, seed=3)
+    check, blocks = gathered_blocks(monkeypatch, job, "random", trials)
+    per_subset = max(n, k * (k + r // k))
+    assert [len(block) for block in blocks] == sizes and check.subsets_checked == sum(sizes)
+    assert all(len(block) * per_subset <= CHUNK_ELEMENTS or len(block) == 1 for block in blocks)
+    assert all(block.shape[1] == k and block.dtype.kind == "i" for block in blocks)
+
+
+def test_check_any_k_is_exhaustive_up_to_max_subsets(monkeypatch):
+    # C(17, 7) = 19448 subsets are all checked, whatever the trials; of
+    # C(17, 8) = 24310, min(trials, MAX_SUBSETS) are drawn, each the one-by-one
+    # draw of the stream given
+    job = random_job(n=17, k=7, r=7, m=2, seed=4)
+    check, blocks = gathered_blocks(monkeypatch, job, "random", 5)
+    assert (check.exhaustive, check.subsets_checked) == (True, 19448)
+    assert np.vstack(blocks).tolist() == list(map(list, itertools.combinations(range(1, 18), 7)))
+    job = random_job(n=17, k=8, r=8, m=2, seed=4)
+    for trials, checked in [(50, 50), (MAX_SUBSETS, 20000), (30000, 20000)]:
+        check, blocks = gathered_blocks(monkeypatch, job, "random", trials, seed=9)
+        assert (check.exhaustive, check.subsets_checked) == (False, checked)
+        rng = RngStream(9, 0)
+        expected = [(np.argsort(rng.uniforms(17))[:8] + 1).tolist() for _ in range(checked)]
+        assert np.vstack(blocks).tolist() == expected
+
+
+@pytest.mark.parametrize("trials", [0, -1, True, 2.0, None])
+def test_check_any_k_refuses_fewer_than_one_trial(trials):
+    # refused even where every subset is checked and trials goes unread
+    job = random_job(n=4, k=2, r=2, m=2)
+    with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {trials!r}$"):
+        check_any_k(job, "random", trials, RngStream(0, 0))
 
 
 def test_check_any_k_refuses_an_unknown_scheme():
     job = random_job(n=4, k=2, r=2, m=2)
     with pytest.raises(ValueError, match=r"^scheme must be one of systematic, random, got 'coded'$"):
-        check_any_k(job, [block([(1, 2)])], "coded")
+        check_any_k(job, "coded", 1, RngStream(0, 0))
 
 
 def test_check_any_k_verdicts_without_the_cli():
     # the integer-node (16, 8) code at seed 12 fails 2003 of its 12870
     # subsets, 200 of them with generator rows decode_from_workers calls
     # well conditioned
-    check = check_any_k(integer_node_job(12), [block(itertools.combinations(range(1, 17), 8))],
-                        "systematic")
+    check = check_every_subset(integer_node_job(12), "systematic")
     assert (check.subsets_checked, check.failures, check.unflagged_failures) == (12870, 2003, 200)
     assert check.recovered_fraction == 10867 / 12870 and not check.passed
     # Example 1's (4, 2) code recovers from every pair
     example = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
-    check = check_any_k(example, [block(itertools.combinations(range(1, 5), 2))], "systematic")
+    check = check_every_subset(example, "systematic")
     assert (check.subsets_checked, check.failures, check.recovered_fraction, check.passed) == \
         (6, 0, 1.0, True)
 
@@ -537,7 +540,6 @@ def test_a_nan_result_fails_the_check():
     job = random_job(n=4, k=2, r=2, m=2, scheme="systematic")
     assignments = job.assignments.copy()
     assignments[3, 0, 0] = np.nan
-    check = check_any_k(replace(job, assignments=assignments),
-                        [block(itertools.combinations(range(1, 5), 2))], "systematic")
+    check = check_every_subset(replace(job, assignments=assignments), "systematic")
     assert (check.failures, check.unflagged_failures, check.passed) == (3, 3, False)
     assert math.isnan(check.max_relative_error)
