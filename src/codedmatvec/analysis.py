@@ -126,22 +126,40 @@ def optimize_k(
     expected_runtime_regime3 + t_cmm(k), from one harmonic_suffixes call.
 
     comm_at_k maps a candidate k to its per-worker transmission time.
-    With require_divisor, only k | r candidates are considered.  Ties go
-    to the smaller k.
+    With require_divisor, only k | r candidates are considered, as
+    Python's r % k == 0 decides them (_divides).  Ties go to the smaller k.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"optimize_k needs n >= 2, got {n!r}")
     h = harmonic_suffixes(n, n - 1).tolist()
+    ks = np.arange(1, n)
+    if require_divisor:
+        ks = ks[_divides(r, ks)]
     best_k = None
     best_val = math.inf
-    for k in range(1, n):
-        if require_divisor and r % k != 0:
-            continue
+    for k in ks.tolist():
         value = a * r / k + (r / (mu * k)) * h[k] + comm_at_k(k)
         if value < best_val:
             best_k, best_val = k, value
     if best_k is None:
-        if require_divisor and not any(r % k == 0 for k in range(1, n)):
+        if not ks.size:
             raise ValueError(f"no feasible k in [1, {n - 1}] divides r={r}")
         raise ValueError(f"the objective is not finite at any feasible k in [1, {n - 1}]")
     return best_k, best_val
+
+
+def _divides(r, k):
+    """The mask r % k == 0 over k, an int64 array of values in [1, 2**32),
+    for an int or float r of any size, as Python's % decides it.
+
+    A float r leaves remainder 0 only where it is integral, and then
+    exactly where int(r) does.  int(r) is reduced modulo every k at once
+    by Horner's rule over its 31-bit limbs, from the top: each partial
+    remainder is below k, so shifted by 31 bits it stays inside int64.
+    """
+    if r % 1:  # a fraction, inf or NaN: no k divides it
+        return np.zeros(k.shape, dtype=bool)
+    whole, rem = abs(int(r)), np.zeros_like(k)
+    for shift in range(whole.bit_length() // 31 * 31, -1, -31):
+        rem = (rem << 31 | (whole >> shift) & (2**31 - 1)) % k
+    return rem == 0

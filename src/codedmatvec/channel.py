@@ -41,10 +41,12 @@ from .rng import RngStream, uniform_rows
 from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_times,
                      unit_exponentials)
 
-# float64 elements per draw matrix of `run_trials` (512 KiB) at the call's
-# largest n; the two work matrices over the first `needed` ranks are each
-# no larger, and every code of a call reuses them, so memory stays within
-# three such matrices whatever the trial count.
+# float64 elements per draw matrix of an occupancy run of `run_trials`
+# (512 KiB) at the call's largest n; its two work matrices over the first
+# `needed` ranks are each no larger.  A run-time-only call holds the draws
+# plus one work matrix, in as many rows as 3 * CHUNK_ELEMENTS holds.  Every
+# code of a call reuses them, so memory stays within three such matrices
+# whatever the trial count.
 CHUNK_ELEMENTS = 2**16
 # ranks per block that a run-time max with occupancy=False skips or keeps
 # as a whole (see _first_rank)
@@ -220,10 +222,13 @@ def run_trials(
     With occupancy=False each pair stops at t_total and kth_finish, which
     are bit for bit the default run's: the ends, flags, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
-    those fields are None.  Nor are cf and the row max taken before the
-    first block of BLOCK ranks that can exceed the last term on some row
-    of the chunk (_first_rank): every skipped term is at most that last
-    term, so t_total is still the max over all ranks.  A saturated
+    those fields are None.  The tail is added to cf in place, so a chunk
+    holds the draws plus one work matrix, and its rows take the freed
+    third of the budget: 30 per chunk on criterion 09's ladder, not 20.
+    Nor are cf and the row max taken before the first block of BLOCK
+    ranks that can exceed the last term, kth + t_cmm, on some row of the
+    chunk (_first_rank): every skipped term is at most that last term, so
+    t_total is still the max over all ranks.  A saturated
     channel starts at rank 1, at the cost of needed / BLOCK bound columns
     more.  speedup_curve, which reads only t_total, passes
     occupancy=False; a pipeline index p needs the ends, so p with
@@ -251,12 +256,14 @@ def run_trials(
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
     width = max(params.k for params, _ in codes)
-    rows = min(trials, max(1, CHUNK_ELEMENTS // top))
-    # one buffer for the draws and both work matrices, shared by every
+    # a run-time-only call has no scratch matrix, and its rows take that third
+    rows = min(trials, max(1, CHUNK_ELEMENTS // top if occupancy
+                           else 3 * CHUNK_ELEMENTS // (top + width)))
+    # one buffer for the draws and the work matrices, shared by every
     # pair: buffers of about 512 KiB freed together leave a free heap top
     # past glibc's trim threshold, and every call then faults their pages
     # back in
-    buffer = np.empty(rows * (top + 2 * width))
+    buffer = np.empty(rows * (top + (1 + occupancy) * width))
     draws, work, scratch = np.split(buffer, [rows * top, rows * (top + width)])
     flags = np.empty(rows * width, dtype=bool) if occupancy else None
 
@@ -275,14 +282,16 @@ def run_trials(
                 n, times = params.n, draw[:, :params.n]
                 times.sort(axis=-1)
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
-            start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail)
+            kth = np.divide(times[:, needed - 1], rate, out=out.kth_finish[done])
+            kth += shift
+            start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail, kth)
             size = needed - start
             cf = np.divide(times[:, start:needed], rate, out=work[: m * size].reshape(m, size))
-            ends = scratch[: m * size].reshape(m, size)
             np.add(cf, shift, out=cf)
-            kth = cf[:, -1]
-            out.kth_finish[done] = kth
             total = out.t_total[done]
+            # only the occupancy metrics read cf again, so a run-time-only
+            # pair adds the tail in place
+            ends = scratch[: m * size].reshape(m, size) if occupancy else cf
             np.add(cf, tail[start:], out=ends)
             np.max(ends, axis=1, out=total)
             if not occupancy:
@@ -291,7 +300,10 @@ def run_trials(
             flag = flags[: m * needed].reshape(m, needed)
             lead = t_cmm * np.arange(needed, dtype=np.float64)
             np.subtract(cf, lead, out=ends)
-            np.maximum.accumulate(ends, axis=1, out=ends)
+            # fmax, the faster, returns maximum's bits unless an operand is NaN
+            # or zeros of both signs meet: cf - lead is finite (_check_work's
+            # bounds) and never -0.0, as no cf is
+            np.fmax.accumulate(ends, axis=1, out=ends)
             np.add(ends, lead + t_cmm, out=ends)
             out.completed_by_comp_k[done] = np.count_nonzero(
                 np.less_equal(ends, kth[:, None], out=flag), axis=1)
@@ -311,10 +323,11 @@ def run_trials(
     return outs
 
 
-def _first_rank(x, rate, shift, tail):
+def _first_rank(x, rate, shift, tail, kth):
     """First rank of the first block of BLOCK ranks whose cf + tail can
-    exceed the last term cf[-1] + tail[-1] on some row of x, the sorted
-    unit draws over the first `needed` ranks; the last block if none can.
+    exceed the last term kth + tail[-1] on some row of x, the sorted
+    unit draws over the first `needed` ranks, whose last column's cf is
+    kth; the last block if none can.
 
     A full block [s, s + BLOCK) before the last rank is bounded by
     ub = (x[s + BLOCK - 1] / rate + shift) + tail[s], exactly in floats:
@@ -325,7 +338,7 @@ def _first_rank(x, rate, shift, tail):
     blocks = (x.shape[1] - 1) // BLOCK  # full blocks before the one holding the last rank
     if not blocks:
         return 0
-    last = (x[:, -1] / rate + shift) + tail[-1]
+    last = kth + tail[-1]
     ub = x[:, BLOCK - 1: blocks * BLOCK: BLOCK] / rate + shift
     ub += tail[: blocks * BLOCK: BLOCK]
     over = (ub > last[:, None]).any(axis=0)

@@ -43,6 +43,12 @@ MUTANTS = [
     ("block bound at the block's last tail", "channel.py",
      "ub += tail[: blocks * BLOCK: BLOCK]",
      "ub += tail[BLOCK - 1: blocks * BLOCK: BLOCK]"),
+    ("kth read after the in-place tail add", "channel.py",
+     "np.max(ends, axis=1, out=total)",
+     "np.max(ends, axis=1, out=total)\n            kth[:] = cf[:, -1]"),
+    ("run-time-only rows past the budget", "channel.py",
+     "3 * CHUNK_ELEMENTS // (top + width)",
+     "3 * CHUNK_ELEMENTS // top"),
     ("p bounded by the largest n", "channel.py",
      "1 <= p <= smallest)",
      "1 <= p <= top)"),
@@ -61,6 +67,15 @@ MUTANTS = [
     ("optimize_k harmonic off by one", "analysis.py",
      "(r / (mu * k)) * h[k]",
      "(r / (mu * k)) * h[k - 1]"),
+    ("feasible k from 2", "analysis.py",
+     "ks = np.arange(1, n)",
+     "ks = np.arange(2, n)"),
+    ("feasible k up to n", "analysis.py",
+     "ks = np.arange(1, n)",
+     "ks = np.arange(1, n + 1)"),
+    ("divisor limbs of 30 bits", "analysis.py",
+     "(whole >> shift) & (2**31 - 1)",
+     "(whole >> shift) & (2**30 - 1)"),
     ("harmonic suffixes one term short at the bottom", "timing.py",
      "np.arange(n, n - j, -1)",
      "np.arange(n, n - j + 1, -1)"),

@@ -177,6 +177,20 @@ def test_optimize_k_matches_fsum_scan_on_ladder(n):
         assert got == leading_term_scan(n, r, 1.0, 1.0, comm, require_divisor=require_divisor)
 
 
+@pytest.mark.parametrize("n, r", [
+    (50, 15 * 2**64),       # an int r that int64 cannot hold: k* = 32
+    (50, 3**41),            # past int64, two full 31-bit limbs: k in 1, 3, 9, 27
+    (60, 3600.0),           # a float r with divisors
+    (40, 101),              # a prime r past n: only k = 1 divides it
+])
+def test_optimize_k_scans_the_divisors_pythons_modulus_finds(n, r):
+    # optimize_k scans only the k with r % k == 0, found in one numpy mask;
+    # the brute-force scan tests every k with Python's own %
+    comm = lambda k: (r / k) * 0.001
+    got = optimize_k(n, r, 1.0, 1.0, comm, require_divisor=True)
+    assert got == leading_term_scan(n, r, 1.0, 1.0, comm, require_divisor=True)
+
+
 @pytest.mark.parametrize("n", [100, 200, 400, 800, 1600, 3200])
 def test_leading_term_has_one_value(n):
     # optimize_k scans its own harmonic table; the value it reports and

@@ -313,10 +313,11 @@ def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
 @pytest.mark.parametrize("occupancy", [False, True])
 def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy):
     # criterion 09's whole ladder in one call: beyond the arrays it returns,
-    # the engine holds one chunk's draws and two work matrices, at most
-    # 3 * CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
-    # columns of the draws in place; the slack covers the per-code tail
-    # vectors and, in an occupancy run only, the flags and the rank vectors
+    # the engine holds one chunk's draws and two work matrices (one, in
+    # more rows, in a run-time-only call), at most 3 * CHUNK_ELEMENTS
+    # float64, at any trial count, and sorts each n's columns of the draws
+    # in place; the slack covers the per-code tail vectors and, in an
+    # occupancy run only, the flags and the rank vectors
     codes = [code for n in LADDER for code in _ladder_codes(n)]
     p = 50 if occupancy else None
     run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up
@@ -331,6 +332,23 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy)
         returned = sum(array.nbytes for out in outs for array in vars(out).values()
                        if array is not None)
         assert peak - returned <= bound, (trials, peak - returned, bound)
+
+
+def test_a_run_time_only_chunk_spends_the_scratch_matrix_on_rows():
+    # with no scratch matrix, a run-time-only chunk of the whole ladder
+    # holds 3 * CHUNK_ELEMENTS // (3200 + 3200) = 30 rows against an
+    # occupancy run's 20, so 100 trials take 4 draws, not 5, and the
+    # run-times and needed-th completions are the same bits
+    codes = [code for n in LADDER for code in _ladder_codes(n)]
+    runs, draws = {}, {}
+    for occupancy in (False, True):
+        with mock.patch.object(channel, "uniform_rows", wraps=uniform_rows) as counted:
+            runs[occupancy] = run_trials(codes, 100, 4, occupancy=occupancy)
+        draws[occupancy] = counted.call_count
+    assert draws == {False: 4, True: 5}
+    for alone, full in zip(runs[False], runs[True]):
+        assert np.array_equal(alone.t_total, full.t_total)
+        assert np.array_equal(alone.kth_finish, full.kth_finish)
 
 
 def test_run_trials_refuses_p_without_occupancy():
