@@ -44,13 +44,20 @@ from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_ti
 # float64 elements per draw matrix of an occupancy run of `run_trials`
 # (512 KiB) at the call's largest n; its two work matrices over the first
 # `needed` ranks are each no larger.  A run-time-only call holds the draws
-# plus one work matrix, in as many rows as 3 * CHUNK_ELEMENTS holds.  Every
-# code of a call reuses them, so memory stays within three such matrices
-# whatever the trial count.
+# plus one work matrix of WINDOW columns, in as many rows as
+# 3 * CHUNK_ELEMENTS holds.  Every code of a call reuses them, so memory
+# stays within three such matrices whatever the trial count.
 CHUNK_ELEMENTS = 2**16
 # ranks per block that a run-time max with occupancy=False skips or keeps
 # as a whole (see _first_rank)
 BLOCK = 32
+# columns of a run-time-only call's work matrix (or the widest code's k, if
+# fewer): its row max runs over the kept ranks in pieces this wide.  On
+# criterion 09's ladder, where a chunk keeps a block or two per code, 2 *
+# BLOCK made a call 8.6% faster and 16 * BLOCK 8.0%; on a saturated ladder
+# (beta 0.5, c 10), which keeps every rank, 2 * BLOCK was 21% slower, as
+# each piece pays a fixed cost, and 16 * BLOCK 5.6% faster
+WINDOW = 16 * BLOCK
 
 
 @dataclass(frozen=True)
@@ -222,17 +229,20 @@ def run_trials(
     With occupancy=False each pair stops at t_total and kth_finish, which
     are bit for bit the default run's: the ends, flags, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
-    those fields are None.  The tail is added to cf in place, so a chunk
-    holds the draws plus one work matrix, and its rows take the freed
-    third of the budget: 30 per chunk on criterion 09's ladder, not 20.
-    Nor are cf and the row max taken before the first block of BLOCK
-    ranks that can exceed the last term, kth + t_cmm, on some row of the
-    chunk (_first_rank): every skipped term is at most that last term, so
-    t_total is still the max over all ranks.  A saturated
-    channel starts at rank 1, at the cost of needed / BLOCK bound columns
-    more.  speedup_curve, which reads only t_total, passes
-    occupancy=False; a pipeline index p needs the ends, so p with
-    occupancy=False is refused.  p must lie in [1, smallest n].
+    those fields are None.  Nor are cf and the row max taken before the
+    first block of BLOCK ranks that can exceed the last term,
+    kth + t_cmm, on some row of the chunk (_first_rank): every skipped
+    term is at most that last term, so t_total is still the max over all
+    ranks.  A saturated channel starts at rank 1, at the cost of
+    needed / BLOCK bound columns more.  The kept ranks go through one
+    work matrix of WINDOW columns in pieces: the tail is added to each
+    piece of cf in place, and each piece's row max merges into t_total
+    with np.maximum, which is exact.  So a chunk holds the draws plus
+    that window, and its rows take the rest of the budget: 52 per chunk
+    on criterion 09's ladder, against an occupancy run's 20.
+    speedup_curve, which reads only t_total, passes occupancy=False; a
+    pipeline index p needs the ends, so p with occupancy=False is
+    refused.  p must lie in [1, smallest n].
     """
     codes = list(codes)
     if not codes:
@@ -256,15 +266,18 @@ def run_trials(
         count1=None if p is None else np.empty(trials, dtype=np.intp),
     ) for _ in codes]
     width = max(params.k for params, _ in codes)
-    # a run-time-only call has no scratch matrix, and its rows take that third
+    # an occupancy run takes each pair's `needed` ranks in one piece, which
+    # its metrics read whole; a run-time-only call has no scratch matrix,
+    # and its rows take the rest
+    window = width if occupancy else min(width, WINDOW)
     rows = min(trials, max(1, CHUNK_ELEMENTS // top if occupancy
-                           else 3 * CHUNK_ELEMENTS // (top + width)))
+                           else 3 * CHUNK_ELEMENTS // (top + window)))
     # one buffer for the draws and the work matrices, shared by every
     # pair: buffers of about 512 KiB freed together leave a free heap top
     # past glibc's trim threshold, and every call then faults their pages
     # back in
-    buffer = np.empty(rows * (top + (1 + occupancy) * width))
-    draws, work, scratch = np.split(buffer, [rows * top, rows * (top + width)])
+    buffer = np.empty(rows * (top + (1 + occupancy) * window))
+    draws, work, scratch = np.split(buffer, [rows * top, rows * (top + window)])
     flags = np.empty(rows * width, dtype=bool) if occupancy else None
 
     # from rank 0, once per call: tail[j] = (needed - j) * t_cmm
@@ -285,15 +298,20 @@ def run_trials(
             kth = np.divide(times[:, needed - 1], rate, out=out.kth_finish[done])
             kth += shift
             start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail, kth)
-            size = needed - start
-            cf = np.divide(times[:, start:needed], rate, out=work[: m * size].reshape(m, size))
-            np.add(cf, shift, out=cf)
             total = out.t_total[done]
-            # only the occupancy metrics read cf again, so a run-time-only
-            # pair adds the tail in place
-            ends = scratch[: m * size].reshape(m, size) if occupancy else cf
-            np.add(cf, tail[start:], out=ends)
-            np.max(ends, axis=1, out=total)
+            for lo in range(start, needed, window):
+                hi = min(lo + window, needed)
+                size = hi - lo
+                cf = np.divide(times[:, lo:hi], rate, out=work[: m * size].reshape(m, size))
+                np.add(cf, shift, out=cf)
+                # only the occupancy metrics read cf again, so a run-time-only
+                # pair adds the tail in place
+                ends = scratch[: m * size].reshape(m, size) if occupancy else cf
+                np.add(cf, tail[lo:hi], out=ends)
+                if lo == start:
+                    np.maximum.reduce(ends, axis=1, out=total)
+                else:
+                    np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)
             if not occupancy:
                 continue
             # lead[j] = j * t_cmm: ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
@@ -341,7 +359,7 @@ def _first_rank(x, rate, shift, tail, kth):
     last = kth + tail[-1]
     ub = x[:, BLOCK - 1: blocks * BLOCK: BLOCK] / rate + shift
     ub += tail[: blocks * BLOCK: BLOCK]
-    over = (ub > last[:, None]).any(axis=0)
+    over = np.logical_or.reduce(ub > last[:, None], axis=0)
     first = int(over.argmax())
     return BLOCK * (first if over[first] else blocks)
 

@@ -44,11 +44,15 @@ MUTANTS = [
      "ub += tail[: blocks * BLOCK: BLOCK]",
      "ub += tail[BLOCK - 1: blocks * BLOCK: BLOCK]"),
     ("kth read after the in-place tail add", "channel.py",
-     "np.max(ends, axis=1, out=total)",
-     "np.max(ends, axis=1, out=total)\n            kth[:] = cf[:, -1]"),
+     "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)",
+     "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)\n"
+     "            kth[:] = cf[:, -1]"),
     ("run-time-only rows past the budget", "channel.py",
-     "3 * CHUNK_ELEMENTS // (top + width)",
+     "3 * CHUNK_ELEMENTS // (top + window)",
      "3 * CHUNK_ELEMENTS // top"),
+    ("each piece overwrites the run-time max", "channel.py",
+     "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)",
+     "np.maximum.reduce(ends, axis=1, out=total)"),
     ("p bounded by the largest n", "channel.py",
      "1 <= p <= smallest)",
      "1 <= p <= top)"),
@@ -65,8 +69,8 @@ MUTANTS = [
      "return self.r / (self.mu * self.k)",
      "return self.r / (self.mu * self.n)"),
     ("optimize_k harmonic off by one", "analysis.py",
-     "(r / (mu * k)) * h[k]",
-     "(r / (mu * k)) * h[k - 1]"),
+     "harmonic_suffixes(n, n - 1)[ks]",
+     "harmonic_suffixes(n, n - 1)[ks - 1]"),
     ("feasible k from 2", "analysis.py",
      "ks = np.arange(1, n)",
      "ks = np.arange(2, n)"),

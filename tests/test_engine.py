@@ -258,11 +258,14 @@ OCCUPANCY_FIELDS = ("completed_by_comp_k", "q_idle", "busy_fraction", "count1")
 
 
 LADDER = [100, 200, 400, 800, 1600, 3200]
+# criterion 09's family, whose run-time max keeps a block or two of ranks
+# per code, and a regime-II one whose saturated channel keeps every rank
+CRITERION_09, SATURATED = RegimeFamily(c=0.1, beta=1.0), RegimeFamily(c=10.0, beta=0.5)
 
 
-def _ladder_codes(n):
-    # criterion 09's point n: its optimized k against the uncoded (n, n) code
-    r, t_one = default_r_rule(n, round_k(0.7, n)), RegimeFamily(c=0.1, beta=1.0).t_one_cmm(n)
+def _ladder_codes(n, family=CRITERION_09):
+    # a ladder's point n: its optimized k against the uncoded (n, n) code
+    r, t_one = default_r_rule(n, round_k(0.7, n)), family.t_one_cmm(n)
     k, _ = optimize_k(n, r, 1.0, 1.0, comm_at_k=lambda kk: (r / kk) * t_one,
                       require_divisor=True)
     params = ClusterParams(n=n, k=k, r=r, a=1.0, mu=1.0)
@@ -270,12 +273,15 @@ def _ladder_codes(n):
             (params.uncoded(), CommModel.uncoded(params, t_one))]
 
 
-@pytest.mark.parametrize("n", LADDER)
-def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
-    # the speedup ladder's shapes, over more trials than one chunk holds at
-    # n = 3200
-    codes = _ladder_codes(n)
-    trials = 2 * (channel.CHUNK_ELEMENTS // n) + 3
+@pytest.mark.parametrize("n, family", [pytest.param(n, CRITERION_09, id=str(n)) for n in LADDER]
+                         + [pytest.param(n, SATURATED, id=f"saturated-{n}") for n in LADDER])
+def test_run_times_alone_equal_the_full_run_on_the_ladder(n, family):
+    # the speedup ladders' shapes, over two full run-time-only chunks and a
+    # tail (more than an occupancy run's chunks hold); the saturated
+    # ladder's windows span every rank, so from n = 800 on its uncoded
+    # code's max runs over several pieces of channel.WINDOW columns
+    codes = _ladder_codes(n, family)
+    trials = 2 * (3 * channel.CHUNK_ELEMENTS // (n + min(n, channel.WINDOW))) + 3
     for full, alone in zip(run_trials(codes, trials, 11),
                            run_trials(codes, trials, 11, occupancy=False)):
         assert np.array_equal(alone.t_total, full.t_total)
@@ -283,8 +289,9 @@ def test_run_times_alone_equal_the_full_run_on_the_ladder(n):
         assert all(getattr(alone, name) is None for name in OCCUPANCY_FIELDS)
 
 
-PRUNE_NS = (5, 31, 32, 33, 64, 65, 100, 400)
-PRUNE_KS = (1, 2, 31, 32, 33, 64, 65, 70, 99)
+W = channel.WINDOW
+PRUNE_NS = (5, 31, 32, 33, 64, 65, 100, 400, 2 * W + 1)
+PRUNE_KS = (1, 2, 31, 32, 33, 64, 65, 70, 99, W - 1, W, W + 1, 2 * W + 1)
 
 
 @pytest.mark.parametrize("t_one", [0.0, 1e-4, 1e-3, 0.01, 0.1, 1.0])
@@ -292,7 +299,9 @@ def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
     # occupancy=False takes the row max only from the first block of ranks
     # that can hold it: it must equal the max over every rank, bit for bit,
     # with k on either side of the block edges, from an idle channel to a
-    # saturated one, for codes of mixed n in one call across chunks
+    # saturated one, for codes of mixed n in one call across chunks; k on
+    # either side of the edges of the pieces of WINDOW columns the max is
+    # taken in, up to three pieces.  The six cases take about 0.3 s
     coded = [ClusterParams(n=n, k=k, r=3 * k, a=0.3, mu=1.0)
              for n in PRUNE_NS for k in PRUNE_KS if k <= n]
     codes = [(params, CommModel.coded(params, t_one))
@@ -310,15 +319,20 @@ def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
             assert out.t_total[i] == want, (params, i, out.t_total[i], want)
 
 
-@pytest.mark.parametrize("occupancy", [False, True])
-def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy):
-    # criterion 09's whole ladder in one call: beyond the arrays it returns,
-    # the engine holds one chunk's draws and two work matrices (one, in
-    # more rows, in a run-time-only call), at most 3 * CHUNK_ELEMENTS
-    # float64, at any trial count, and sorts each n's columns of the draws
-    # in place; the slack covers the per-code tail vectors and, in an
-    # occupancy run only, the flags and the rank vectors
-    codes = [code for n in LADDER for code in _ladder_codes(n)]
+@pytest.mark.parametrize("occupancy, family", [
+    pytest.param(False, CRITERION_09, id="False"), pytest.param(True, CRITERION_09, id="True"),
+    pytest.param(False, SATURATED, id="False-saturated")])
+def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy, family):
+    # a whole ladder in one call: beyond the arrays it returns, the engine
+    # holds one chunk's draws and two work matrices (one window of WINDOW
+    # columns, in more rows, in a run-time-only call), at most
+    # 3 * CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
+    # columns of the draws in place; the slack covers the per-code tail
+    # vectors and, in an occupancy run only, the flags and the rank
+    # vectors.  On the saturated ladder a run-time-only call keeps every
+    # rank, and its pieces reuse the one window (an occupancy run computes
+    # every rank on either ladder)
+    codes = [code for n in LADDER for code in _ladder_codes(n, family)]
     p = 50 if occupancy else None
     run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up
     bound = 3 * channel.CHUNK_ELEMENTS * 8 + 2**18 + 2**16
@@ -335,17 +349,18 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy)
 
 
 def test_a_run_time_only_chunk_spends_the_scratch_matrix_on_rows():
-    # with no scratch matrix, a run-time-only chunk of the whole ladder
-    # holds 3 * CHUNK_ELEMENTS // (3200 + 3200) = 30 rows against an
-    # occupancy run's 20, so 100 trials take 4 draws, not 5, and the
-    # run-times and needed-th completions are the same bits
+    # with no scratch matrix and a work window of WINDOW = 512 columns, a
+    # run-time-only chunk of the whole ladder holds
+    # 3 * CHUNK_ELEMENTS // (3200 + 512) = 52 rows against an occupancy
+    # run's 20, so 100 trials take 2 draws, not 5, and the run-times and
+    # needed-th completions are the same bits
     codes = [code for n in LADDER for code in _ladder_codes(n)]
     runs, draws = {}, {}
     for occupancy in (False, True):
         with mock.patch.object(channel, "uniform_rows", wraps=uniform_rows) as counted:
             runs[occupancy] = run_trials(codes, 100, 4, occupancy=occupancy)
         draws[occupancy] = counted.call_count
-    assert draws == {False: 4, True: 5}
+    assert draws == {False: 2, True: 5}
     for alone, full in zip(runs[False], runs[True]):
         assert np.array_equal(alone.t_total, full.t_total)
         assert np.array_equal(alone.kth_finish, full.kth_finish)
