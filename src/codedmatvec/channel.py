@@ -41,13 +41,11 @@ from .rng import RngStream, uniform_rows
 from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_times,
                      unit_exponentials)
 
-# float64 elements per draw matrix of an occupancy run of `run_trials`
-# (512 KiB) at the call's largest n; its two work matrices over the first
-# `needed` ranks are each no larger.  A run-time-only call holds the draws
-# plus one work matrix of WINDOW columns, in as many rows as
-# 3 * CHUNK_ELEMENTS holds.  Every code of a call reuses them, so memory
-# stays within three such matrices whatever the trial count.
-CHUNK_ELEMENTS = 2**16
+# float64 elements of one `run_trials` chunk's buffer (1.5 MiB): the draws
+# at the call's largest n and the work matrices, in as many rows as it
+# holds (one at least).  Every code of a call reuses it, so memory stays
+# within it whatever the trial count.
+CHUNK_ELEMENTS = 3 * 2**16
 # ranks per block that a run-time max with occupancy=False skips or keeps
 # as a whole (see _first_rank)
 BLOCK = 32
@@ -238,8 +236,10 @@ def run_trials(
     work matrix of WINDOW columns in pieces: the tail is added to each
     piece of cf in place, and each piece's row max merges into t_total
     with np.maximum, which is exact.  So a chunk holds the draws plus
-    that window, and its rows take the rest of the budget: 52 per chunk
-    on criterion 09's ladder, against an occupancy run's 20.
+    that window, where an occupancy run holds the draws plus two work
+    matrices as wide as the widest code, and either takes as many rows as
+    CHUNK_ELEMENTS holds: 52 per chunk on criterion 09's ladder, against
+    an occupancy run's 20.
     speedup_curve, which reads only t_total, passes occupancy=False; a
     pipeline index p needs the ends, so p with occupancy=False is
     refused.  p must lie in [1, smallest n].
@@ -267,16 +267,16 @@ def run_trials(
     ) for _ in codes]
     width = max(params.k for params, _ in codes)
     # an occupancy run takes each pair's `needed` ranks in one piece, which
-    # its metrics read whole; a run-time-only call has no scratch matrix,
-    # and its rows take the rest
+    # its metrics read whole, beside a scratch matrix as wide; a run-time-only
+    # call has no scratch matrix
     window = width if occupancy else min(width, WINDOW)
-    rows = min(trials, max(1, CHUNK_ELEMENTS // top if occupancy
-                           else 3 * CHUNK_ELEMENTS // (top + window)))
+    columns = top + (1 + occupancy) * window
+    rows = min(trials, max(1, CHUNK_ELEMENTS // columns))
     # one buffer for the draws and the work matrices, shared by every
-    # pair: buffers of about 512 KiB freed together leave a free heap top
+    # pair: separate buffers freed together leave a free heap top
     # past glibc's trim threshold, and every call then faults their pages
     # back in
-    buffer = np.empty(rows * (top + (1 + occupancy) * window))
+    buffer = np.empty(rows * columns)
     draws, work, scratch = np.split(buffer, [rows * top, rows * (top + window)])
     flags = np.empty(rows * width, dtype=bool) if occupancy else None
 

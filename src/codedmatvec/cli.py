@@ -133,16 +133,16 @@ def _write(records, config: RunConfig):
         sys.stdout.write(text)
 
 
-def _code(config: RunConfig) -> tuple[ClusterParams, ClusterParams, CommModel]:
-    """The cluster as given, the code its scheme runs (the uncoded scheme is
-    the (n, n) code) and that code's channel."""
+def _code(config: RunConfig) -> tuple[ClusterParams, CommModel]:
+    """The code the scheme runs on the cluster as given (the uncoded scheme
+    is the (n, n) code) and that code's channel."""
     params = ClusterParams(n=config.n, k=config.k, r=config.r, a=config.a, mu=config.mu)
     code = params.uncoded() if config.scheme == "uncoded" else params
-    return params, code, CommModel.coded(code, config.t1cmm)
+    return code, CommModel.coded(code, config.t1cmm)
 
 
 def _cmd_simulate(config: RunConfig, args) -> list:
-    _, code, comm = _code(config)
+    code, comm = _code(config)
     times = None if config.inject is None else inject_comp_times(config.inject)
     t, metrics = run_coded_trial(code, comm, RngStream(config.seed, 0), times)
     if config.format == "csv":
@@ -156,10 +156,10 @@ def _cmd_simulate(config: RunConfig, args) -> list:
 
 
 def _cmd_montecarlo(config: RunConfig, args) -> list:
-    params, code, comm = _code(config)
+    code, comm = _code(config)
     mc, agg = monte_carlo(code, comm, config.trials, config.seed)
     return [[
-        ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
+        ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
         ("trials", mc.trials), ("mean", mc.mean), ("variance", mc.variance),
         ("stderr", mc.stderr), ("ci95_halfwidth", mc.ci95_halfwidth),
         ("frac_lower_bound_hit", agg.frac_lower_bound_hit),
@@ -205,10 +205,10 @@ def _cmd_optimize_k(config: RunConfig, args) -> list:
 
 def _cmd_expect(config: RunConfig, args) -> list:
     # the record keeps the k given
-    params, code, comm = _code(config)
+    code, comm = _code(config)
     bracket = expectation_bracket_coded(code, comm)
     record = [
-        ("scheme", config.scheme), ("n", params.n), ("k", params.k), ("r", params.r),
+        ("scheme", config.scheme), ("n", config.n), ("k", config.k), ("r", config.r),
         ("t0", code.t0), ("alpha", code.alpha), ("t_cmm", comm.t_cmm),
         ("lower", bracket.lower), ("upper", bracket.upper),
     ]
@@ -216,10 +216,10 @@ def _cmd_expect(config: RunConfig, args) -> list:
         record.append(("expected_Tn", expected_order_stat(code, code.n)))
     else:
         record += [
-            ("regime3_leading", expected_runtime_regime3(params)),
-            ("pipeline_p", pipeline_index(params.n, params.alpha, comm.t_cmm)),
-            ("expected_Tk", expected_order_stat(params, params.k)),
-            ("variance_Tk", variance_order_stat(params, params.k)),
+            ("regime3_leading", expected_runtime_regime3(code)),
+            ("pipeline_p", pipeline_index(code.n, code.alpha, comm.t_cmm)),
+            ("expected_Tk", expected_order_stat(code, code.k)),
+            ("variance_Tk", variance_order_stat(code, code.k)),
         ]
     if config.beta is not None:
         record.append(("regime", classify_regime(config.beta)))
@@ -246,7 +246,7 @@ def _cmd_decode_check(config: RunConfig, args) -> list:
 
 
 def _cmd_verify(config: RunConfig, args) -> list:
-    _, code, comm = _code(config)
+    code, comm = _code(config)
     report = verify_transmission_lemmas(code, comm, config.trials, config.seed)
     return [[*vars(report).items(), ("pass", report.sandwich_violations == 0)]]
 

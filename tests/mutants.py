@@ -8,9 +8,9 @@ directory (pyproject.toml's pythonpath = ["src"] would override a
 PYTHONPATH pointing at a mutated copy), the unmutated copy must pass, and
 then each mutant in turn is applied, run through the tier-1 suite and
 undone.  The suite runs with -x (the first failure kills the mutant), its
-unit-test files before tests/test_acceptance.py, and without the golden
-checks: tests/test_golden.py and test_cli's script test, which compares
-the output with a golden file.  Nor does it run
+unit-test files before tests/test_acceptance.py, whose criterion 03 runs
+last, and without the golden checks: tests/test_golden.py and test_cli's
+script test, which compares the output with a golden file.  Nor does it run
 tests/test_mutants_apply.py, which checks that every mutant applies and so
 fails on each.  The script prints one row per mutant, killed or survived
 and the first failing test, and exits 1 if any mutant survives.  A
@@ -47,9 +47,9 @@ MUTANTS = [
      "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)",
      "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)\n"
      "            kth[:] = cf[:, -1]"),
-    ("run-time-only rows past the budget", "channel.py",
-     "3 * CHUNK_ELEMENTS // (top + window)",
-     "3 * CHUNK_ELEMENTS // top"),
+    ("chunk rows past the budget", "channel.py",
+     "CHUNK_ELEMENTS // columns",
+     "CHUNK_ELEMENTS // top"),
     ("each piece overwrites the run-time max", "channel.py",
      "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)",
      "np.maximum.reduce(ends, axis=1, out=total)"),
@@ -152,11 +152,17 @@ MUTANTS = [
 ]
 
 # the unit-test files run first and the acceptance criteria, most of the
-# suite's time, last: most mutants fail a unit test, and -x stops there
+# suite's time, last: most mutants fail a unit test, and -x stops there.
+# The criteria run as node ids, which pytest runs in argument order, so
+# criterion 03, the slowest by far, comes last
 UNIT_TESTS = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py")
                     if path.name not in ("test_acceptance.py", "test_golden.py",
                                          "test_mutants_apply.py"))
-PYTEST = [sys.executable, "-m", "pytest", *UNIT_TESTS, "tests/test_acceptance.py",
+SLOWEST = "test_criterion_03_bound_sandwich_every_trial"
+CRITERIA = sorted(re.findall(r"^def (test_\w+)", (ROOT / "tests" / "test_acceptance.py").read_text(),
+                             re.MULTILINE), key=lambda name: name == SLOWEST)
+PYTEST = [sys.executable, "-m", "pytest", *UNIT_TESTS,
+          *(f"tests/test_acceptance.py::{name}" for name in CRITERIA),
           "--deselect=tests/test_cli.py::test_the_module_runs_as_a_script",
           "-x", "-q", "-p", "no:cacheprovider"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")

@@ -122,8 +122,11 @@ def configurations(draw):
 def test_run_trials_equals_single_trial_loop(config, seed, trials, rows_per_chunk, data):
     params, comm, scheme = config
     p = data.draw(st.integers(1, params.n)) if scheme == "coded" else None
-    # shrink the chunk so small trial counts and small n cross chunk boundaries
-    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * params.n
+    # shrink the chunk so small trial counts and small n cross chunk boundaries:
+    # an occupancy chunk's columns are the draws and two work matrices
+    code = params.uncoded() if scheme == "uncoded" else params
+    columns = code.n + 2 * code.k
+    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * columns
     with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
         _assert_matches_loop(params, comm, trials, seed, scheme, p)
 
@@ -152,7 +155,8 @@ def test_run_trials_codes_share_draws_exactly(codes, seed, trials, rows_per_chun
     # what one call per code returns, whichever n each code has
     ns = [params.n for params, _ in codes]
     p = data.draw(st.none() | st.integers(1, min(ns)))
-    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * max(ns)
+    columns = max(ns) + 2 * max(params.k for params, _ in codes)
+    chunk = channel.CHUNK_ELEMENTS if rows_per_chunk is None else rows_per_chunk * columns
     with mock.patch.object(channel, "CHUNK_ELEMENTS", chunk):
         batches = run_trials(codes, trials, seed, p=p)
         assert len(batches) == len(codes)
@@ -167,7 +171,9 @@ def test_run_trials_codes_share_draws_exactly(codes, seed, trials, rows_per_chun
 def test_run_trials_crosses_real_chunk_boundary(scheme):
     params = ClusterParams(n=300, k=210, r=2100, a=1.0, mu=1.0)
     make = CommModel.coded if scheme == "coded" else CommModel.uncoded
-    trials = 2 * (channel.CHUNK_ELEMENTS // params.n) + 3  # two full chunks and a tail
+    needed = params.k if scheme == "coded" else params.n
+    # two full chunks of the draws and two work matrices, and a tail
+    trials = 2 * (channel.CHUNK_ELEMENTS // (params.n + 2 * needed)) + 3
     _assert_matches_loop(params, make(params, 1 / 3000), trials, 17, scheme)
 
 
@@ -276,12 +282,13 @@ def _ladder_codes(n, family=CRITERION_09):
 @pytest.mark.parametrize("n, family", [pytest.param(n, CRITERION_09, id=str(n)) for n in LADDER]
                          + [pytest.param(n, SATURATED, id=f"saturated-{n}") for n in LADDER])
 def test_run_times_alone_equal_the_full_run_on_the_ladder(n, family):
-    # the speedup ladders' shapes, over two full run-time-only chunks and a
-    # tail (more than an occupancy run's chunks hold); the saturated
-    # ladder's windows span every rank, so from n = 800 on its uncoded
-    # code's max runs over several pieces of channel.WINDOW columns
+    # the speedup ladders' shapes, over two full run-time-only chunks of the
+    # draws and one window, and a tail (more than an occupancy run's chunks
+    # hold); the saturated ladder's windows span every rank, so from n = 800
+    # on its uncoded code's max runs over several pieces of channel.WINDOW
+    # columns
     codes = _ladder_codes(n, family)
-    trials = 2 * (3 * channel.CHUNK_ELEMENTS // (n + min(n, channel.WINDOW))) + 3
+    trials = 2 * (channel.CHUNK_ELEMENTS // (n + min(n, channel.WINDOW))) + 3
     for full, alone in zip(run_trials(codes, trials, 11),
                            run_trials(codes, trials, 11, occupancy=False)):
         assert np.array_equal(alone.t_total, full.t_total)
@@ -307,7 +314,8 @@ def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
     codes = [(params, CommModel.coded(params, t_one))
              for code in coded for params in (code, code.uncoded())]
     trials, seed = 7, 23
-    with mock.patch.object(channel, "CHUNK_ELEMENTS", 3 * max(PRUNE_NS)):
+    # 3 rows of the draws and one window per chunk: chunks of 3, 3 and 1
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", 3 * (max(PRUNE_NS) + W)):
         outs = run_trials(codes, trials, seed, occupancy=False)
     for (params, comm), out in zip(codes, outs):
         k = params.k
@@ -326,7 +334,7 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy,
     # a whole ladder in one call: beyond the arrays it returns, the engine
     # holds one chunk's draws and two work matrices (one window of WINDOW
     # columns, in more rows, in a run-time-only call), at most
-    # 3 * CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
+    # CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
     # columns of the draws in place; the slack covers the per-code tail
     # vectors and, in an occupancy run only, the flags and the rank
     # vectors.  On the saturated ladder a run-time-only call keeps every
@@ -335,7 +343,7 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy,
     codes = [code for n in LADDER for code in _ladder_codes(n, family)]
     p = 50 if occupancy else None
     run_trials(codes, 1, 0, p=p, occupancy=occupancy)  # numpy's one-time set-up
-    bound = 3 * channel.CHUNK_ELEMENTS * 8 + 2**18 + 2**16
+    bound = channel.CHUNK_ELEMENTS * 8 + 2**18 + 2**16
     for trials in (500, 2000):
         tracemalloc.start()
         try:
@@ -351,9 +359,9 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy,
 def test_a_run_time_only_chunk_spends_the_scratch_matrix_on_rows():
     # with no scratch matrix and a work window of WINDOW = 512 columns, a
     # run-time-only chunk of the whole ladder holds
-    # 3 * CHUNK_ELEMENTS // (3200 + 512) = 52 rows against an occupancy
-    # run's 20, so 100 trials take 2 draws, not 5, and the run-times and
-    # needed-th completions are the same bits
+    # CHUNK_ELEMENTS // (3200 + 512) = 52 rows against an occupancy run's
+    # CHUNK_ELEMENTS // (3200 + 2 * 3200) = 20, so 100 trials take 2 draws,
+    # not 5, and the run-times and needed-th completions are the same bits
     codes = [code for n in LADDER for code in _ladder_codes(n)]
     runs, draws = {}, {}
     for occupancy in (False, True):
@@ -364,6 +372,22 @@ def test_a_run_time_only_chunk_spends_the_scratch_matrix_on_rows():
     for alone, full in zip(runs[False], runs[True]):
         assert np.array_equal(alone.t_total, full.t_total)
         assert np.array_equal(alone.kth_finish, full.kth_finish)
+
+
+def test_an_occupancy_chunk_takes_its_rows_from_the_one_budget():
+    # montecarlo's shape at n = 100, k = 70: the draws and two work
+    # matrices make 100 + 2 * 70 columns, so a chunk holds
+    # CHUNK_ELEMENTS // 240 = 819 rows and 2000 trials take 3 draws; every
+    # field is a one-row-per-chunk run's
+    params = ClusterParams(n=100, k=70, r=700, a=1.0, mu=1.0)
+    codes = [(params, CommModel.coded(params, 0.001))]
+    with mock.patch.object(channel, "uniform_rows", wraps=uniform_rows) as counted:
+        (chunked,) = run_trials(codes, 2000, 3, p=50)
+    assert counted.call_count == 3
+    with mock.patch.object(channel, "CHUNK_ELEMENTS", 1):
+        (one_row,) = run_trials(codes, 2000, 3, p=50)
+    for field in dataclasses.fields(channel.TrialArrays):
+        assert np.array_equal(getattr(chunked, field.name), getattr(one_row, field.name)), field.name
 
 
 def test_run_trials_refuses_p_without_occupancy():

@@ -75,7 +75,8 @@ def _alive(pid):
 
 def test_a_sigterm_kills_the_suite_and_removes_the_copy(tmp_path):
     # a stand-in pytest, first on the child's path, records its pid and
-    # working directory (the repo copy) and then sleeps
+    # working directory (the repo copy) and then sleeps.  The script runs
+    # with no mutants, so a stale mutant text fails only the test above
     record = tmp_path / "record.json"
     (tmp_path / "pytest.py").write_text(textwrap.dedent(f"""
         import json, os, time
@@ -84,8 +85,17 @@ def test_a_sigterm_kills_the_suite_and_removes_the_copy(tmp_path):
         os.replace({str(record)!r} + ".part", {str(record)!r})
         time.sleep(60)
     """))
-    script = subprocess.Popen([sys.executable, str(TESTS / "mutants.py")],
-                              env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    (tmp_path / "no_mutants.py").write_text(textwrap.dedent(f"""
+        import importlib.util, sys
+        spec = importlib.util.spec_from_file_location("mutants", {str(TESTS / "mutants.py")!r})
+        mutants = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mutants)
+        mutants.MUTANTS = []
+        sys.exit(mutants.main())
+    """))
+    script = subprocess.Popen([sys.executable, str(tmp_path / "no_mutants.py")],
+                              env={**os.environ, "PYTHONPATH": str(tmp_path),
+                                   "PYTHONDONTWRITEBYTECODE": "1"},
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     pid = copy = None
     try:
