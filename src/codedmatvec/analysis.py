@@ -131,12 +131,13 @@ def optimize_k(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"optimize_k needs n >= 2, got {n!r}")
+    suffixes = harmonic_suffixes(n, n - 1)  # any refusal comes before an O(n) array
     ks = np.arange(1, n)
     if require_divisor:
         ks = ks[_divides(r, ks)]
     best_k = None
     best_val = math.inf
-    for k, h in zip(ks.tolist(), harmonic_suffixes(n, n - 1)[ks].tolist()):
+    for k, h in zip(ks.tolist(), suffixes[ks].tolist()):
         value = a * r / k + (r / (mu * k)) * h + comm_at_k(k)
         if value < best_val:
             best_k, best_val = k, value

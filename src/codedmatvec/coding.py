@@ -252,29 +252,23 @@ def check_any_k(job: CodedJob, scheme: str, trials: int, rng: RngStream) -> AnyK
 
 def _combination_blocks(n: int, k: int, rows: int):
     """itertools.combinations(range(1, n + 1), k) as (B, k) intp blocks of
-    `rows` rows.  The s-subset a_1 < ... < a_s of lexicographic rank R has
-    C(n, s) - 1 - R = sum_c C(n - a_c, s - c + 1), so each a_c is the least
-    id whose term fits.  Complements have the mirrored rank, so for n - k < k
-    the n - k ids left out are unranked instead: s = min(k, n - k)."""
-    s, count = min(k, n - k), math.comb(n, k)
-    # choose[c - 1, t] = C(n - a_c, s - c + 1) at a_c = n - s + c - t
-    choose = np.array([[math.comb(s - c + t, s - c + 1) for t in range(n - s + 1)]
-                       for c in range(1, s + 1)])
-    top = n - s + 1 + np.arange(s)[:, None]  # a_c at t = 0
-    # per rank R, what is left to unrank: R for the complement, else C(n, k) - 1 - R
-    lefts = np.arange(count) if s < k else np.arange(count - 1, -1, -1)
+    `rows` rows.  The subset a_1 < ... < a_k of lexicographic rank R has
+    C(n, k) - 1 - R = sum_c C(n - a_c, k - c + 1), so each a_c is the least
+    id whose term fits."""
+    count = math.comb(n, k)
+    # choose[c - 1, t] = C(n - a_c, k - c + 1) at a_c = n - k + c - t
+    choose = np.array([[math.comb(k - c + t, k - c + 1) for t in range(n - k + 1)]
+                       for c in range(1, k + 1)])
+    top = n - k + 1 + np.arange(k)[:, None]  # a_c at t = 0
+    # per rank R, what is left to unrank: C(n, k) - 1 - R
+    lefts = np.arange(count - 1, -1, -1)
     for first in range(0, count, rows):
         left = lefts[first:first + rows].copy()
-        t = np.empty((s, len(left)), np.intp)  # a row per column of the block
+        t = np.empty((k, len(left)), np.intp)  # a row per column of the block
         for row, t_c in zip(choose, t):
             np.subtract(row.searchsorted(left, side="right"), 1, out=t_c)
             left -= row[t_c]
-        ids = (top - t).T
-        if s < k:
-            kept = np.ones((len(left), n), bool)
-            np.put_along_axis(kept, ids - 1, False, axis=1)
-            ids = np.nonzero(kept)[1].reshape(-1, k) + 1
-        yield ids
+        yield (top - t).T
 
 
 def recovery_error(job: CodedJob, worker_ids):

@@ -146,7 +146,7 @@ def harmonic_suffixes(n: int, j: int) -> np.ndarray:
     S_j < 1/(n-j+1) + ln(n/(n-j+1)) does not keep it below 2**53 are
     refused first.  S_j >= j/n then gives j < 2**32: the uint64 lo sum fits."""
     if 1 / (n - j + 1) + math.log1p((j - 1) / (n - j + 1)) >= 2.0 ** (32 - n.bit_length()):
-        raise ValueError(f"harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
+        raise ValueError(f"n: harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
                          f" * (H_n - H_(n-j)) < 2**53, got n={n}, j={j}")
     # 1.0/i for i <= n has its last bit at or above 2**-(bit_length(n) + 52)
     scale = n.bit_length() + 53

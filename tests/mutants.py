@@ -69,8 +69,8 @@ MUTANTS = [
      "return self.r / (self.mu * self.k)",
      "return self.r / (self.mu * self.n)"),
     ("optimize_k harmonic off by one", "analysis.py",
-     "harmonic_suffixes(n, n - 1)[ks]",
-     "harmonic_suffixes(n, n - 1)[ks - 1]"),
+     "suffixes[ks]",
+     "suffixes[ks - 1]"),
     ("feasible k from 2", "analysis.py",
      "ks = np.arange(1, n)",
      "ks = np.arange(2, n)"),
@@ -143,12 +143,9 @@ MUTANTS = [
     ("sampled subsets not capped", "coding.py",
      "min(trials, MAX_SUBSETS)",
      "trials"),
-    ("complement branch never taken", "coding.py",
-     "s, count = min(k, n - k), math.comb(n, k)",
-     "s, count = k, math.comb(n, k)"),
-    ("complement rank not mirrored", "coding.py",
-     "lefts = np.arange(count) if s < k else np.arange(count - 1, -1, -1)",
-     "lefts = np.arange(count - 1, -1, -1)"),
+    ("subset ranks read from the front", "coding.py",
+     "lefts = np.arange(count - 1, -1, -1)",
+     "lefts = np.arange(count)"),
 ]
 
 # the unit-test files run first and the acceptance criteria, most of the

@@ -1,5 +1,7 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -227,6 +229,18 @@ def test_optimize_k_boundary_and_errors():
             optimize_k(6, 6, a, 1.0, comm_at_k, require_divisor=True)
     with pytest.raises(ValueError, match="divides r=7.5"):
         optimize_k(6, 7.5, 0.0, 1.0, lambda k: 0.0, require_divisor=True)
+
+
+@pytest.mark.parametrize("require_divisor", [False, True])
+def test_optimize_k_refuses_a_too_large_n_before_any_o_n_array(require_divisor):
+    # at n = 2**27 the harmonic table is past its exactness bound; the scan's
+    # k range and divisor mask would take seconds and GB before that refusal
+    class Built(Exception):
+        pass
+
+    with mock.patch.object(np, "arange", side_effect=Built):
+        with pytest.raises(ValueError, match=f"^n: .* got n={2**27}, j={2**27 - 1}$"):
+            optimize_k(2**27, 700, 1.0, 1.0, lambda k: 0.001, require_divisor=require_divisor)
 
 
 def test_optimize_k_agrees_with_monte_carlo_sweep():

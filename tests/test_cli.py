@@ -413,6 +413,24 @@ def test_an_integer_past_float_range_is_exit_one(argv, names, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("switches", [[], ["--require-divisor"]],
+                         ids=["any-k", "require-divisor"])
+def test_optimize_k_refuses_a_too_large_n_at_once(switches, capsys, monkeypatch):
+    # past the harmonic table's exactness bound the refusal names n, and it
+    # comes before the scan builds its O(n) k range
+    def built(*args, **kwargs):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "arange", built)
+    argv = ["optimize-k", "--n", str(2**27), "--r", "700", "--a", "1", "--mu", "1",
+            "--t1cmm", "0.001", *switches]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: n: harmonic suffixes are exact only while")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_optimize_k_refuses_an_infinite_rate(capsys):
     # mu = inf would zero the order-statistic term, and the scan would still pick a k
     assert main(["optimize-k", "--n", "10", "--r", "120", "--a", "1", "--mu", "inf",

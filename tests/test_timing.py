@@ -66,7 +66,7 @@ def test_harmonic_suffixes_refuse_past_their_exactness_bound():
     class Built(Exception):
         pass
 
-    message = ("harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
+    message = ("n: harmonic suffixes are exact only while 2**(bit_length(n) + 21)"
                " * (H_n - H_(n-j)) < 2**53, got n={}, j={}")
     with mock.patch.object(np, "arange", side_effect=Built):
         for n, j in ((2**27, 2**27 - 1), (2**27, 2**27 - 15), (2**28, 2**28 - 100)):
