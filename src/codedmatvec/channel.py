@@ -14,11 +14,11 @@ engine `run_trials` uses its closed forms instead (ranks from 1):
     t_total     = max_j (comp_finish[j] + (needed - j + 1) * t_cmm)
     comm_end[i] = i * t_cmm + max_{j<=i} (comp_finish[j] - (j - 1) * t_cmm)
 
-The last term of the max, comp_finish[needed] + t_cmm, is a lower bound
-that an idle channel attains, so a run that needs only t_total skips each
-block of BLOCK ranks whose float upper bound cannot exceed it: the max is
-unchanged bit for bit, and near rank `needed` only a block or two is left.
-A saturated channel skips nothing.
+The max starts from its last term, comp_finish[needed] + t_cmm, which an
+idle channel attains, and a run that needs only t_total skips each piece
+of WINDOW ranks whose float upper bound exceeds the running max on no
+trial: the max is unchanged bit for bit.  An idle channel keeps the
+pieces near rank `needed`, a saturated one the first piece as well.
 
 One `run_trials` call serves several codes (the coded scheme and its
 uncoded (n, n) baseline, say, or a whole ladder of n) on common random
@@ -46,16 +46,13 @@ from .timing import (LARGEST_UNIT_DRAW, ClusterParams, CompTimes, sample_comp_ti
 # holds (one at least).  Every code of a call reuses it, so memory stays
 # within it whatever the trial count.
 CHUNK_ELEMENTS = 3 * 2**16
-# ranks per block that a run-time max with occupancy=False skips or keeps
-# as a whole (see _first_rank)
-BLOCK = 32
 # columns of a run-time-only call's work matrix (or the widest code's k, if
-# fewer): its row max runs over the kept ranks in pieces this wide.  On
-# criterion 09's ladder, where a chunk keeps a block or two per code, 2 *
-# BLOCK made a call 8.6% faster and 16 * BLOCK 8.0%; on a saturated ladder
-# (beta 0.5, c 10), which keeps every rank, 2 * BLOCK was 21% slower, as
-# each piece pays a fixed cost, and 16 * BLOCK 5.6% faster
-WINDOW = 16 * BLOCK
+# fewer): its row max runs in pieces this wide, each kept or skipped whole.
+# Against 512 columns, criterion 09's ladder (max near rank k) took 9.0%
+# longer at 128, 2.2% at 256 and 6.8% at 1024; a saturated ladder (beta
+# 0.5, c 10; max near rank 1) took 4.6%, 0.0% and 7.8% longer: each piece
+# pays a fixed cost, and a wider one keeps more ranks
+WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -227,15 +224,18 @@ def run_trials(
     With occupancy=False each pair stops at t_total and kth_finish, which
     are bit for bit the default run's: the ends, flags, completed_by_comp_k,
     q_idle and busy_fraction are neither computed nor allocated, and
-    those fields are None.  Nor are cf and the row max taken before the
-    first block of BLOCK ranks that can exceed the last term,
-    kth + t_cmm, on some row of the chunk (_first_rank): every skipped
-    term is at most that last term, so t_total is still the max over all
-    ranks.  A saturated channel starts at rank 1, at the cost of
-    needed / BLOCK bound columns more.  The kept ranks go through one
-    work matrix of WINDOW columns in pieces: the tail is added to each
-    piece of cf in place, and each piece's row max merges into t_total
-    with np.maximum, which is exact.  So a chunk holds the draws plus
+    those fields are None.  The ranks go through one work matrix of
+    WINDOW columns in pieces, and t_total starts from the last term,
+    kth + tail[-1], with the last column's float operations.  A piece
+    [lo, hi) before the last is bounded by cf[hi - 1] + tail[lo] in
+    floats: cf is nondecreasing, tail decreasing, and correctly rounded
+    / and + are monotone in each operand.  A piece whose bound exceeds
+    the running t_total on no row of the chunk is skipped, since each of
+    its terms is at most that running max, so t_total is still the max
+    over all ranks.  A kept piece of cf gets the tail in place, and its
+    row max merges into t_total with np.maximum, which is exact.  An
+    occupancy run's window is the widest k, so its one piece is the last
+    and is always kept.  So a run-time-only chunk holds the draws plus
     that window, where an occupancy run holds the draws plus two work
     matrices as wide as the widest code, and either takes as many rows as
     CHUNK_ELEMENTS holds: 52 per chunk on criterion 09's ladder, against
@@ -297,10 +297,15 @@ def run_trials(
             rate, shift, needed, t_cmm = params.rate, params.t0, params.k, comm.t_cmm
             kth = np.divide(times[:, needed - 1], rate, out=out.kth_finish[done])
             kth += shift
-            start = 0 if occupancy else _first_rank(times[:, :needed], rate, shift, tail, kth)
-            total = out.t_total[done]
-            for lo in range(start, needed, window):
+            # the last term, with the last column's float operations, seeds the max
+            total = np.add(kth, tail[-1], out=out.t_total[done])
+            for lo in range(0, needed, window):
                 hi = min(lo + window, needed)
+                # skip a piece whose bound cf[hi - 1] + tail[lo] is over the running
+                # max on no row.  Only pieces before the last are tested: an
+                # occupancy run's one piece is the last, and its metrics read it whole
+                if hi < needed and not np.any(times[:, hi - 1] / rate + shift + tail[lo] > total):
+                    continue
                 size = hi - lo
                 cf = np.divide(times[:, lo:hi], rate, out=work[: m * size].reshape(m, size))
                 np.add(cf, shift, out=cf)
@@ -308,10 +313,7 @@ def run_trials(
                 # pair adds the tail in place
                 ends = scratch[: m * size].reshape(m, size) if occupancy else cf
                 np.add(cf, tail[lo:hi], out=ends)
-                if lo == start:
-                    np.maximum.reduce(ends, axis=1, out=total)
-                else:
-                    np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)
+                np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)
             if not occupancy:
                 continue
             # lead[j] = j * t_cmm: ends[i] = max_{j<=i} (cf[j] - lead[j]) + lead[i] + t_cmm
@@ -339,29 +341,6 @@ def run_trials(
             span = total - cf[:, 0]
             np.divide(needed * t_cmm, span, out=out.busy_fraction[done], where=span > 0)
     return outs
-
-
-def _first_rank(x, rate, shift, tail, kth):
-    """First rank of the first block of BLOCK ranks whose cf + tail can
-    exceed the last term kth + tail[-1] on some row of x, the sorted
-    unit draws over the first `needed` ranks, whose last column's cf is
-    kth; the last block if none can.
-
-    A full block [s, s + BLOCK) before the last rank is bounded by
-    ub = (x[s + BLOCK - 1] / rate + shift) + tail[s], exactly in floats:
-    cf is nondecreasing, tail decreasing, and correctly rounded / and +
-    are monotone in each operand, so no element of the block rounds above
-    ub.  A skipped block has ub <= the last term <= the row max.
-    """
-    blocks = (x.shape[1] - 1) // BLOCK  # full blocks before the one holding the last rank
-    if not blocks:
-        return 0
-    last = kth + tail[-1]
-    ub = x[:, BLOCK - 1: blocks * BLOCK: BLOCK] / rate + shift
-    ub += tail[: blocks * BLOCK: BLOCK]
-    over = np.logical_or.reduce(ub > last[:, None], axis=0)
-    first = int(over.argmax())
-    return BLOCK * (first if over[first] else blocks)
 
 
 def run_coded_trial(

@@ -40,9 +40,12 @@ MUTANTS = [
     ("copy per n", "channel.py",
      "n, times = params.n, draw[:, :params.n]",
      "n, times = params.n, draw[:, :params.n].copy()"),
-    ("block bound at the block's last tail", "channel.py",
-     "ub += tail[: blocks * BLOCK: BLOCK]",
-     "ub += tail[BLOCK - 1: blocks * BLOCK: BLOCK]"),
+    ("piece bound at the piece's last tail", "channel.py",
+     "tail[lo] > total",
+     "tail[hi - 1] > total"),
+    ("last piece skippable", "channel.py",
+     "if hi < needed and not",
+     "if not"),
     ("kth read after the in-place tail add", "channel.py",
      "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)",
      "np.maximum(total, np.maximum.reduce(ends, axis=1), out=total)\n"

@@ -264,8 +264,9 @@ OCCUPANCY_FIELDS = ("completed_by_comp_k", "q_idle", "busy_fraction", "count1")
 
 
 LADDER = [100, 200, 400, 800, 1600, 3200]
-# criterion 09's family, whose run-time max keeps a block or two of ranks
-# per code, and a regime-II one whose saturated channel keeps every rank
+# criterion 09's family, whose run-time max lies near rank k, so a chunk
+# keeps each code's last piece of ranks, and a regime-II one whose
+# saturated channel puts it near rank 1, so the first piece is kept as well
 CRITERION_09, SATURATED = RegimeFamily(c=0.1, beta=1.0), RegimeFamily(c=10.0, beta=0.5)
 
 
@@ -284,9 +285,8 @@ def _ladder_codes(n, family=CRITERION_09):
 def test_run_times_alone_equal_the_full_run_on_the_ladder(n, family):
     # the speedup ladders' shapes, over two full run-time-only chunks of the
     # draws and one window, and a tail (more than an occupancy run's chunks
-    # hold); the saturated ladder's windows span every rank, so from n = 800
-    # on its uncoded code's max runs over several pieces of channel.WINDOW
-    # columns
+    # hold); the saturated ladder keeps its first piece, so from n = 800 on
+    # its uncoded code's max merges several pieces of channel.WINDOW columns
     codes = _ladder_codes(n, family)
     trials = 2 * (channel.CHUNK_ELEMENTS // (n + min(n, channel.WINDOW))) + 3
     for full, alone in zip(run_trials(codes, trials, 11),
@@ -303,12 +303,12 @@ PRUNE_KS = (1, 2, 31, 32, 33, 64, 65, 70, 99, W - 1, W, W + 1, 2 * W + 1)
 
 @pytest.mark.parametrize("t_one", [0.0, 1e-4, 1e-3, 0.01, 0.1, 1.0])
 def test_pruned_run_time_is_the_full_row_max_bit_for_bit(t_one):
-    # occupancy=False takes the row max only from the first block of ranks
-    # that can hold it: it must equal the max over every rank, bit for bit,
-    # with k on either side of the block edges, from an idle channel to a
-    # saturated one, for codes of mixed n in one call across chunks; k on
-    # either side of the edges of the pieces of WINDOW columns the max is
-    # taken in, up to three pieces.  The six cases take about 0.3 s
+    # occupancy=False skips each piece of ranks before the last whose bound
+    # is over the running max on no row: it must equal the max over every
+    # rank, bit for bit, from an idle channel to a saturated one, for codes
+    # of mixed n in one call across chunks, at k of one piece (up to 99)
+    # and k on either side of the edges of the pieces of WINDOW columns the
+    # max is taken in, up to three pieces.  The six cases take about 0.3 s
     coded = [ClusterParams(n=n, k=k, r=3 * k, a=0.3, mu=1.0)
              for n in PRUNE_NS for k in PRUNE_KS if k <= n]
     codes = [(params, CommModel.coded(params, t_one))
@@ -337,8 +337,8 @@ def test_a_ladder_call_holds_one_chunk_of_buffers_whatever_the_trials(occupancy,
     # CHUNK_ELEMENTS float64, at any trial count, and sorts each n's
     # columns of the draws in place; the slack covers the per-code tail
     # vectors and, in an occupancy run only, the flags and the rank
-    # vectors.  On the saturated ladder a run-time-only call keeps every
-    # rank, and its pieces reuse the one window (an occupancy run computes
+    # vectors.  On the saturated ladder a run-time-only call keeps the most
+    # pieces, and they reuse the one window (an occupancy run computes
     # every rank on either ladder)
     codes = [code for n in LADDER for code in _ladder_codes(n, family)]
     p = 50 if occupancy else None
