@@ -165,26 +165,39 @@ def _one_block(job: CodedJob, worker_ids) -> np.ndarray:
     return np.array([ids], dtype=np.intp)
 
 
-def _gather(job: CodedJob, block: np.ndarray, results: np.ndarray):
+def _gather(job: CodedJob, block: np.ndarray, results: np.ndarray, buffers):
     """Gather each row's system of a (B, k) block of valid worker ids, in
-    ascending id: the (B, k, k) generator rows and the (B, k, r/k) rows of
-    `results`, the worker results."""
+    ascending id, into the first B rows of `buffers`: the (B, k, k)
+    generator rows and the (B, k, r/k) rows of `results`, the worker
+    results."""
     rows = np.sort(block, axis=1) - 1
-    return np.take(job.generator, rows, axis=0), np.take(results, rows, axis=0)
+    g, z = (buffer[:len(rows)] for buffer in buffers)
+    # every id is in [1, n]; mode="raise" would copy through a temporary
+    np.take(job.generator, rows, axis=0, out=g, mode="clip")
+    np.take(results, rows, axis=0, out=z, mode="clip")
+    return g, z
 
 
 def _decode(job: CodedJob, blocks):
     """Per (B, k) block of worker ids: each row's (k, k) generator rows G_S,
     y_hat solved from G_S Y = Z, and its relative error ||y_hat - A x|| /
     ||A x|| (absolute if A x = 0).  The worker results, A x and its norm
-    are computed once, for all the blocks."""
+    are computed once, for all the blocks, and every block is gathered into
+    the buffers of the first, which is the largest: a yielded G_S is valid
+    only until the next block."""
     results, y = job.assignments @ job.x, job.a_matrix @ job.x
     y_norm = np.linalg.norm(y) or 1.0
+    k, w = job.generator.shape[1], results.shape[1]
+    buffers = None
     for block in blocks:
-        g, z = _gather(job, block, results)
+        if buffers is None:
+            buffers = (np.empty((len(block), k, k), job.generator.dtype),
+                       np.empty((len(block), k, w), results.dtype))
+        g, z = _gather(job, block, results, buffers)
         y_hat = _solve(g, z).reshape(len(g), -1)
-        diff = y_hat - y
+        diff = np.subtract(y_hat, y, out=z.reshape(len(g), -1))  # Z is spent
         yield g, y_hat, np.sqrt(np.vecdot(diff, diff)) / y_norm
+        del y_hat  # before the next solve, so malloc hands its memory back
 
 
 def _solve(g: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -234,7 +247,8 @@ def check_any_k(job: CodedJob, scheme: str, trials: int, rng: RngStream) -> AnyK
         for first in range(0, count, rows))
     checked = failures = unflagged = 0
     max_error = 0.0
-    for g, _, errors in _decode(job, blocks):
+    for g, y_hat, errors in _decode(job, blocks):
+        del y_hat  # so the next block's solve reuses its memory
         failing = ~(errors <= tol)  # so a NaN error fails
         checked += len(errors)
         failures += int(failing.sum())

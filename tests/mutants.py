@@ -149,6 +149,15 @@ MUTANTS = [
     ("subset ranks read from the front", "coding.py",
      "lefts = np.arange(count - 1, -1, -1)",
      "lefts = np.arange(count)"),
+    ("y_hat held by _decode past its block", "coding.py",
+     "        del y_hat  # before the next solve, so malloc hands its memory back\n",
+     ""),
+    ("y_hat held by check_any_k's loop", "coding.py",
+     "        del y_hat  # so the next block's solve reuses its memory\n",
+     ""),
+    ("error written into the G rows", "coding.py",
+     "out=z.reshape(len(g), -1)",
+     "out=g.reshape(len(g), -1)"),
 ]
 
 # the unit-test files run first and the acceptance criteria, most of the

@@ -623,7 +623,7 @@ def test_decode_check_gathers_and_solves_each_subset_once(monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(coding, "_gather", counting("gathered", coding._gather,
-                                                    lambda job, chunk, results: len(chunk)))
+                                                    lambda job, chunk, results, buffers: len(chunk)))
     monkeypatch.setattr(np.linalg, "solve",
                         counting("solved", np.linalg.solve, lambda a, b: len(a)))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond, len))

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -285,9 +286,9 @@ def test_check_any_k_matches_recovery_error_subset_by_subset(scheme, monkeypatch
     subsets = list(itertools.combinations(range(1, 17), 8))
     gathered = []
 
-    def gather(job, rows, results):
+    def gather(job, rows, results, buffers):
         gathered.append(rows.copy())
-        return coding_gather(job, rows, results)
+        return coding_gather(job, rows, results, buffers)
 
     coding_gather = coding._gather
     monkeypatch.setattr(coding, "_gather", gather)
@@ -467,8 +468,8 @@ def gathered_blocks(monkeypatch, job, scheme, trials, seed=0):
     blocks = []
     gather = coding._gather
     monkeypatch.setattr(coding, "_gather",
-                        lambda job, block, results: blocks.append(block.copy()) or
-                        gather(job, block, results))
+                        lambda job, block, results, buffers: blocks.append(block.copy()) or
+                        gather(job, block, results, buffers))
     check = check_any_k(job, scheme, trials, RngStream(seed, 0))
     monkeypatch.undo()
     return check, blocks
@@ -505,6 +506,33 @@ def test_check_any_k_is_exhaustive_up_to_max_subsets(monkeypatch):
         rng = RngStream(9, 0)
         expected = [(np.argsort(rng.uniforms(17))[:8] + 1).tolist() for _ in range(checked)]
         assert np.vstack(blocks).tolist() == expected
+
+
+def traced_peak(job, scheme, trials):
+    """The traced peak of one check_any_k call, in bytes."""
+    tracemalloc.start()
+    try:
+        check_any_k(job, scheme, trials, RngStream(0, 0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_check_holds_one_block_of_buffers_whatever_the_trials():
+    # every block is gathered into the generator-row and worker-result
+    # buffers of the first, CHUNK_ELEMENTS float64 in all, and each block's
+    # y_hat (half as much at the benchmark's shape, where k = r/k) is freed
+    # before the next block's solve; the slack covers the blocks' ids and
+    # the unranking's C(16, 8) ranks: about 2.0x in all.  A second y_hat
+    # alive at a solve (2.35x-2.5x), or buffers per block, would cross the
+    # bound.  A sampled check peaks the same at 3000 as at 12000 trials
+    job = random_job(n=16, k=8, r=64, m=5, scheme="systematic")
+    check_any_k(job, "systematic", 1, RngStream(0, 0))  # numpy's one-time set-up
+    peak = traced_peak(job, "systematic", 1)
+    assert peak < 2.25 * CHUNK_ELEMENTS * 8, peak
+    job = random_job(n=20, k=10, r=10, m=2)
+    peaks = [traced_peak(job, "random", trials) for trials in (3000, 12000)]
+    assert abs(peaks[1] - peaks[0]) < 2**12 and max(peaks) < 2.25 * CHUNK_ELEMENTS * 8, peaks
 
 
 @pytest.mark.parametrize("trials", [0, -1, True, 2.0, None])
